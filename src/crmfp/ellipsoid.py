@@ -3,13 +3,15 @@
 An ellipsoid is the sublevel set {x : x'Ax + 2 b'x - alpha <= 0} with A
 symmetric positive definite.  Projection of an exterior point reduces to a
 one-dimensional root-find in the multiplier lam of the stationarity system
-(I + lam A) p = x - lam b; the value g(p(lam)) is strictly decreasing in
-lam, so a safeguarded Newton iteration with a bisection bracket always
-converges.  All heavy work happens in the eigenbasis of A (computed once
-per ellipsoid and cached), which makes every root-find trial O(n) and lets
-many (ellipsoid, point) pairs be driven in lockstep as rows of a batch.
-Rows of a batch never interact, so batched results equal one-at-a-time
-results exactly.
+(I + lam A) p = x - lam b.  In the eigenbasis of A, g(p(lam)) plus a
+constant is the trust-region secular form sum_i c_i / (1 + lam w_i)^2, so
+its inverse square root is concave and increasing in lam (More & Sorensen,
+1983; Dai, 2006).  Newton's method on that transform, started at lam = 0,
+rises monotonically to the root and needs no bracket.  All heavy work
+happens in the eigenbasis (computed once per ellipsoid and cached), which
+makes every Newton step O(n) and lets many (ellipsoid, point) pairs be
+driven in lockstep as rows of a batch.  Rows of a batch never interact, so
+batched results equal one-at-a-time results exactly.
 
 Two projectors are provided: project_kkt solves the root-find directly and
 serves as the correctness oracle; project_admm runs a splitting iteration
@@ -116,7 +118,6 @@ class EllipsoidStack:
             w, q = e.eig()
             eigs.append(w)
             rots.append(q)
-        self.ellipsoids = ellipsoids
         self.dim = n
         self.eigs = np.stack(eigs)                    # (J, n)
         self.rot = np.stack(rots)                     # (J, n, n)
@@ -129,7 +130,6 @@ class EllipsoidStack:
     @classmethod
     def concatenate(cls, stacks) -> "EllipsoidStack":
         out = cls.__new__(cls)
-        out.ellipsoids = tuple(e for s in stacks for e in s.ellipsoids)
         out.dim = stacks[0].dim
         out.eigs = np.concatenate([s.eigs for s in stacks])
         out.rot = np.concatenate([s.rot for s in stacks])
@@ -188,42 +188,32 @@ def _root_project(w, bt, alph, zt, gtol) -> np.ndarray:
     """Eigencoordinate projections for rows strictly outside their sets.
 
     Solves g(p(lam)) = 0 per row, p(lam) = (z - lam b) / (1 + lam w)
-    elementwise, by safeguarded Newton within a doubling bracket; stops when
-    |g| <= gtol (rowwise).
+    elementwise.  With s = (w z + b) / (1 + lam w) = w p + b, the value has
+    the secular form phi(lam) = g + beta = sum s^2 / w, where
+    beta = alpha + sum b^2 / w > 0, so h = phi^(-1/2) is concave and
+    increasing in lam.  Newton on h(lam) = beta^(-1/2) from lam = 0 therefore
+    rises monotonically to the root: no bracket or safeguard is needed.
+    Stops when |g| <= gtol (rowwise); finished rows keep their multiplier.
     """
-    rows = zt.shape[0]
-    gtol = np.broadcast_to(np.asarray(gtol, dtype=float), (rows,))
-    lam = np.zeros(rows)
-    lo = np.zeros(rows)
-    hi = np.ones(rows)
-    for _ in range(200):
-        pt_hi = (zt - hi[:, None] * bt) / (1.0 + hi[:, None] * w)
-        grow = _g_rows(w, bt, alph, pt_hi) > 0.0
-        if not grow.any():
-            break
-        hi = np.where(grow, 2.0 * hi, hi)
-    else:
-        raise RootNotBracketed("could not bracket the projection multiplier")
-
-    done = np.zeros(rows, dtype=bool)
-    pt = zt
-    for _ in range(300):
+    num = w * zt + bt
+    beta = alph + (bt * bt / w).sum(-1)
+    lam = np.zeros(zt.shape[0])
+    done = np.zeros(zt.shape[0], dtype=bool)
+    for k in range(100):
         denom = 1.0 + lam[:, None] * w
         pt = (zt - lam[:, None] * bt) / denom
         val = _g_rows(w, bt, alph, pt)
+        if k == 0 and not np.isfinite(val).all():
+            raise RootNotBracketed("non-finite exterior row")
         done |= np.abs(val) <= gtol
         if done.all():
             return pt
-        dpt = -(bt + w * zt) / (denom * denom)
-        dval = 2.0 * ((w * pt + bt) * dpt).sum(-1)
-        lo = np.where(~done & (val > 0.0), lam, lo)
-        hi = np.where(~done & (val < 0.0), lam, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = lam - val / dval
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        lam = np.where(done, lam, cand)
-    raise RootNotBracketed("projection multiplier refinement did not converge")
+        s = num / denom
+        phi = val + beta
+        # h step (beta^-1/2 - phi^-1/2) / h' with -phi' = 2 sum s^2 / denom.
+        step = phi * val / (beta * (np.sqrt(phi / beta) + 1.0) * (s * s / denom).sum(-1))
+        lam = np.where(done, lam, lam + step)
+    raise RootNotBracketed("projection multiplier iteration did not converge")
 
 
 def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> np.ndarray:

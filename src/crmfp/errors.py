@@ -27,7 +27,7 @@ class NotInSubspace(ValueError):
 
 
 class RootNotBracketed(ArithmeticError):
-    """Scalar root search could not bracket a sign change; input data is broken."""
+    """Projection multiplier search hit its iteration cap or met non-finite input."""
 
 
 class EmptyOperatorList(ValueError):

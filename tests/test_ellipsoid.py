@@ -5,19 +5,27 @@ that brackets the multiplier with plain dense solves (no eigenbasis), so
 the two computations share no code path.  The splitting projector is then
 cross-validated against the direct one.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crmfp.ellipsoid as ellipsoid_module
 from crmfp import (
     AdmmConfig,
     DimensionMismatch,
     Ellipsoid,
+    EllipsoidProjection,
+    RootNotBracketed,
     evaluate_g,
     gen_ellipsoid,
     project_admm,
     project_kkt,
 )
-from crmfp.ellipsoid import admm_project_stacked, kkt_project_stacked
+from crmfp.ellipsoid import EllipsoidStack, admm_project_stacked, kkt_project_stacked
 
 
 def unit_ball(dim=2):
@@ -42,7 +50,9 @@ def reference_projection(e, x, tol=1e-13):
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * (1.0 + hi):
+        # Relative in the multiplier: a small multiplier on a steep A moves
+        # p by about (hi - lo) * ||A p + b||, so an absolute rule is too coarse.
+        if hi - lo < tol * hi:
             break
     return p_of(0.5 * (lo + hi))
 
@@ -146,7 +156,8 @@ class TestKktProjection:
             assert float((x - p) @ (member - p)) <= 1e-8
 
     def test_monotone_multiplier_path(self):
-        # Justifies bracketing: g along the path is strictly decreasing.
+        # The root-find's premise: g along the multiplier path is strictly
+        # decreasing, so the exterior root is unique.
         rng = np.random.default_rng(17)
         e = gen_ellipsoid(4, rng)
         x = rng.standard_normal(4) * 8
@@ -159,6 +170,41 @@ class TestKktProjection:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             project_kkt(unit_ball(), np.zeros(3))
+
+    def test_infinite_exterior_row_fails_fast(self, monkeypatch):
+        # In one dimension the eigenbasis rotation maps inf to inf (in more
+        # it mixes in inf * 0 = nan), so the row reaches the root-find as
+        # exterior with g = inf.
+        e = Ellipsoid(np.array([[2.0]]), np.array([0.5]), 1.0)
+        stack = EllipsoidStack([e, e])
+        evaluations = []
+        g_rows = ellipsoid_module._g_rows
+
+        def counting_g_rows(*args):
+            evaluations.append(1)
+            return g_rows(*args)
+
+        monkeypatch.setattr(ellipsoid_module, "_g_rows", counting_g_rows)
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            kkt_project_stacked(stack, np.array([[3.0], [np.inf]]), 1e-10)
+        assert len(evaluations) == 1
+        with pytest.raises(RootNotBracketed):
+            project_admm(e, np.array([np.inf]))
+
+    def test_evaluated_projection_freed_without_cycle_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            e = gen_ellipsoid(4, np.random.default_rng(3))
+            op = EllipsoidProjection(e, method="kkt")
+            op(np.full(4, 10.0))
+            assert e._single is not None
+            alive = weakref.ref(e)
+            del e, op
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestAdmmProjection:
@@ -187,13 +233,23 @@ class TestAdmmProjection:
         assert worst <= 1e-6
 
     def test_iteration_budget_flag(self):
-        # penalty != 1 keeps the splitting iterating, so a tiny budget
-        # with an unreachable tolerance must return unconverged.
+        # An exterior point moves on the first set step, so a one-iteration
+        # budget cannot see the displacement stop rule fire.
         e = Ellipsoid(np.diag([1.0, 9.0]), np.array([0.2, -0.1]), 1.0)
-        cfg = AdmmConfig(tolerance=1e-14, max_iterations=3, penalty=0.5)
+        cfg = AdmmConfig(tolerance=1e-14, max_iterations=1, penalty=0.5)
         res = project_admm(e, np.array([5.0, 1.0]), cfg)
         assert not res.converged
-        assert res.iterations == 3
+        assert res.iterations == 1
+
+    def test_exact_set_step_converges_in_two(self):
+        # The set step projects z + t (z - q1) exactly, whose projection is
+        # q1 again for every penalty: the second iteration confirms the first.
+        e = Ellipsoid(np.diag([1.0, 9.0]), np.array([0.2, -0.1]), 1.0)
+        x = np.array([5.0, 1.0])
+        res = project_admm(e, x, AdmmConfig(tolerance=1e-14, penalty=0.5))
+        assert res.converged
+        assert res.iterations == 2
+        assert np.linalg.norm(res.point - project_kkt(e, x, tol=1e-13)) <= 1e-12
 
     def test_deterministic(self):
         e = gen_ellipsoid(7, np.random.default_rng(40))
@@ -246,8 +302,6 @@ class TestBatchedEvaluation:
         es = [gen_ellipsoid(5, rng) for _ in range(6)]
         xs = rng.standard_normal((6, 5)) * 4
         xs[2] *= 0.0  # interior row mixed in
-        from crmfp.ellipsoid import EllipsoidStack
-
         stack = EllipsoidStack(es)
         cfg = AdmmConfig()
         batch_pts, batch_iters, batch_conv = admm_project_stacked(stack, xs, cfg)
@@ -260,3 +314,63 @@ class TestBatchedEvaluation:
         batch_kkt = kkt_project_stacked(stack, xs, 1e-10)
         for j, e in enumerate(es):
             np.testing.assert_array_equal(batch_kkt[j], project_kkt(e, xs[j], 1e-10))
+
+
+def conditioned_case(seed, n, log_cond, b_scale, log_dist):
+    """An ellipsoid with cond(A) = 10**log_cond, and an exterior point at
+    distance 10**log_dist from its known projection y.
+
+    y is a boundary point; x = y + d * (outward unit normal at y).
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    u = rng.random(n)
+    u[0], u[-1] = 0.0, 1.0
+    w = 10.0 ** (log_cond * u)
+    A = (q * w) @ q.T
+    A = 0.5 * (A + A.T)
+    b = rng.standard_normal(n) * b_scale
+    e = Ellipsoid(A, b, float(rng.uniform(0.5, 2.0)))
+    a_inv_b = np.linalg.solve(A, b)
+    beta = e.alpha + float(b @ a_inv_b)
+    v = rng.standard_normal(n)
+    y = -a_inv_b + v * np.sqrt(beta / float(v @ A @ v))
+    normal = A @ y + b
+    x = y + 10.0**log_dist * normal / np.linalg.norm(normal)
+    return e, x, y, beta, float(w.max() / w.min())
+
+
+cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.floats(0.0, 8.0),
+    st.sampled_from([0.0, 1.0, 1e3]),
+    st.floats(-8.0, 6.0),
+)
+
+
+class TestRootFindProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(cases)
+    def test_matches_known_projection_and_oracle(self, case):
+        e, x, y, beta, cond = conditioned_case(*case)
+        if e.g(x) <= 0.0:  # a 1e-8 step can round back onto the boundary
+            return
+        p = project_kkt(e, x, tol=1e-12 * (1.0 + beta))
+        scale = max(1.0, float(np.linalg.norm(x)))
+        assert np.linalg.norm(p - y) <= 1e-11 * scale
+        # The dense oracle's own error grows with the conditioning of its solves.
+        ref = reference_projection(e, x)
+        assert np.linalg.norm(p - ref) <= 1e-10 * np.sqrt(cond) * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(cases, min_size=2, max_size=6), st.integers(1, 12))
+    def test_batched_rows_equal_one_row_calls(self, row_cases, n):
+        made = [conditioned_case(seed, n, lc, bs, ld) for seed, _, lc, bs, ld in row_cases]
+        es = [m[0] for m in made]
+        xs = np.stack([m[1] for m in made])
+        xs[0] *= 0.0  # an interior row mixed in
+        tol = 1e-12 * (1.0 + max(m[3] for m in made))
+        batch = kkt_project_stacked(EllipsoidStack(es), xs, tol)
+        for e, x, row in zip(es, xs, batch):
+            np.testing.assert_array_equal(row, project_kkt(e, x, tol))

@@ -25,7 +25,6 @@ from .ellipsoid import (
     AdmmConfig,
     AdmmResult,
     Ellipsoid,
-    evaluate_g,
     project_admm,
     project_kkt,
 )
@@ -69,7 +68,6 @@ from .operators import (
     fixed_set_witness_check,
     gradient_check,
     idempotence_violation_search,
-    set_fused_evaluation,
     translate,
     translated_projection_deviation,
 )
@@ -106,12 +104,12 @@ __all__ = [
     "IterationTrace", "NotDiagonal", "NotInSubspace", "ProfileCurve",
     "RateEstimate", "RootNotBracketed", "RunResult", "SolverConfig",
     "SummaryStats", "apply_each", "circumcenter3", "crm_step", "derive_seed",
-    "diag_project", "embed", "estimate_rate", "evaluate_g", "export",
+    "diag_project", "embed", "estimate_rate", "export",
     "extract", "firm_nonexpansiveness_slack", "fixed_point_residual",
     "fixed_set_witness_check", "gen_ellipsoid", "gen_instance", "gen_operator",
     "gradient_check", "idempotence_violation_search", "initial_point",
     "lift_apply", "load_instance", "map_step", "performance_profile", "ppm_step",
     "project_admm", "project_kkt", "read_results_csv", "reflect",
-    "run", "run_experiment", "save_instance", "set_fused_evaluation",
+    "run", "run_experiment", "save_instance",
     "spm_step", "summarize", "translate", "translated_projection_deviation",
 ]

@@ -23,7 +23,6 @@ from .bench import (
 )
 from .ellipsoid import AdmmConfig
 from .instance_gen import InstanceSpec, gen_instance, initial_point, load_instance, save_instance
-from .operators import set_fused_evaluation
 from .product_space import BlockOperator, DiagonalSubspace, embed, extract
 from .solvers import SolverConfig, run
 
@@ -67,8 +66,6 @@ def _add_bench(sub):
                    help="explicit iteration budget; overrides --preset")
     p.add_argument("--admm-tol", type=float, default=1e-8)
     p.add_argument("--no-diagnostics", action="store_true")
-    p.add_argument("--no-fused-blocks", action="store_true",
-                   help="evaluate operator blocks one by one (same results, slower)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True,
                    help="directory for results.csv, summary csvs, and the profile csv")
@@ -152,8 +149,6 @@ def _cmd_bench(args) -> int:
         admm=AdmmConfig(tolerance=args.admm_tol),
         diagnostics=not args.no_diagnostics,
     )
-    if args.no_fused_blocks:
-        set_fused_evaluation(False)
     results = run_experiment(grid, workers=args.workers)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

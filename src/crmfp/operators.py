@@ -6,12 +6,16 @@ convex-combination, composition, and the blockwise "lifted" kind defined in
 product_space.  Operators are immutable, validate their input dimension on
 every call, and return new arrays.
 
-Convex combinations (and block applications) of ellipsoid projections are
-evaluated as one batched solve, one batch row per member set.  Rows of a
-batch never interact, so the fused path returns exactly what member-by-
-member evaluation returns; it only removes per-member loop overhead.
+A fixed list of operators is evaluated through an EvaluationPlan, built
+once per list: every ellipsoid projection among the operators (or among
+the members of their convex combinations) is one row of a single stacked
+solve.  Rows of a batch never interact, so a plan returns exactly what
+operator-by-operator evaluation returns; it only removes per-member loop
+and concatenation overhead.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -24,24 +28,10 @@ from .ellipsoid import (
 )
 from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
 
-# Fused evaluation is skipped when the stacked eigenvector arrays would
-# exceed this many floats (memory gate; results are identical either way).
+# A plan that would concatenate more than this many eigenbasis floats (a
+# second copy of its operators' own stacks) calls its operators one by one
+# instead (memory gate; results are identical either way).
 FUSE_GATE = 1 << 22
-
-_FUSED_EVALUATION = True
-
-
-def set_fused_evaluation(enabled: bool) -> bool:
-    """Globally enable or disable batched ellipsoid evaluation.
-
-    Disabled, every combination and block application falls back to the
-    plain member-by-member loop.  Outputs are bit-identical either way;
-    only wall time changes.  Returns the previous setting.
-    """
-    global _FUSED_EVALUATION
-    previous = _FUSED_EVALUATION
-    _FUSED_EVALUATION = bool(enabled)
-    return previous
 
 
 def _check_vec(x, dim: int) -> np.ndarray:
@@ -190,10 +180,7 @@ class EllipsoidProjection:
 
     def __call__(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim)
-        stack = self.ellipsoid.stack()
-        if self.method == "admm":
-            return admm_project_stacked(stack, x[None, :], self.admm)[0][0]
-        return kkt_project_stacked(stack, x[None, :], self.kkt_tol)[0]
+        return _project_rows(self.ellipsoid.stack(), x[None, :], self._solver_key())[0]
 
 
 class ConvexCombination:
@@ -224,29 +211,15 @@ class ConvexCombination:
         self.operators = operators
         self.weights = weights
         self.dim = dim
-        self._fuse_cache: tuple | None | bool = False  # False = not computed yet
 
-    def _fused(self):
-        """(stack, solver key) when every member projects onto an ellipsoid."""
-        if self._fuse_cache is False:
-            parts = None
-            if all(isinstance(op, EllipsoidProjection) for op in self.operators):
-                keys = {op._solver_key() for op in self.operators}
-                if len(keys) == 1:
-                    stack = EllipsoidStack([op.ellipsoid for op in self.operators])
-                    parts = (stack, keys.pop())
-            self._fuse_cache = parts
-        return self._fuse_cache
+    @cached_property
+    def plan(self) -> "EvaluationPlan":
+        """Evaluation plan of the members, built on first use."""
+        return EvaluationPlan(self.operators)
 
     def __call__(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim)
-        fused = self._fused() if _FUSED_EVALUATION else None
-        if fused is not None:
-            stack, key = fused
-            rows = np.broadcast_to(x, (len(stack), self.dim))
-            return self.weights @ _project_rows(stack, rows, key)
-        outs = np.stack([op(x) for op in self.operators])
-        return self.weights @ outs
+        return self.weights @ self.plan(x)
 
 
 class Composition:
@@ -278,58 +251,89 @@ def _project_rows(stack: EllipsoidStack, rows: np.ndarray, key) -> np.ndarray:
     return kkt_project_stacked(stack, rows, kkt_tol)
 
 
-def _ellipsoid_parts(op):
-    """(stack, weights, solver key) when op is built from ellipsoid projections."""
-    if isinstance(op, EllipsoidProjection):
-        return op.ellipsoid.stack(), np.ones(1), op._solver_key()
-    if isinstance(op, ConvexCombination):
-        fused = op._fused()
-        if fused is not None:
-            return fused[0], op.weights, fused[1]
-    return None
+class EvaluationPlan:
+    """Batched evaluation of a fixed list of operators, built once.
+
+    Each ellipsoid projection in the list owns one row of the plan's
+    EllipsoidStack; each convex combination of ellipsoid projections owns
+    a run of consecutive rows (one per member) and its weights.  A call
+    projects all rows in one stacked solve.  Operators of other kinds or
+    solver settings, and every operator when the concatenated stack would
+    exceed FUSE_GATE floats, are called as they are.  Each image is the
+    same arithmetic on the same values as the operator's own call, so the
+    two agree bit for bit.
+    """
+
+    def __init__(self, operators):
+        operators = tuple(operators)
+        if not operators:
+            raise EmptyOperatorList("need at least one operator")
+        n = operators[0].dim
+        parts = {}  # operator index -> (weights, or None for one row; solver key)
+        for i, op in enumerate(operators):
+            if isinstance(op, EllipsoidProjection):
+                parts[i] = (None, op._solver_key())
+            elif isinstance(op, ConvexCombination) and op.plan.one_row_each:
+                parts[i] = (op.weights, op.plan.key)
+        key = next(iter(parts.values()), (None, None))[1]
+        fused = [i for i, part in parts.items() if part[1] == key]
+        weights = [parts[i][0] for i in fused]
+        stack = None
+        if fused and all(w is None for w in weights):
+            stack = EllipsoidStack([operators[i].ellipsoid for i in fused])
+        elif fused:
+            stacks = [operators[i].ellipsoid.stack() if w is None else operators[i].plan.stack
+                      for i, w in zip(fused, weights)]
+            if sum(map(len, stacks)) * n * n <= FUSE_GATE:
+                stack = stacks[0] if len(stacks) == 1 else EllipsoidStack.concatenate(stacks)
+            else:
+                fused, weights = [], []
+        counts = [1 if w is None else len(w) for w in weights]
+        stops = np.cumsum(counts, dtype=int)
+        self.operators = operators
+        self.dim = n
+        self.key = key
+        self.stack = stack
+        self.fused = np.array(fused, dtype=int)
+        self.counts = np.array(counts, dtype=int)
+        self.groups = [(i, int(stop - c), int(stop), w)
+                       for i, c, stop, w in zip(fused, counts, stops, weights)]
+        self.called = [i for i in range(len(operators)) if i not in fused]
+        # Every operator is one stacked row: the projected rows are the images.
+        self.one_row_each = not self.called and all(w is None for w in weights)
+
+    def __call__(self, points) -> np.ndarray:
+        """Images, one row per operator: all at one shared point (a vector),
+        or operator i at points[i]."""
+        points = np.asarray(points, dtype=float)
+        shared = points.ndim == 1
+        expected = (self.dim,) if shared else (len(self.operators), self.dim)
+        if points.shape != expected:
+            raise DimensionMismatch(f"points have shape {points.shape}, expected {expected}")
+        if self.stack is not None:
+            if shared:
+                rows = np.broadcast_to(points, (len(self.stack), self.dim))
+            else:
+                rows = np.repeat(points[self.fused], self.counts, axis=0)
+            proj = _project_rows(self.stack, rows, self.key)
+            if self.one_row_each:
+                return proj
+        out = np.empty((len(self.operators), self.dim))
+        for i, start, stop, weights in self.groups:
+            out[i] = proj[start] if weights is None else weights @ proj[start:stop]
+        for i in self.called:
+            out[i] = self.operators[i](points if shared else points[i])
+        return out
 
 
 def apply_each(operators, points) -> list[np.ndarray]:
-    """Apply operators[i] to its input row, fusing ellipsoid work when possible.
+    """Apply operators[i] to its input row through a one-shot EvaluationPlan.
 
     points is either one vector shared by every operator or an array with
     one row per operator.  Returns the list of outputs; identical to the
     plain per-operator loop.
     """
-    operators = list(operators)
-    if not operators:
-        raise EmptyOperatorList("need at least one operator")
-    points = np.asarray(points, dtype=float)
-    shared = points.ndim == 1
-    if not shared and points.shape[0] != len(operators):
-        raise DimensionMismatch(
-            f"{len(operators)} operators but {points.shape[0]} input rows"
-        )
-
-    parts = [_ellipsoid_parts(op) for op in operators] if _FUSED_EVALUATION else [None]
-    if all(p is not None for p in parts):
-        keys = {p[2] for p in parts}
-        total = sum(len(p[0]) for p in parts)
-        n = operators[0].dim
-        if len(keys) == 1 and total * n * n <= FUSE_GATE:
-            big = EllipsoidStack.concatenate([p[0] for p in parts])
-            if shared:
-                rows = np.broadcast_to(points, (total, n))
-            else:
-                counts = [len(p[0]) for p in parts]
-                rows = np.repeat(points, counts, axis=0)
-            proj = _project_rows(big, rows, keys.pop())
-            outs = []
-            start = 0
-            for p in parts:
-                stop = start + len(p[0])
-                outs.append(p[1] @ proj[start:stop])
-                start = stop
-            return outs
-
-    if shared:
-        return [op(points) for op in operators]
-    return [op(points[i]) for i, op in enumerate(operators)]
+    return list(EvaluationPlan(operators)(points))
 
 
 def translate(op, shift):

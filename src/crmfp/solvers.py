@@ -23,7 +23,7 @@ from .errors import (
     NotInSubspace,
 )
 from .geometry import circumcenter3
-from .operators import apply_each
+from .operators import EvaluationPlan, apply_each
 
 # Degeneracy guard inside the circumcentering step.
 EPS_DEG = 1e-12
@@ -206,6 +206,8 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
 
     stop_reason = "max-iterations"
     t0 = time.perf_counter()
+    if kind == "ppm":
+        plan = EvaluationPlan(operators)   # built once, timed with the loop
     for k in range(cfg.max_iterations):
         tx = None
         if kind == "crm":
@@ -218,7 +220,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
             tx = np.asarray(operator(x), dtype=float)
             xn = subspace.project(tx)
         elif kind == "ppm":
-            xn = ppm_step(operators, x)
+            xn = np.mean(plan(x), axis=0)
         else:
             xn = spm_step(operators, x)
 

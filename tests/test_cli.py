@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from crmfp import read_results_csv, set_fused_evaluation
+from crmfp import read_results_csv
 from crmfp.cli import main
 
 
@@ -125,16 +125,10 @@ class TestBench:
             b / "results.csv"
         )
 
-    def test_unfused_blocks_keep_results(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        try:
-            main(bench_args(a))
-            main(bench_args(b, "--no-fused-blocks"))
-        finally:
-            set_fused_evaluation(True)
-        assert rows_without_elapsed(a / "results.csv") == rows_without_elapsed(
-            b / "results.csv"
-        )
+    def test_evaluation_mode_flag_is_gone(self, tmp_path):
+        # Evaluation is always batched; there is no switch to turn it off.
+        with pytest.raises(SystemExit):
+            main(bench_args(tmp_path, "--no-fused-blocks"))
 
 
 class TestSummarizeAndProfile:

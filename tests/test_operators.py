@@ -1,7 +1,10 @@
 """Operator algebra: concrete projections and the structural checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crmfp.operators as operators_module
 from crmfp import (
     AffineSubspace,
     AffineSubspaceProjection,
@@ -14,17 +17,20 @@ from crmfp import (
     HalfspaceProjection,
     Identity,
     InvalidWeight,
+    InstanceSpec,
+    RootNotBracketed,
     apply_each,
     firm_nonexpansiveness_slack,
     fixed_point_residual,
     fixed_set_witness_check,
     gen_ellipsoid,
+    gen_instance,
     gradient_check,
     idempotence_violation_search,
-    set_fused_evaluation,
     translate,
     translated_projection_deviation,
 )
+from crmfp.operators import EvaluationPlan
 
 RT2 = np.sqrt(2.0)
 
@@ -460,15 +466,10 @@ class TestApplyEach:
         ]
         xs = rng.standard_normal((2, 6)) * 4
         fused = apply_each(combos, xs)
-        prev = set_fused_evaluation(False)
-        try:
-            loop = apply_each(combos, xs)
-            solo = [combo(row) for combo, row in zip(combos, xs)]
-        finally:
-            set_fused_evaluation(prev)
-        for f, l, s in zip(fused, loop, solo):
-            np.testing.assert_array_equal(f, l)
-            np.testing.assert_array_equal(f, s)
+        assert EvaluationPlan(combos).stack is not None
+        for f, combo, row in zip(fused, combos, xs):
+            np.testing.assert_array_equal(f, member_loop(combo, row))
+            np.testing.assert_array_equal(f, combo(row))
 
     def test_mixed_kinds_fall_back(self):
         rng = np.random.default_rng(101)
@@ -477,3 +478,96 @@ class TestApplyEach:
         outs = apply_each(ops, x)
         for op, out in zip(ops, outs):
             np.testing.assert_array_equal(out, op(x))
+
+
+def member_loop(op, x):
+    """The reference path: an operator's members applied one by one."""
+    if isinstance(op, ConvexCombination):
+        return op.weights @ np.stack([m(x) for m in op.operators])
+    return op(x)
+
+
+def random_operator(draw, rng, n, depth=0):
+    """An ellipsoid projection, a ball, a halfspace or a convex combination
+    (nested at most twice)."""
+    kinds = ["ellipsoid", "ball", "halfspace"] + (["combination"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ellipsoid":
+        method = draw(st.sampled_from(["admm", "kkt"]))
+        return EllipsoidProjection(gen_ellipsoid(n, rng), method=method)
+    if kind == "ball":
+        return BallProjection(rng.standard_normal(n), float(rng.uniform(0.5, 2.0)))
+    if kind == "halfspace":
+        return HalfspaceProjection(rng.standard_normal(n), float(rng.standard_normal()))
+    members = [random_operator(draw, rng, n, depth + 1) for _ in range(draw(st.integers(1, 4)))]
+    weights = rng.uniform(0.1, 1.0, len(members))
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return ConvexCombination(members, weights)
+
+
+@st.composite
+def operator_lists(draw):
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = [random_operator(draw, rng, n) for _ in range(draw(st.integers(1, 5)))]
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    return ops, rng.standard_normal((len(ops), n)) * scale
+
+
+class TestEvaluationPlan:
+    @settings(max_examples=150, deadline=None)
+    @given(operator_lists())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_member_loop_bitwise(self, case):
+        ops, points = case
+        plan = EvaluationPlan(ops)
+        shared = plan(points[0])
+        per_row = plan(points)
+        for i, op in enumerate(ops):
+            np.testing.assert_array_equal(shared[i], member_loop(op, points[0]))
+            np.testing.assert_array_equal(per_row[i], member_loop(op, points[i]))
+            np.testing.assert_array_equal(shared[i], op(points[0]))
+
+    def test_gate_falls_back_to_operator_calls(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        members = [EllipsoidProjection(gen_ellipsoid(4, rng)) for _ in range(6)]
+        combos = [ConvexCombination(members[:3], np.full(3, 1 / 3)),
+                  ConvexCombination(members[3:], np.full(3, 1 / 3))]
+        x = rng.standard_normal(4) * 3
+        fused = EvaluationPlan(combos)
+        monkeypatch.setattr(operators_module, "FUSE_GATE", 0)
+        gated = EvaluationPlan(combos)
+        assert fused.stack is not None and gated.stack is None
+        np.testing.assert_array_equal(fused(x), gated(x))
+
+    def test_combination_stack_built_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        combo = ConvexCombination(
+            [EllipsoidProjection(gen_ellipsoid(3, rng)) for _ in range(3)], np.full(3, 1 / 3)
+        )
+        builds = []
+        original = operators_module.EllipsoidStack
+
+        def counting_stack(ellipsoids):
+            builds.append(1)
+            return original(ellipsoids)
+
+        monkeypatch.setattr(operators_module, "EllipsoidStack", counting_stack)
+        for _ in range(4):
+            combo(rng.standard_normal(3) * 3)
+        assert len(builds) == 1
+        for e in (m.ellipsoid for m in combo.operators):
+            assert np.shares_memory(e.eig()[1], combo.plan.stack.rot)
+
+    def test_points_shape_checked(self):
+        plan = EvaluationPlan([Identity(2), Identity(2)])
+        with pytest.raises(DimensionMismatch):
+            plan(np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            plan(np.zeros((3, 2)))
+
+    def test_nonfinite_point_raises(self):
+        inst = gen_instance(InstanceSpec(n=4, p=2, seed=3))
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            inst.operators[0](np.array([np.nan, 0.0, 1.0, 0.0]))

@@ -1,6 +1,8 @@
 """Lifting many operators into one block operator over the diagonal."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_operators import member_loop, operator_lists
 
 from crmfp import (
     BlockCountMismatch,
@@ -16,9 +18,12 @@ from crmfp import (
     firm_nonexpansiveness_slack,
     gen_ellipsoid,
     EllipsoidProjection,
+    InstanceSpec,
+    gen_instance,
     lift_apply,
     ppm_step,
 )
+from crmfp.ellipsoid import EllipsoidStack
 
 
 def two_halfspaces():
@@ -160,3 +165,52 @@ class TestBlockOperator:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             BlockOperator([Identity(2), Identity(3)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(operator_lists())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_member_loop_bitwise(self, case):
+        ops, points = case
+        block = BlockOperator(ops)
+        diagonal = embed(points[0], len(ops))
+        per_row = block(points)
+        on_diagonal = block(diagonal)
+        # The repeated-row path of the plan, for the same diagonal input.
+        np.testing.assert_array_equal(on_diagonal, block.plan(diagonal))
+        for i, op in enumerate(ops):
+            np.testing.assert_array_equal(per_row[i], member_loop(op, points[i]))
+            np.testing.assert_array_equal(on_diagonal[i], member_loop(op, points[0]))
+
+    def test_concatenates_once(self, monkeypatch):
+        inst = gen_instance(InstanceSpec(n=4, p=3, seed=9))
+        calls = []
+        original = EllipsoidStack.concatenate.__func__
+
+        def counting(cls, stacks):
+            calls.append(len(stacks))
+            return original(cls, stacks)
+
+        monkeypatch.setattr(EllipsoidStack, "concatenate", classmethod(counting))
+        block = BlockOperator(inst.operators)
+        x = embed(np.full(4, 3.0), 3)
+        for _ in range(5):
+            x = diag_project(block(x))
+        assert calls == [3]
+        rows = sum(len(op.operators) for op in inst.operators)
+        assert len(block.plan.stack) == rows
+
+    def test_diagonal_iterates_take_the_shared_path(self, monkeypatch):
+        inst = gen_instance(InstanceSpec(n=4, p=3, seed=10))
+        block = BlockOperator(inst.operators)
+        x = embed(np.full(4, 2.0), 3)
+        expected = block.plan(x)
+        seen = []
+        plan_call = type(block.plan).__call__
+
+        def spy(plan, points):
+            seen.append(np.ndim(points))
+            return plan_call(plan, points)
+
+        monkeypatch.setattr(type(block.plan), "__call__", spy)
+        np.testing.assert_array_equal(block(x), expected)
+        assert seen == [1]

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import crmfp.operators as operators_module
 from crmfp import (
     AffineSubspace,
     AffineSubspaceProjection,
@@ -15,6 +16,7 @@ from crmfp import (
     InsufficientHistory,
     InstanceSpec,
     NotInSubspace,
+    RootNotBracketed,
     SolverConfig,
     crm_step,
     diag_project,
@@ -153,6 +155,30 @@ class TestParallelAndSequentialSteps:
         x = np.zeros(2)
         np.testing.assert_array_equal(ppm_step(ops, x), x)
         np.testing.assert_array_equal(spm_step(ops, x), x)
+
+    def test_ppm_run_matches_ppm_step_bitwise(self):
+        inst = gen_instance(InstanceSpec(n=5, p=4, seed=12))
+        x0 = np.full(5, 4.0)
+        trace = run("ppm", inst.operators, x0, SolverConfig(max_iterations=3))
+        x = x0
+        for _ in range(3):
+            x = ppm_step(inst.operators, x)
+        np.testing.assert_array_equal(trace.final_point, x)
+
+    def test_ppm_from_nan_start_raises_at_once(self, monkeypatch):
+        inst = gen_instance(InstanceSpec(n=4, p=3, seed=13))
+        calls = []
+        project = operators_module.admm_project_stacked
+
+        def counting(*args):
+            calls.append(1)
+            return project(*args)
+
+        monkeypatch.setattr(operators_module, "admm_project_stacked", counting)
+        x0 = np.array([np.nan, 0.0, 1.0, 0.0])
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            run("ppm", inst.operators, x0, SolverConfig(max_iterations=500))
+        assert len(calls) == 1
 
     def test_empty_lists_rejected(self):
         with pytest.raises(EmptyOperatorList):

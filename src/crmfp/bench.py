@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ellipsoid import AdmmConfig
-from .errors import (
-    CannotExitSets,
-    CollinearNoCircumcenter,
-    DiagnosticFailure,
-    EmptyGroup,
-    RootNotBracketed,
-)
+from .errors import DiagnosticFailure, EmptyGroup
 from .instance_gen import FppInstance, InstanceSpec, gen_instance, initial_point
 from .product_space import BlockOperator, DiagonalSubspace, embed
 from .solvers import SolverConfig, run
@@ -75,7 +69,6 @@ class GridConfig:
     master_seed: int = 2024
     tolerance: float = 1e-6
     max_iterations: int = 50000
-    admm: AdmmConfig = field(default_factory=AdmmConfig)
     gamma: float = 1.0
     eta: float = -5.0
     diagnostics: bool = True
@@ -93,10 +86,12 @@ def derive_seed(master_seed: int, n: int, p: int, replicate: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-_FAILURES = (DiagnosticFailure, RootNotBracketed, CannotExitSets, CollinearNoCircumcenter)
+_log = logging.getLogger(__name__)
 
 
 def _failure_result(solver, n, p, replicate, seed, exc) -> RunResult:
+    _log.warning("%s run of cell n=%d p=%d replicate=%d raised", solver, n, p, replicate,
+                 exc_info=exc)
     reason = f"error:{type(exc).__name__}"
     iterations = 0
     if isinstance(exc, DiagnosticFailure):
@@ -110,14 +105,15 @@ def _failure_result(solver, n, p, replicate, seed, exc) -> RunResult:
 
 
 def run_cell(grid: GridConfig, n: int, p: int, replicate: int) -> list[RunResult]:
-    """Both solver runs for one grid cell."""
+    """Both solver runs for one grid cell.  A run that raises becomes an
+    error:<Type> row (traceback logged); it never aborts the grid."""
     seed = derive_seed(grid.master_seed, n, p, replicate)
     ident = dict(n=n, p=p, replicate=replicate, seed=seed)
     try:
         spec = InstanceSpec(n=n, p=p, seed=seed, gamma=grid.gamma, eta=grid.eta)
-        instance = gen_instance(spec, admm=grid.admm)
+        instance = gen_instance(spec)
         x0 = initial_point(instance)
-    except _FAILURES as exc:
+    except Exception as exc:
         return [
             _failure_result("ppm", n, p, replicate, seed, exc),
             _failure_result("crm", n, p, replicate, seed, exc),
@@ -132,7 +128,7 @@ def run_cell(grid: GridConfig, n: int, p: int, replicate: int) -> list[RunResult
             final_residual=trace.residual_history[-1], stop_reason=trace.stop_reason,
             **ident,
         ))
-    except _FAILURES as exc:
+    except Exception as exc:
         out.append(_failure_result("ppm", n, p, replicate, seed, exc))
 
     lifted = BlockOperator(instance.operators)
@@ -152,7 +148,7 @@ def run_cell(grid: GridConfig, n: int, p: int, replicate: int) -> list[RunResult
             final_residual=trace.residual_history[-1], stop_reason=trace.stop_reason,
             **ident,
         ))
-    except _FAILURES as exc:
+    except Exception as exc:
         out.append(_failure_result("crm", n, p, replicate, seed, exc))
     return out
 

@@ -21,7 +21,6 @@ from .bench import (
     run_experiment,
     summarize,
 )
-from .ellipsoid import AdmmConfig
 from .instance_gen import InstanceSpec, gen_instance, initial_point, load_instance, save_instance
 from .product_space import BlockOperator, DiagonalSubspace, embed, extract
 from .solvers import SolverConfig, run
@@ -64,7 +63,6 @@ def _add_bench(sub):
                    help="named iteration budget")
     p.add_argument("--max-iter", type=int, default=None,
                    help="explicit iteration budget; overrides --preset")
-    p.add_argument("--admm-tol", type=float, default=1e-8)
     p.add_argument("--no-diagnostics", action="store_true")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True,
@@ -146,7 +144,6 @@ def _cmd_bench(args) -> int:
         master_seed=args.master_seed,
         tolerance=args.tol,
         max_iterations=max_iter,
-        admm=AdmmConfig(tolerance=args.admm_tol),
         diagnostics=not args.no_diagnostics,
     )
     results = run_experiment(grid, workers=args.workers)

@@ -15,9 +15,9 @@ batched results equal one-at-a-time results exactly.
 
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
-with a consensus constraint) whose set step is that same root-find, and is
-what the benchmark exercises.  The tests check both against dense
-bisection on the multiplier, which shares no code with either.
+with a consensus constraint) whose set step is that same root-find.  The
+tests check both against dense bisection on the multiplier, which shares
+no code with either.
 """
 from __future__ import annotations
 

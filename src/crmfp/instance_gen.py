@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import AdmmConfig, Ellipsoid
+from .ellipsoid import Ellipsoid
 from .errors import CannotExitSets
 from .operators import ConvexCombination, EllipsoidProjection
 
@@ -105,25 +105,22 @@ def gen_ellipsoid(n: int, rng: np.random.Generator, gamma: float = 1.0,
     return Ellipsoid(A, b, alpha)
 
 
-def gen_operator(n: int, rng: np.random.Generator, spec: InstanceSpec,
-                 admm: AdmmConfig | None = None) -> ConvexCombination:
-    """One random convex combination of ellipsoid projections."""
+def gen_operator(n: int, rng: np.random.Generator, spec: InstanceSpec) -> ConvexCombination:
+    """One random convex combination of ellipsoid projections (KKT root-find)."""
     r = int(rng.choice(np.asarray(spec.r_range)))
     raw = rng.random(r)
     weights = raw / raw.sum()
     members = [
-        EllipsoidProjection(
-            gen_ellipsoid(n, rng, spec.gamma, spec.density), method="admm", admm=admm
-        )
+        EllipsoidProjection(gen_ellipsoid(n, rng, spec.gamma, spec.density), method="kkt")
         for _ in range(r)
     ]
     return ConvexCombination(members, weights)
 
 
-def gen_instance(spec: InstanceSpec, admm: AdmmConfig | None = None) -> FppInstance:
+def gen_instance(spec: InstanceSpec) -> FppInstance:
     """All p operators of an instance from one seeded stream."""
     rng = np.random.default_rng(spec.seed)
-    operators = [gen_operator(spec.n, rng, spec, admm) for _ in range(spec.p)]
+    operators = [gen_operator(spec.n, rng, spec) for _ in range(spec.p)]
     return FppInstance(spec=spec, operators=operators, fixed_point=np.zeros(spec.n))
 
 
@@ -159,14 +156,12 @@ def instance_to_dict(instance: FppInstance) -> dict:
     }
 
 
-def instance_from_dict(data: dict, admm: AdmmConfig | None = None) -> FppInstance:
+def instance_from_dict(data: dict) -> FppInstance:
     spec = InstanceSpec.from_dict(data["spec"])
     operators = []
     for op_data in data["operators"]:
         members = [
-            EllipsoidProjection(
-                Ellipsoid.from_dict(e, spec.n), method="admm", admm=admm
-            )
+            EllipsoidProjection(Ellipsoid.from_dict(e, spec.n), method="kkt")
             for e in op_data["ellipsoids"]
         ]
         operators.append(ConvexCombination(members, np.asarray(op_data["weights"])))
@@ -179,6 +174,6 @@ def save_instance(instance: FppInstance, path) -> None:
         fh.write("\n")
 
 
-def load_instance(path, admm: AdmmConfig | None = None) -> FppInstance:
+def load_instance(path) -> FppInstance:
     with open(path, encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh), admm)
+        return instance_from_dict(json.load(fh))

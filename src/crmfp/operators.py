@@ -154,8 +154,9 @@ class BallProjection:
 class EllipsoidProjection:
     """Projection onto an ellipsoid through one of the two solvers.
 
-    method "admm" runs the splitting iteration (benchmark default); method
-    "kkt" runs the direct root-find (reference).
+    method "kkt" (the default) runs the direct root-find, stopping at
+    |g| <= kkt_tol / 2; method "admm" runs the splitting iteration, whose
+    set step is that same root-find.
     """
 
     kind = "ellipsoid-projection"
@@ -163,9 +164,9 @@ class EllipsoidProjection:
     def __init__(
         self,
         ellipsoid: Ellipsoid,
-        method: str = "admm",
+        method: str = "kkt",
         admm: AdmmConfig | None = None,
-        kkt_tol: float = 1e-10,
+        kkt_tol: float = 1e-11,
     ):
         if method not in ("admm", "kkt"):
             raise ValueError(f"unknown projection method {method!r}")

@@ -11,6 +11,7 @@ DiagnosticFailure when a structural property is violated numerically.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -158,6 +159,9 @@ def spm_step(operators, x) -> np.ndarray:
 def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> IterationTrace:
     """Iterate one of the steps until the displacement drops below tolerance.
 
+    stop_reason is "converged", "max-iterations", or "non-finite" (a NaN or
+    infinite displacement, which stops the run).
+
     Parameters
     ----------
     kind : one of "map", "crm", "ppm", "spm".
@@ -252,6 +256,9 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         x = xn
         if res < cfg.tolerance:
             stop_reason = "converged"
+            break
+        if not math.isfinite(res):
+            stop_reason = "non-finite"
             break
     elapsed = time.perf_counter() - t0
 

@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from crmfp import bench as bench_module
 from crmfp import (
     EmptyGroup,
     GridConfig,
@@ -112,6 +113,30 @@ class TestRunExperiment:
         short = run_experiment(tiny_grid(max_iterations=3, diagnostics=False))
         assert {r.stop_reason for r in short} == {"max-iterations"}
         assert all(r.iterations == 3 for r in short)
+
+    def test_unexpected_exception_recorded(self, results, monkeypatch, caplog):
+        real_run = bench_module.run
+        calls = []
+
+        def failing_third_call(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 3:   # ppm of replicate 1
+                raise ZeroDivisionError("injected")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "run", failing_third_call)
+        got = run_experiment(tiny_grid())
+        assert calls == ["ppm", "crm", "ppm", "crm"]
+        failed = [r for r in got if r.stop_reason.startswith("error:")]
+        assert [(r.solver, r.replicate) for r in failed] == [("ppm", 1)]
+        assert failed[0].stop_reason == "error:ZeroDivisionError"
+        assert failed[0].iterations == 0 and math.isnan(failed[0].final_residual)
+        rest = [r for r in got if r is not failed[0]]
+        expected = [r for r in results if (r.solver, r.replicate) != ("ppm", 1)]
+        assert strip_elapsed(rest) == strip_elapsed(expected)
+        [record] = caplog.records
+        assert "ppm run of cell n=3 p=2 replicate=1" in record.getMessage()
+        assert record.exc_info[0] is ZeroDivisionError
 
     def test_replicates_validated(self):
         with pytest.raises(ValueError):

@@ -130,6 +130,11 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(bench_args(tmp_path, "--no-fused-blocks"))
 
+    def test_projector_tolerance_flag_is_gone(self, tmp_path):
+        # The grid projects through the KKT root-find; no splitting to tune.
+        with pytest.raises(SystemExit):
+            main(bench_args(tmp_path, "--admm-tol", "1e-8"))
+
 
 class TestSummarizeAndProfile:
     @pytest.fixture()

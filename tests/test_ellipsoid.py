@@ -21,12 +21,16 @@ from crmfp import (
     DimensionMismatch,
     Ellipsoid,
     EllipsoidProjection,
+    InstanceSpec,
     RootNotBracketed,
     gen_ellipsoid,
+    gen_instance,
+    initial_point,
     project_admm,
     project_kkt,
 )
 from crmfp.ellipsoid import EllipsoidStack, admm_project_stacked, kkt_project_stacked
+from crmfp.operators import EvaluationPlan
 
 
 def unit_ball(dim=2):
@@ -315,6 +319,29 @@ class TestAdmmProjection:
         for penalty in (0.3, 1.0, 4.0):
             res = project_admm(e, x, AdmmConfig(tolerance=1e-10, penalty=penalty))
             assert np.linalg.norm(res.point - base) <= 1e-7
+
+
+class TestGeneratedMembers:
+    @pytest.mark.parametrize("n,p,seed", [(5, 4, 3), (20, 6, 9), (50, 3, 1)])
+    def test_one_kkt_plan_agreeing_with_splitting_and_oracle(self, n, p, seed):
+        inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
+        members = [m for op in inst.operators for m in op.operators]
+        assert all(m.method == "kkt" for m in members)
+        assert len({op.plan.key for op in inst.operators}) == 1
+        plan = EvaluationPlan(inst.operators)
+        assert plan.called == [] and len(plan.stack) == len(members)
+
+        rng = np.random.default_rng(seed)
+        starts = [initial_point(inst)] + [rng.standard_normal(n) * 4 for _ in range(5)]
+        for m in members:
+            e = m.ellipsoid
+            for x in starts:
+                while e.g(x) <= 0.0:
+                    x = 2.0 * x
+                got = m(x)
+                scale = max(1.0, float(np.linalg.norm(x)))
+                assert np.linalg.norm(got - project_admm(e, x).point) <= 1e-12 * scale
+                assert np.linalg.norm(got - reference_projection(e, x)) <= 1e-11 * scale
 
 
 class TestBatchedEvaluation:

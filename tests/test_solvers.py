@@ -6,6 +6,7 @@ import crmfp.operators as operators_module
 from crmfp import (
     AffineSubspace,
     AffineSubspaceProjection,
+    BallProjection,
     BlockOperator,
     DiagnosticFailure,
     DiagonalSubspace,
@@ -168,13 +169,13 @@ class TestParallelAndSequentialSteps:
     def test_ppm_from_nan_start_raises_at_once(self, monkeypatch):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=13))
         calls = []
-        project = operators_module.admm_project_stacked
+        project = operators_module.kkt_project_stacked
 
         def counting(*args):
             calls.append(1)
             return project(*args)
 
-        monkeypatch.setattr(operators_module, "admm_project_stacked", counting)
+        monkeypatch.setattr(operators_module, "kkt_project_stacked", counting)
         x0 = np.array([np.nan, 0.0, 1.0, 0.0])
         with pytest.raises(RootNotBracketed, match="non-finite"):
             run("ppm", inst.operators, x0, SolverConfig(max_iterations=500))
@@ -235,6 +236,33 @@ class TestRunLoop:
         assert trace.dist_history is not None
         assert len(trace.dist_history) == trace.iterations + 1
         assert trace.dist_history[0] == 1.0
+
+    @staticmethod
+    def two_set_problem(kind, sets, x0):
+        """Two balls or two halfspaces in R^3 with a common point; map and
+        crm run on their product-space lifting from the embedded start."""
+        if sets == "balls":
+            ops = [BallProjection(np.zeros(3), 1.0), BallProjection(np.ones(3), 1.0)]
+        else:
+            ops = [HalfspaceProjection(np.eye(3)[0], 1.0), HalfspaceProjection(np.eye(3)[1], 1.0)]
+        if kind in ("map", "crm"):
+            return (BlockOperator(ops), DiagonalSubspace(3, 2)), embed(x0, 2)
+        return ops, np.asarray(x0, dtype=float)
+
+    @pytest.mark.parametrize("sets", ["balls", "halfspaces"])
+    @pytest.mark.parametrize("kind", ["ppm", "spm", "map", "crm"])
+    def test_nan_start_stops_non_finite(self, kind, sets):
+        problem, x0 = self.two_set_problem(kind, sets, [np.nan, 0.0, 0.0])
+        trace = run(kind, problem, x0, SolverConfig(max_iterations=500))
+        assert trace.stop_reason == "non-finite"
+        assert trace.iterations == 1
+
+    @pytest.mark.parametrize("sets", ["balls", "halfspaces"])
+    @pytest.mark.parametrize("kind", ["ppm", "spm", "map", "crm"])
+    def test_finite_start_never_stops_non_finite(self, kind, sets):
+        problem, x0 = self.two_set_problem(kind, sets, [5.0, -3.0, 2.0])
+        trace = run(kind, problem, x0, SolverConfig(max_iterations=5000))
+        assert trace.stop_reason == "converged"
 
     def test_ppm_and_spm_run(self):
         rng = np.random.default_rng(3)

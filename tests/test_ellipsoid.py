@@ -343,6 +343,23 @@ class TestGeneratedMembers:
                 assert np.linalg.norm(got - project_admm(e, x).point) <= 1e-12 * scale
                 assert np.linalg.norm(got - reference_projection(e, x)) <= 1e-11 * scale
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_project_kkt_is_the_member_projection(self, seed):
+        # One default tolerance: the function and the operator agree bit
+        # for bit, interior and exterior points alike.
+        inst = gen_instance(InstanceSpec(n=20, p=6, seed=seed))
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((20, 20)) * rng.uniform(0.1, 8.0, (20, 1))
+        exterior = 0
+        for m in (m for op in inst.operators for m in op.operators):
+            e = m.ellipsoid
+            for x in xs:
+                got = project_kkt(e, x)
+                np.testing.assert_array_equal(got, EllipsoidProjection(e)(x))
+                np.testing.assert_array_equal(got, m(x))
+                exterior += e.g(x) > 0.0
+        assert exterior > 0
+
 
 class TestBatchedEvaluation:
     def test_batch_equals_solo_bitwise(self):

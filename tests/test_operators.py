@@ -468,8 +468,8 @@ class TestApplyEach:
         fused = apply_each(combos, xs)
         assert EvaluationPlan(combos).stack is not None
         for f, combo, row in zip(fused, combos, xs):
-            np.testing.assert_array_equal(f, member_loop(combo, row))
             np.testing.assert_array_equal(f, combo(row))
+            assert_matches_member_loop(f, combo, row)
 
     def test_mixed_kinds_fall_back(self):
         rng = np.random.default_rng(101)
@@ -480,11 +480,25 @@ class TestApplyEach:
             np.testing.assert_array_equal(out, op(x))
 
 
-def member_loop(op, x):
-    """The reference path: an operator's members applied one by one."""
-    if isinstance(op, ConvexCombination):
-        return op.weights @ np.stack([m(x) for m in op.operators])
-    return op(x)
+EPS = np.finfo(float).eps
+
+
+def assert_matches_member_loop(got, op, x):
+    """got equals the reference path, an operator's members applied one by
+    one, up to summation order.
+
+    The loop's weights @ images sums the members in another order than an
+    evaluation plan, so a combination may differ in the last bits; the
+    bound, fixed from float64 before measuring, is 8 eps sum_k |w_k|
+    ||y_k||_inf per entry, y_k being member k's image.  Every other kind
+    must agree bit for bit.
+    """
+    if not isinstance(op, ConvexCombination):
+        np.testing.assert_array_equal(got, op(x))
+        return
+    images = np.stack([m(x) for m in op.operators])
+    bound = 8 * EPS * float(np.abs(op.weights) @ np.abs(images).max(axis=1))
+    assert np.abs(got - op.weights @ images).max() <= bound
 
 
 def random_operator(draw, rng, n, depth=0):
@@ -525,9 +539,10 @@ class TestEvaluationPlan:
         shared = plan(points[0])
         per_row = plan(points)
         for i, op in enumerate(ops):
-            np.testing.assert_array_equal(shared[i], member_loop(op, points[0]))
-            np.testing.assert_array_equal(per_row[i], member_loop(op, points[i]))
             np.testing.assert_array_equal(shared[i], op(points[0]))
+            np.testing.assert_array_equal(per_row[i], op(points[i]))
+            assert_matches_member_loop(shared[i], op, points[0])
+            assert_matches_member_loop(per_row[i], op, points[i])
 
     def test_gate_falls_back_to_operator_calls(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -540,6 +555,9 @@ class TestEvaluationPlan:
         gated = EvaluationPlan(combos)
         assert fused.stack is not None and gated.stack is None
         np.testing.assert_array_equal(fused(x), gated(x))
+        for image, combo in zip(fused(x), combos):
+            np.testing.assert_array_equal(image, combo(x))
+            assert_matches_member_loop(image, combo, x)
 
     def test_combination_stack_built_once(self, monkeypatch):
         rng = np.random.default_rng(6)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from test_operators import member_loop, operator_lists
+from test_operators import assert_matches_member_loop, operator_lists
 
 from crmfp import (
     BlockCountMismatch,
@@ -178,8 +178,10 @@ class TestBlockOperator:
         # The repeated-row path of the plan, for the same diagonal input.
         np.testing.assert_array_equal(on_diagonal, block.plan(diagonal))
         for i, op in enumerate(ops):
-            np.testing.assert_array_equal(per_row[i], member_loop(op, points[i]))
-            np.testing.assert_array_equal(on_diagonal[i], member_loop(op, points[0]))
+            np.testing.assert_array_equal(per_row[i], op(points[i]))
+            np.testing.assert_array_equal(on_diagonal[i], op(points[0]))
+            assert_matches_member_loop(per_row[i], op, points[i])
+            assert_matches_member_loop(on_diagonal[i], op, points[0])
 
     def test_concatenates_once(self, monkeypatch):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=9))

@@ -1,13 +1,17 @@
 """Iteration engines: step functions, the run loop, and rate estimation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crmfp.operators as operators_module
+import crmfp.solvers as solvers_module
 from crmfp import (
     AffineSubspace,
     AffineSubspaceProjection,
     BallProjection,
     BlockOperator,
+    ConvexCombination,
     DiagnosticFailure,
     DiagonalSubspace,
     EllipsoidProjection,
@@ -30,6 +34,8 @@ from crmfp import (
     run,
     spm_step,
 )
+from crmfp.geometry import circumcenter3
+from crmfp.solvers import EPS_DEG, _crm_parts
 
 
 def x_axis_subspace():
@@ -345,6 +351,146 @@ class TestSegmentAndImprovement:
         for x, c in states:
             s = diag_project(block(x))
             assert np.linalg.norm(c - y) <= np.linalg.norm(s - y) + 1e-10
+
+
+def circumcenter_reference(operator, subspace, x):
+    """The crm step through circumcenter3 on the three points themselves.
+
+    Only the guard of the closed form is shared: where P_U T(x) is x, the
+    three points are x, R_T x and its mirror image through x, which are
+    collinear and have no circumcenter; the step is x.
+    """
+    tx = operator(x)
+    if 2.0 * np.linalg.norm(subspace.project(tx) - x) <= EPS_DEG * (1.0 + np.linalg.norm(x)):
+        return x
+    r = 2.0 * tx - x
+    return circumcenter3(x, r, 2.0 * subspace.project(r) - r).center
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def random_problem(draw):
+    """A random affine U in R^n (1 <= dim U < n), an orthonormal split of
+    R^n into directions along and across U, and a point x of U."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    along, across = q[:k], q[k:]
+    sub = AffineSubspace(rng.standard_normal(n) * scale, along)
+    x = sub.project(rng.standard_normal(n) * scale)
+    return rng, scale, along, across, sub, x
+
+
+def tilted_halfspace(rng, scale, along, across, x, slope):
+    """A halfspace cutting off x whose normal leaves U at the given slope,
+    so that ||P_U T(x) - x|| = slope ||T(x) - x|| / sqrt(1 + slope^2)."""
+    normal = unit(across.T @ rng.standard_normal(len(across)))
+    normal = normal + slope * unit(along.T @ rng.standard_normal(len(along)))
+    return HalfspaceProjection(normal, float(normal @ x) - scale * rng.uniform(0.1, 2.0))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(operator, U, x in U): a ball, a halfspace or an ellipsoid-plus-ball
+    combination, or one of the near-degenerate configurations of the step.
+
+    Nearly collinear triples stop at slope 1e-2 (extrapolation factor
+    a = 1e4): the circumcenter's own condition number grows like a, so
+    flatter triangles fix it in float64 to less than the test's bound,
+    whichever way it is computed (test_flat_triangles covers them)."""
+    rng, scale, along, across, sub, x = random_problem(draw)
+    n = x.shape[0]
+    case = draw(st.sampled_from(["ball", "halfspace", "ellipsoid+ball",
+                                 "image in U", "P_U T(x) = x", "nearly collinear"]))
+    if case == "ball":
+        op = BallProjection(rng.standard_normal(n) * scale, scale * rng.uniform(0.1, 1.0))
+    elif case == "halfspace":
+        normal = rng.standard_normal(n)
+        op = HalfspaceProjection(normal, float(normal @ x) - scale * rng.uniform(0.1, 2.0))
+    elif case == "ellipsoid+ball":
+        w = rng.uniform(0.1, 0.9)
+        op = ConvexCombination(
+            [EllipsoidProjection(gen_ellipsoid(n, rng)),
+             BallProjection(rng.standard_normal(n) * scale, scale * rng.uniform(0.1, 1.0))],
+            [w, 1.0 - w],
+        )
+        x = sub.project(4.0 * x)   # mostly outside the ellipsoid
+    elif case == "image in U":
+        # A ball centered in U maps x along a line of U: T(x) is in U.
+        center = sub.project(rng.standard_normal(n) * scale)
+        op = BallProjection(center, 0.5 * float(np.linalg.norm(x - center)))
+    elif case == "P_U T(x) = x":
+        slope = 10.0 ** draw(st.floats(-18.0, -14.0))
+        op = tilted_halfspace(rng, scale, along, across, x, slope)
+    else:
+        slope = 10.0 ** draw(st.floats(-2.0, 0.0))
+        op = tilted_halfspace(rng, scale, along, across, x, slope)
+    return op, sub, x
+
+
+class TestClosedFormCircumcenter:
+    @settings(max_examples=400, deadline=None)
+    @given(closed_form_cases())
+    def test_matches_circumcenter3(self, case):
+        op, sub, x = case
+        z, tx, ptx = _crm_parts(op, sub, x)
+        np.testing.assert_array_equal(tx, op(x))
+        np.testing.assert_array_equal(ptx, sub.project(tx))
+        expected = circumcenter_reference(op, sub, x)
+        # Relative to the larger of x and z: a nearly collinear step lands
+        # up to a = 1e4 times farther out than T(x).
+        size = 1.0 + max(np.linalg.norm(x), np.linalg.norm(z))
+        assert np.linalg.norm(z - expected) <= 1e-10 * size
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flat_triangles(self, data):
+        # Slopes from 1e-8 to 1e-2: the step extrapolates by up to 1e16.
+        # The result is still equidistant from x and the two reflections:
+        # to first order the gaps are a few eps (||x|| + ||T(x)|| + ||anchor||)
+        # / slope, i.e. a few eps times its own size, whatever the slope.
+        # (Its distance from U grows like eps / slope relative to its size;
+        # crm_step and run() re-project it.)
+        rng, scale, along, across, sub, x = random_problem(data.draw)
+        slope = 10.0 ** data.draw(st.floats(-8.0, -2.0))
+        op = tilted_halfspace(rng, scale, along, across, x, slope)
+        z, tx, _ = _crm_parts(op, sub, x)
+        r = 2.0 * tx - x
+        w = 2.0 * sub.project(r) - r
+        size = 1.0 + np.linalg.norm(z)
+        for far in (r, w):
+            assert abs(np.linalg.norm(z - x) - np.linalg.norm(z - far)) <= 1e-12 * size
+
+    def test_guard_returns_the_point(self):
+        # T(x) - x normal to U: P_U T(x) = x, and the step stays at x.
+        op = HalfspaceProjection(np.array([0.0, 1.0]), -1.0)
+        x = np.array([3.0, 0.0])
+        z, tx, ptx = _crm_parts(op, x_axis_subspace(), x)
+        np.testing.assert_array_equal(z, x)
+        np.testing.assert_array_equal(ptx, x)
+
+    def test_lifted_iterates_are_bitwise_diagonal(self, monkeypatch):
+        block, diag, inst = lifted_instance(n=5, p=4, seed=21)
+        plan_call = type(block.plan).__call__
+        seen = []
+
+        def spy(plan, points):
+            seen.append(np.ndim(points))
+            return plan_call(plan, points)
+
+        monkeypatch.setattr(type(block.plan), "__call__", spy)
+        monkeypatch.setattr(solvers_module, "circumcenter3", None)   # off the hot path
+        cfg = SolverConfig(diagnostics=("fejer", "orthogonality", "membership"))
+        trace = run("crm", (block, diag), embed(np.full(5, -3.0), 4), cfg,
+                    solution=embed(inst.fixed_point, 4))
+        assert trace.stop_reason == "converged"
+        # Every step evaluated the block operator at one shared point.
+        assert seen == [1] * trace.iterations
+        assert (trace.final_point == trace.final_point[0]).all()
 
 
 class TestEstimateRate:

@@ -13,6 +13,17 @@ makes every Newton step O(n) and lets many (ellipsoid, point) pairs be
 driven in lockstep as rows of a batch.  Rows of a batch never interact, so
 batched results equal one-at-a-time results exactly.
 
+Most rows of a solver's projector calls are interior and come back
+unchanged, yet the interior test needs the row in the eigenbasis: an
+O(n^2) rotation per row.  g is quadratic, so around any interior anchor y
+it is bounded exactly by g(y) + |grad g(y)| d + w_max d^2 at distance d,
+and a ball around y lies in the set with a margin that covers the float64
+rounding of the exact test.  Each stack keeps one such anchor per row; a
+row inside its anchor's ball is certified interior and returned unchanged
+without being rotated, exactly as the exact test would return it.  Every
+other row takes the same arithmetic as without the cache, so the cache
+never changes an output bit.
+
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
 with a consensus constraint) whose set step is that same root-find.  The
@@ -31,6 +42,9 @@ from .errors import DimensionMismatch, RootNotBracketed
 INNER_G_RTOL = 1e-12
 # Default tolerance of the direct projector (it stops at |g| <= KKT_TOL / 2).
 KKT_TOL = 1e-11
+# Margin of the interior certificate, relative to the size of g's terms
+# within the certified ball: at least 1e4 times the rounding of the exact test.
+SCREEN_RTOL = 1e-9
 
 
 class Ellipsoid:
@@ -112,6 +126,15 @@ class EllipsoidStack:
     Row j of a batch belongs to ellipsoid j.  Built once and reused; each
     member's Ellipsoid.eig() cache becomes a view of its own rows, so no
     eigenbasis is held twice.
+
+    The stack also caches, in balls = (anchors, radii2), one interior
+    anchor per row (the last point of row j found interior by a full
+    rotation) and the squared radius of a ball around it that lies in the
+    set with margin (-1 without one); balls is None before the first.  certified() tests rows against those
+    balls and anchor() replaces the pair as a whole, so a concurrent call
+    never pairs an anchor with another anchor's radius; kkt_project_stacked
+    uses both.  The cache only decides which rows are rotated, never what
+    any row's output is.
     """
 
     def __init__(self, ellipsoids):
@@ -137,6 +160,7 @@ class EllipsoidStack:
         self.alphas = np.array([e.alpha for e in ellipsoids])
         for j, e in enumerate(ellipsoids):
             e._eig = (self.eigs[j], self.rot[j])
+        self._reset_screen()
 
     @classmethod
     def concatenate(cls, stacks) -> "EllipsoidStack":
@@ -146,7 +170,15 @@ class EllipsoidStack:
         out.rot = np.concatenate([s.rot for s in stacks])
         out.b_rot = np.concatenate([s.b_rot for s in stacks])
         out.alphas = np.concatenate([s.alphas for s in stacks])
+        out._reset_screen()
         return out
+
+    def _reset_screen(self) -> None:
+        """No anchors: the next call rotates every row."""
+        self.balls = None
+        # False until a full rotation finds an interior row, and again
+        # after one finds none: then no row is screened.
+        self.screen = False
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -160,6 +192,45 @@ class EllipsoidStack:
             + 2.0 * (self.b_rot * rows_t).sum(-1)
             - self.alphas
         )
+
+    def certified(self, rows: np.ndarray) -> np.ndarray | None:
+        """Rows strictly inside their anchor's ball (a mask), or None when
+        the stack does not screen.  NaN and inf rows are never certified."""
+        if not self.screen:
+            return None
+        anchors, radii2 = self.balls
+        diff = rows - anchors
+        return np.einsum("ij,ij->i", diff, diff) < radii2
+
+    def anchor(self, rows: np.ndarray, rows_t: np.ndarray, g: np.ndarray, inside: np.ndarray) -> None:
+        """Make the rows that a full rotation found interior (mask inside;
+        eigencoordinates rows_t, computed g) the anchors of their rows.
+
+        With s = -g(y) - m > 0, every x with |x - y| < r, where
+        r = 2s / (G + sqrt(G^2 + 4 w_max s)) solves G r + w_max r^2 = s and
+        G = |grad g(y)| = 2 |w t + b~|, has g(x) <= g(y) + G r + w_max r^2
+        < -m.  Capping r at |y| + 1 keeps |x| <= R = 2|y| + 1, so the
+        margin m = SCREEN_RTOL (1 + alpha + 2 |b| R + w_max R^2) bounds
+        the rounding of g computed at any certified x.  Rows with s <= 0
+        get radius -1: nothing is certified around them.
+        """
+        w_max = self.eigs.max(-1)
+        with np.errstate(all="ignore"):   # non-finite rows are not anchored
+            v = self.eigs * rows_t + self.b_rot
+            grad = 2.0 * np.sqrt(np.einsum("ij,ij->i", v, v))
+            y_norm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            b_norm = np.sqrt(np.einsum("ij,ij->i", self.b_rot, self.b_rot))
+            big_r = 2.0 * y_norm + 1.0
+            margin = SCREEN_RTOL * (1.0 + self.alphas + (2.0 * b_norm + w_max * big_r) * big_r)
+            s = -g - margin
+            room = np.maximum(s, 0.0)
+            r = 2.0 * room / (grad + np.sqrt(grad * grad + 4.0 * w_max * room))
+            r = np.minimum(r, y_norm + 1.0)
+        anchors, radii2 = self.balls or (0.0, -1.0)
+        anchors = np.where(inside[:, None], rows, anchors)
+        radii2 = np.where(inside, np.where(s > 0.0, r * r, -1.0), radii2)
+        self.balls = (anchors, radii2)
+        self.screen = True
 
 
 @dataclass(frozen=True)
@@ -225,17 +296,44 @@ def _root_project(w, bt, alph, zt, gtol) -> np.ndarray:
 
 
 def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> np.ndarray:
-    """Rowwise direct projections: row j onto stack ellipsoid j."""
+    """Rowwise direct projections: row j onto stack ellipsoid j.
+
+    Rows the stack certifies interior (EllipsoidStack.certified) return
+    unchanged without being rotated.  When the stack does not screen, or
+    the rows in doubt are at least as many as the certified ones, the whole
+    stack is rotated in one batch and its interior rows become the new
+    anchors; otherwise only the rows in doubt are rotated, one product
+    each, and the anchors stay.  A per-row product equals its row of the
+    batched one bit for bit, and a certified row is interior by the exact
+    test, so every output is what rotating every row would give.
+    """
     rows = np.ascontiguousarray(rows, dtype=float)
-    zt = stack.to_eigen(rows)
     out = rows.copy()
-    ext = ~(stack.g_eigen(zt) <= 0.0)   # non-finite rows are exterior, and raise
-    if ext.any():
+    cert = stack.certified(rows)
+    if cert is None or 2 * np.count_nonzero(cert) <= len(cert):
+        zt = stack.to_eigen(rows)
+        g = stack.g_eigen(zt)
+        ext = ~(g <= 0.0)   # non-finite rows are exterior, and raise
         idx = np.flatnonzero(ext)
+        if len(idx) < len(ext):
+            stack.anchor(rows, zt, g, ~ext)
+        else:
+            stack.screen = False
+        zt_ext = zt[idx]
+    else:
+        doubt = np.flatnonzero(~cert)
+        zt = np.empty((len(doubt), stack.dim))
+        for k, j in enumerate(doubt.tolist()):
+            np.dot(stack.rot[j].T, rows[j], out=zt[k])
+        ext = ~(_g_rows(stack.eigs[doubt], stack.b_rot[doubt], stack.alphas[doubt], zt) <= 0.0)
+        idx = doubt[ext]
+        zt_ext = zt[ext]
+    if len(idx):
         pt = _root_project(
-            stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx], zt[idx], 0.5 * tol
+            stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx], zt_ext, 0.5 * tol
         )
-        out[idx] = np.matmul(stack.rot[idx], pt[..., None])[..., 0]
+        for k, j in enumerate(idx.tolist()):
+            np.dot(stack.rot[j], pt[k], out=out[j])
     return out
 
 

@@ -29,7 +29,7 @@ from crmfp import (
     project_admm,
     project_kkt,
 )
-from crmfp.ellipsoid import EllipsoidStack, admm_project_stacked, kkt_project_stacked
+from crmfp.ellipsoid import KKT_TOL, EllipsoidStack, admm_project_stacked, kkt_project_stacked
 from crmfp.operators import EvaluationPlan
 
 
@@ -439,3 +439,216 @@ class TestRootFindProperties:
         batch = kkt_project_stacked(EllipsoidStack(es), xs, tol)
         for e, x, row in zip(es, xs, batch):
             np.testing.assert_array_equal(row, project_kkt(e, x, tol))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def screened_call(stack, rows, tol):
+    """Project rows through stack and through a copy of it with no anchors.
+
+    The two must agree bit for bit (or both raise), and no row the stack
+    certifies interior may be exterior by the exact test.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    cert = stack.certified(rows)
+    if cert is not None:
+        exact = stack.g_eigen(stack.to_eigen(rows)) <= 0.0
+        assert not (cert & ~exact).any()
+    try:
+        want = kkt_project_stacked(EllipsoidStack.concatenate([stack]), rows, tol)
+    except RootNotBracketed:
+        with pytest.raises(RootNotBracketed):
+            kkt_project_stacked(stack, rows, tol)
+        return cert
+    assert_same_bits(kkt_project_stacked(stack, rows, tol), want)
+    return cert
+
+
+def beta_of(e):
+    """alpha + b'A^-1 b: g(x) + beta = (x - c)'A(x - c) about the centre c."""
+    return e.alpha + float(e.b @ np.linalg.solve(e.A, e.b))
+
+
+def centre_and_boundary(e, v):
+    """The centre -A^-1 b of e and the boundary point along v from it."""
+    centre = -np.linalg.solve(e.A, e.b)
+    return centre, centre + v * np.sqrt(beta_of(e) / float(v @ e.A @ v))
+
+
+moves = st.lists(
+    st.tuples(st.sampled_from(["step", "step", "boundary", "centre"]), st.floats(-12.0, 1.0)),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestInteriorScreen:
+    """The anchor cache of EllipsoidStack only decides which rows are rotated."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["generated", "conditioned"]),
+        st.integers(1, 12),
+        st.integers(1, 8),
+        st.floats(0.0, 8.0),
+        st.booleans(),
+        moves,
+    )
+    def test_random_walks_match_a_stack_without_anchors(
+        self, seed, kind, n, members, log_cond, shared, walk
+    ):
+        rng = np.random.default_rng(seed)
+        if kind == "generated":
+            es = [gen_ellipsoid(n, rng) for _ in range(members)]
+        else:
+            es = [
+                conditioned_case(int(rng.integers(2**32)), n, log_cond,
+                                 float(rng.choice([0.0, 1.0, 1e3])), 0.0)[0]
+                for _ in range(members)
+            ]
+        stack = EllipsoidStack(es)
+        tol = 1e-12 * (1.0 + max(beta_of(e) for e in es))
+        centres = np.stack([centre_and_boundary(e, np.ones(n))[0] for e in es])
+        scale = max(
+            float(np.linalg.norm(c)) + np.sqrt(beta_of(e) / e.eig()[0].min())
+            for e, c in zip(es, centres)
+        )
+
+        def as_rows(x):
+            return np.broadcast_to(x, (members, n)) if shared else x
+
+        # The first anchors lie deep inside: at the centres (the origin,
+        # interior to every set, for a shared point).
+        x = np.zeros(n) if shared else centres.copy()
+        screened_call(stack, as_rows(x), tol)
+        assert stack.screen
+        for move, log_h in walk:
+            if move == "step":
+                d = rng.standard_normal(x.shape)
+                d /= np.linalg.norm(d, axis=-1, keepdims=True)
+                x = x + 10.0**log_h * scale * d
+            elif move == "centre":
+                x = np.zeros(n) if shared else centres.copy()
+            else:
+                # A few ulps inside or outside the boundary of one set (shared
+                # point) or of each row's own set.
+                points = []
+                for j in ([int(rng.integers(members))] if shared else range(members)):
+                    _, y = centre_and_boundary(es[j], rng.standard_normal(n))
+                    outward = es[j].A @ y + es[j].b
+                    sign = rng.choice([-1.0, 1.0])
+                    for _ in range(int(rng.integers(0, 5))):
+                        y = np.nextafter(y, y + sign * outward)
+                    points.append(y)
+                x = points[0] if shared else np.stack(points)
+            screened_call(stack, as_rows(x), tol)
+
+    def test_rows_inside_the_anchor_balls_skip_the_rotation(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        es = [gen_ellipsoid(6, rng) for _ in range(5)]
+        stack = EllipsoidStack(es)
+        rotations = []
+        to_eigen = stack.to_eigen
+        monkeypatch.setattr(stack, "to_eigen", lambda rows: rotations.append(1) or to_eigen(rows))
+        x = 0.1 * rng.standard_normal((5, 6))
+        screened_call(stack, x, KKT_TOL)
+        assert len(rotations) == 1 and (stack.balls[1] > 0.0).all()
+        for _ in range(10):
+            x = x + 1e-3 * rng.standard_normal(x.shape)
+            assert stack.certified(x).all()
+            assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
+        assert len(rotations) == 1
+        # One row far outside: only that row is rotated, and projected.
+        x[2] = 100.0
+        assert stack.certified(x).sum() == 4
+        assert_same_bits(
+            kkt_project_stacked(stack, x, KKT_TOL),
+            kkt_project_stacked(EllipsoidStack(es), x, KKT_TOL),
+        )
+        assert len(rotations) == 1
+        # Most rows in doubt: one batched rotation, which re-anchors the
+        # interior ones.
+        z = np.stack([
+            c + 0.9 * (y - c)
+            for c, y in (centre_and_boundary(e, rng.standard_normal(6)) for e in es)
+        ])
+        assert stack.certified(z).sum() <= 2
+        assert_same_bits(kkt_project_stacked(stack, z, KKT_TOL), z)
+        assert len(rotations) == 2
+        assert_same_bits(stack.balls[0], z)
+
+    def test_edges_of_tight_balls_are_interior(self):
+        # For a round set the certified ball touches the sphere of radius
+        # sqrt(beta - margin) about the centre, so without the margin points
+        # at its edge could be exterior by the rounded exact test.
+        rng = np.random.default_rng(24)
+        certified = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 10))
+            c = 10.0 ** rng.uniform(-3, 3)
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            e = Ellipsoid(c * np.eye(n), b, 10.0 ** rng.uniform(-3, 3))
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            y = -b / c + u * np.sqrt(beta_of(e) / c) * rng.uniform(0.0, 0.99)
+            for k in range(6):
+                stack = EllipsoidStack([e])
+                screened_call(stack, y[None], KKT_TOL)
+                if stack.balls[1][0] <= 0.0:
+                    break
+                x = y + np.sqrt(stack.balls[1][0]) * (1.0 - k * 1e-16) * u
+                certified += bool(screened_call(stack, x[None], KKT_TOL)[0])
+        assert certified > 1000
+
+    def test_all_exterior_call_stops_the_screen(self):
+        rng = np.random.default_rng(22)
+        stack = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
+        screened_call(stack, np.zeros((3, 4)), KKT_TOL)
+        assert stack.screen
+        screened_call(stack, np.full((3, 4), 50.0), KKT_TOL)
+        assert not stack.screen and stack.certified(np.zeros((3, 4))) is None
+        # The anchors survive; the next full rotation screens again.
+        assert (stack.balls[1] > 0.0).all()
+        screened_call(stack, np.zeros((3, 4)), KKT_TOL)
+        assert stack.certified(np.zeros((3, 4))).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_rows_raise_after_anchors(self, bad):
+        rng = np.random.default_rng(23)
+        es = [gen_ellipsoid(3, rng) for _ in range(4)]
+        stack = EllipsoidStack(es)
+        kkt_project_stacked(stack, np.zeros((4, 3)), KKT_TOL)
+        rows = np.full((4, 3), 1e-6)
+        rows[1, 0] = bad
+        assert stack.certified(rows).tolist() == [True, False, True, True]
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            kkt_project_stacked(stack, rows, KKT_TOL)
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            kkt_project_stacked(stack, np.full((4, 3), bad), KKT_TOL)
+        e = es[0]
+        project_kkt(e, np.zeros(3))
+        assert e.stack().screen
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            project_kkt(e, np.array([0.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+    def test_row_products_equal_the_stacked_matmul(self, n):
+        # The screen rotates rows one np.dot at a time on views; its outputs
+        # are bit-identical only because each equals its row of the batch.
+        rng = np.random.default_rng(n)
+        stack = EllipsoidStack([gen_ellipsoid(n, rng) for _ in range(5)])
+        rows = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-5, 5, (5, 1))
+        zt = np.empty((5, n))
+        for j in range(5):
+            np.dot(stack.rot[j].T, rows[j], out=zt[j])
+        assert_same_bits(zt, stack.to_eigen(rows))
+        idx = np.array([0, 2, 3])
+        back = np.empty((3, n))
+        for k, j in enumerate(idx):
+            np.dot(stack.rot[j], zt[k], out=back[k])
+        assert_same_bits(back, np.matmul(stack.rot[idx], zt[:3, :, None])[..., 0])

@@ -29,11 +29,13 @@ from crmfp import (
     estimate_rate,
     gen_ellipsoid,
     gen_instance,
+    initial_point,
     map_step,
     ppm_step,
     run,
     spm_step,
 )
+from crmfp.ellipsoid import EllipsoidStack
 from crmfp.geometry import circumcenter3
 from crmfp.solvers import EPS_DEG, _crm_parts
 
@@ -526,3 +528,48 @@ class TestEstimateRate:
         assert est.per_step_ratios == [0.5, 0.5, 0.5]
         assert est.sup_ratio == 0.5
         assert est.geometric_mean_ratio == pytest.approx(0.5)
+
+
+def ppm_and_lifted_crm(n, p, seed):
+    inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
+    x0 = initial_point(inst)
+    ppm = run("ppm", inst.operators, x0,
+              SolverConfig(max_iterations=150, diagnostics=("fejer",)),
+              solution=inst.fixed_point)
+    crm = run("crm", (BlockOperator(inst.operators), DiagonalSubspace(n, p)), embed(x0, p),
+              SolverConfig(max_iterations=400, diagnostics=("fejer", "membership")),
+              solution=embed(inst.fixed_point, p))
+    return ppm, crm
+
+
+class TestProjectorAnchorCache:
+    @pytest.mark.parametrize("n,p,seed", [(10, 10, 1), (50, 10, 2), (100, 5, 3)])
+    def test_runs_equal_runs_without_anchors(self, monkeypatch, n, p, seed):
+        # The ellipsoid stacks' anchor cache skips rotations but never
+        # changes a bit: runs whose anchors are cleared before every
+        # projector call give the same traces.
+        rotated = []
+        to_eigen = EllipsoidStack.to_eigen
+
+        def counting(stack, rows):
+            rotated.append(len(rows))
+            return to_eigen(stack, rows)
+
+        monkeypatch.setattr(EllipsoidStack, "to_eigen", counting)
+        cached = ppm_and_lifted_crm(n, p, seed)
+        cached_rotated = sum(rotated)
+        rotated.clear()
+        project = operators_module.kkt_project_stacked
+
+        def without_anchors(stack, rows, tol):
+            stack._reset_screen()
+            return project(stack, rows, tol)
+
+        monkeypatch.setattr(operators_module, "kkt_project_stacked", without_anchors)
+        cleared = ppm_and_lifted_crm(n, p, seed)
+        assert cached_rotated < sum(rotated)
+        for a, b in zip(cached, cleared):
+            assert a.stop_reason == b.stop_reason and a.iterations == b.iterations
+            assert a.final_point.tobytes() == b.final_point.tobytes()
+            for history in ("residual_history", "fixed_point_residuals", "dist_history"):
+                assert np.array(getattr(a, history)).tobytes() == np.array(getattr(b, history)).tobytes()

@@ -68,6 +68,7 @@ from .operators import (
     fixed_set_witness_check,
     gradient_check,
     idempotence_violation_search,
+    images,
     translate,
     translated_projection_deviation,
 )
@@ -107,7 +108,7 @@ __all__ = [
     "diag_project", "embed", "estimate_rate", "export",
     "extract", "firm_nonexpansiveness_slack", "fixed_point_residual",
     "fixed_set_witness_check", "gen_ellipsoid", "gen_instance", "gen_operator",
-    "gradient_check", "idempotence_violation_search", "initial_point",
+    "gradient_check", "idempotence_violation_search", "images", "initial_point",
     "lift_apply", "load_instance", "map_step", "performance_profile", "ppm_step",
     "project_admm", "project_kkt", "read_results_csv", "reflect",
     "run", "run_experiment", "save_instance",

@@ -78,6 +78,12 @@ class GridConfig:
         self.p_values = tuple(int(p) for p in self.p_values)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if any(v < 1 for v in self.n_values + self.p_values):
+            raise ValueError("grid sizes n and p must be positive")
+        if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
+            raise ValueError("tolerance must be positive and finite")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 def derive_seed(master_seed: int, n: int, p: int, replicate: int) -> int:

@@ -29,6 +29,18 @@ from .solvers import SolverConfig, run
 PRESETS = {"max50k": 50000, "max25k": 25000}
 
 
+class UsageError(Exception):
+    """An invalid option value: reported in one line, exit status 2."""
+
+
+def _config(factory, **fields):
+    """factory(**fields), with its validation errors turned into usage errors."""
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a random instance and save it as json")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
@@ -87,25 +99,24 @@ def _add_profile(sub):
 
 
 def _cmd_gen(args) -> int:
-    spec = InstanceSpec(n=args.n, p=args.p, seed=args.seed,
-                        gamma=args.gamma, density=args.density)
+    spec = _config(InstanceSpec, n=args.n, p=args.p, seed=args.seed,
+                   gamma=args.gamma, density=args.density)
     save_instance(gen_instance(spec), args.out)
     print(f"wrote instance n={args.n} p={args.p} seed={args.seed} to {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    instance = load_instance(args.instance)
-    n, p = instance.spec.n, instance.spec.p
-    x0 = initial_point(instance)
     diagnostics: tuple[str, ...] = ()
     if args.diagnostics:
         if args.solver != "crm":
-            print("diagnostics are only available for the crm solver", file=sys.stderr)
-            return 2
+            raise UsageError("diagnostics are only available for the crm solver")
         diagnostics = ("fejer", "membership")
-    cfg = SolverConfig(tolerance=args.tol, max_iterations=args.max_iter,
-                       diagnostics=diagnostics)
+    cfg = _config(SolverConfig, tolerance=args.tol, max_iterations=args.max_iter,
+                  diagnostics=diagnostics)
+    instance = load_instance(args.instance)
+    n, p = instance.spec.n, instance.spec.p
+    x0 = initial_point(instance)
     if args.solver in ("crm", "map"):
         problem = (BlockOperator(instance.operators), DiagonalSubspace(n, p))
         start = embed(x0, p)
@@ -137,7 +148,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     max_iter = args.max_iter if args.max_iter is not None else PRESETS[args.preset]
-    grid = GridConfig(
+    if args.workers < 1:
+        raise UsageError("workers must be at least 1")
+    grid = _config(
+        GridConfig,
         n_values=tuple(args.n),
         p_values=tuple(args.p),
         replicates=args.replicates,
@@ -209,7 +223,11 @@ def main(argv=None) -> int:
     _add_summarize(sub)
     _add_profile(sub)
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"crmfp {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -125,16 +125,18 @@ class EllipsoidStack:
 
     Row j of a batch belongs to ellipsoid j.  Built once and reused; each
     member's Ellipsoid.eig() cache becomes a view of its own rows, so no
-    eigenbasis is held twice.
+    eigenbasis is held twice.  tile(k) repeats the stack k times over
+    (row r belongs to member r mod J) without copying an eigenbasis, so k
+    points can go through one stacked solve.
 
     The stack also caches, in balls = (anchors, radii2), one interior
     anchor per row (the last point of row j found interior by a full
     rotation) and the squared radius of a ball around it that lies in the
-    set with margin (-1 without one); balls is None before the first.  certified() tests rows against those
-    balls and anchor() replaces the pair as a whole, so a concurrent call
-    never pairs an anchor with another anchor's radius; kkt_project_stacked
-    uses both.  The cache only decides which rows are rotated, never what
-    any row's output is.
+    set with margin (-1 without one); balls is None before the first.
+    certified() tests rows against those balls, and anchor() replaces the
+    pair as a whole, so a concurrent call never pairs an anchor with
+    another anchor's radius; kkt_project_stacked uses both.  The cache
+    only decides which rows are rotated, never what any row's output is.
     """
 
     def __init__(self, ellipsoids):
@@ -164,12 +166,36 @@ class EllipsoidStack:
 
     @classmethod
     def concatenate(cls, stacks) -> "EllipsoidStack":
+        if any(len(s.rot) != len(s) for s in stacks):
+            raise ValueError("a tile of several members cannot be concatenated")
         out = cls.__new__(cls)
         out.dim = stacks[0].dim
         out.eigs = np.concatenate([s.eigs for s in stacks])
         out.rot = np.concatenate([s.rot for s in stacks])
         out.b_rot = np.concatenate([s.b_rot for s in stacks])
         out.alphas = np.concatenate([s.alphas for s in stacks])
+        out._reset_screen()
+        return out
+
+    def tile(self, k: int) -> "EllipsoidStack":
+        """Stack of k * J rows in which row r belongs to member r mod J.
+
+        The eigenbases are shared, never copied: rot is this stack's own
+        (J, n, n) array, and for J = 1 all four arrays are stride-0 views
+        of this stack's.  The tiled stack has its own, empty screen.
+        """
+        out = EllipsoidStack.__new__(EllipsoidStack)
+        out.dim = self.dim
+        if len(self) == 1:
+            out.eigs = np.broadcast_to(self.eigs, (k, self.dim))
+            out.rot = np.broadcast_to(self.rot, (k, self.dim, self.dim))
+            out.b_rot = np.broadcast_to(self.b_rot, (k, self.dim))
+            out.alphas = np.broadcast_to(self.alphas, (k,))
+        else:
+            out.eigs = np.tile(self.eigs, (k, 1))
+            out.rot = self.rot
+            out.b_rot = np.tile(self.b_rot, (k, 1))
+            out.alphas = np.tile(self.alphas, k)
         out._reset_screen()
         return out
 
@@ -184,7 +210,11 @@ class EllipsoidStack:
         return len(self.alphas)
 
     def to_eigen(self, rows: np.ndarray) -> np.ndarray:
-        return np.matmul(self.rot.transpose(0, 2, 1), rows[..., None])[..., 0]
+        rot_t = self.rot.transpose(0, 2, 1)
+        if len(rot_t) == len(rows):
+            return np.matmul(rot_t, rows[..., None])[..., 0]
+        # A tile of J > 1 members: row r against basis r mod J.
+        return np.matmul(rot_t, rows.reshape(-1, len(rot_t), self.dim, 1)).reshape(rows.shape)
 
     def g_eigen(self, rows_t: np.ndarray) -> np.ndarray:
         return (
@@ -305,10 +335,13 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     anchors; otherwise only the rows in doubt are rotated, one product
     each, and the anchors stay.  A per-row product equals its row of the
     batched one bit for bit, and a certified row is interior by the exact
-    test, so every output is what rotating every row would give.
+    test, so every output is what rotating every row would give.  Row j
+    uses basis j mod len(stack.rot), which is j itself unless the stack is
+    a tile (EllipsoidStack.tile).
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     out = rows.copy()
+    period = len(stack.rot)
     cert = stack.certified(rows)
     if cert is None or 2 * np.count_nonzero(cert) <= len(cert):
         zt = stack.to_eigen(rows)
@@ -324,7 +357,7 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
         doubt = np.flatnonzero(~cert)
         zt = np.empty((len(doubt), stack.dim))
         for k, j in enumerate(doubt.tolist()):
-            np.dot(stack.rot[j].T, rows[j], out=zt[k])
+            np.dot(stack.rot[j % period].T, rows[j], out=zt[k])
         ext = ~(_g_rows(stack.eigs[doubt], stack.b_rot[doubt], stack.alphas[doubt], zt) <= 0.0)
         idx = doubt[ext]
         zt_ext = zt[ext]
@@ -333,7 +366,7 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
             stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx], zt_ext, 0.5 * tol
         )
         for k, j in enumerate(idx.tolist()):
-            np.dot(stack.rot[j], pt[k], out=out[j])
+            np.dot(stack.rot[j % period], pt[k], out=out[j])
     return out
 
 
@@ -398,7 +431,7 @@ def admm_project_stacked(
             if not active.any():
                 break
 
-    out[idx] = np.matmul(stack.rot[idx], q_prev[..., None])[..., 0]
+    out[idx] = np.matmul(stack.rot[idx % len(stack.rot)], q_prev[..., None])[..., 0]
     iters[idx] = sub_iters
     converged[idx] = sub_conv
     return out, iters, converged

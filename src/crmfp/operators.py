@@ -12,6 +12,9 @@ the members of their convex combinations) is one row of a single stacked
 solve.  Rows of a batch never interact, and convex combinations sum their
 members the same way in a plan and alone, so a plan returns exactly what
 operator-by-operator evaluation returns, without the per-member loop.
+images() is the other direction: one operator at many points, in one
+stacked solve on a tile of its stack; the checks that evaluate one
+operator at several points go through it.
 """
 from __future__ import annotations
 
@@ -341,6 +344,42 @@ def apply_each(operators, points) -> list[np.ndarray]:
     return list(EvaluationPlan(operators)(points))
 
 
+def images(operator, points) -> np.ndarray:
+    """operator at every row of points, exactly np.stack([operator(x) for x in points]).
+
+    An ellipsoid projection projects its k rows in one stacked solve on a
+    k-fold tile of its stack; a convex combination whose plan is one stack
+    of J members projects the k * J rows np.repeat(points, J, axis=0) in
+    one solve on the tiled plan stack and sums each run of J rows the way
+    its own call does.  Rows of a batch never interact and each run's sum
+    depends only on its rows, so both equal the per-point loop bit for
+    bit.  Every other operator (or callable) is called point by point.
+    """
+    points = np.asarray(points, dtype=float)
+    if len(points) == 0:
+        raise ValueError("need at least one point")
+    single = isinstance(operator, EllipsoidProjection)
+    if not (single or isinstance(operator, ConvexCombination) and operator.plan.one_row_each):
+        return np.stack([operator(x) for x in points])
+    k = len(points)
+    if points.shape != (k, operator.dim):
+        raise DimensionMismatch(f"points have shape {points.shape}, expected (k, {operator.dim})")
+    if single:
+        return _project_rows(operator.ellipsoid.stack().tile(k), points, operator._solver_key())
+    plan = operator.plan
+    size = len(plan.stack)
+    proj = _project_rows(plan.stack.tile(k), np.repeat(points, size, axis=0), plan.key)
+    return _segment_sums(np.tile(operator.weights, k), proj, np.arange(0, k * size, size))
+
+
+def _sample_rows(samples) -> np.ndarray:
+    """Samples (any iterable of points) as the rows of one array."""
+    rows = [np.asarray(x, dtype=float) for x in samples]
+    if not rows:
+        raise ValueError("need at least one sample")
+    return np.stack(rows)
+
+
 def translate(op, shift):
     """Operator of the same kind for the set moved by the given vector."""
     shift = np.asarray(shift, dtype=float)
@@ -377,7 +416,8 @@ def firm_nonexpansiveness_slack(operator, x, y) -> float:
     exactly when the operator is firmly nonexpansive there."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    d = np.asarray(operator(x), dtype=float) - np.asarray(operator(y), dtype=float)
+    tx, ty = images(operator, np.stack([x, y]))
+    d = tx - ty
     return float(np.vdot(d, x - y) - np.vdot(d, d))
 
 
@@ -392,16 +432,17 @@ def translated_projection_deviation(projection, shift, weight: float, samples) -
 
     Zero (up to rounding) when shift is orthogonal to the affine hull of C;
     positive deviations witness that the combination is not that projection.
+    samples is any iterable of points, at least one.
     """
     if not 0.0 < weight < 1.0:
         raise InvalidWeight("weight must lie strictly between 0 and 1")
     shifted = translate(projection, shift)
     target = translate(projection, weight * np.asarray(shift, dtype=float))
+    xs = _sample_rows(samples)
+    mix = (1.0 - weight) * images(projection, xs) + weight * images(shifted, xs)
     worst = 0.0
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        mix = (1.0 - weight) * projection(x) + weight * shifted(x)
-        worst = max(worst, float(np.linalg.norm(mix - target(x))))
+    for gap in mix - images(target, xs):
+        worst = max(worst, float(np.linalg.norm(gap)))
     return worst
 
 
@@ -425,15 +466,12 @@ def fixed_set_witness_check(proj_a, proj_b, u, v, weight: float) -> tuple[float,
 
 
 def idempotence_violation_search(operator, samples) -> float:
-    """max ||T(T(x)) - T(x)|| over the samples; zero for projections."""
+    """max ||T(T(x)) - T(x)|| over the samples (any iterable of points, at
+    least one); zero for projections."""
+    tx = images(operator, _sample_rows(samples))
     worst = 0.0
-    seen = False
-    for x in samples:
-        seen = True
-        tx = np.asarray(operator(np.asarray(x, dtype=float)), dtype=float)
-        worst = max(worst, float(np.linalg.norm(operator(tx) - tx)))
-    if not seen:
-        raise ValueError("need at least one sample")
+    for gap in images(operator, tx) - tx:
+        worst = max(worst, float(np.linalg.norm(gap)))
     return worst
 
 
@@ -443,15 +481,12 @@ def gradient_check(projection, x, h: float = 1e-5) -> float:
     if h <= 0.0:
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=float)
-    analytic = 2.0 * (x - np.asarray(projection(x), dtype=float))
-
-    def dist_sq(u):
-        d = u - np.asarray(projection(u), dtype=float)
-        return float(d @ d)
-
-    fd = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        fd[i] = (dist_sq(x + e) - dist_sq(x - e)) / (2.0 * h)
+    n = x.shape[0]
+    steps = h * np.eye(n)
+    # x, then x + h e_i for every i, then x - h e_i: one call of the projection.
+    points = np.concatenate([x[None, :], x + steps, x - steps])
+    gaps = points - images(projection, points)
+    analytic = 2.0 * gaps[0]
+    dist_sq = np.array([float(d @ d) for d in gaps[1:]])
+    fd = (dist_sq[:n] - dist_sq[n:]) / (2.0 * h)
     return float(np.linalg.norm(fd - analytic) / (1.0 + np.linalg.norm(analytic)))

@@ -142,6 +142,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             tiny_grid(replicates=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tolerance", 0.0), ("tolerance", -1.0), ("tolerance", float("inf")),
+        ("max_iterations", 0), ("n_values", (3, 0)), ("p_values", (-2,)),
+    ])
+    def test_solver_settings_and_sizes_validated(self, field, value):
+        with pytest.raises(ValueError):
+            tiny_grid(**{field: value})
+
 
 class TestSummarize:
     def test_textbook_values(self):

@@ -166,3 +166,43 @@ class TestSummarizeAndProfile:
         lines = out.read_text().splitlines()
         assert lines[0] == "solver,tau,fraction"
         assert len(lines) > 2
+
+
+class TestInvalidValues:
+    """Invalid numbers give one error line and exit status 2, not a traceback."""
+
+    @pytest.fixture()
+    def cases(self, instance_path, tmp_path):
+        run = ["run", "--instance", str(instance_path), "--solver", "ppm"]
+        return {
+            "run --max-iter 0": ("run", run + ["--max-iter", "0"]),
+            "run --tol -1": ("run", run + ["--tol", "-1"]),
+            "run --tol nan": ("run", run + ["--tol", "nan"]),
+            "bench --replicates 0": ("bench", bench_args(tmp_path / "a", "--replicates", "0")),
+            "bench --max-iter 0": ("bench", bench_args(tmp_path / "b", "--max-iter", "0")),
+            "bench --tol -1": ("bench", bench_args(tmp_path / "c", "--tol", "-1")),
+            "bench --n 0": ("bench", bench_args(tmp_path / "d", "--n", "0")),
+            "bench --workers 0": ("bench", bench_args(tmp_path / "e", "--workers", "0")),
+            "gen --n 0": ("gen", ["gen", "--n", "0", "--p", "2", "--seed", "1",
+                                  "--out", str(tmp_path / "i.json")]),
+            "gen --seed -1": ("gen", ["gen", "--n", "2", "--p", "2", "--seed", "-1",
+                                      "--out", str(tmp_path / "j.json")]),
+        }
+
+    def test_one_line_and_status_two(self, cases, tmp_path, capsys):
+        for label, (command, argv) in cases.items():
+            capsys.readouterr()
+            assert main(argv) == 2, label
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"crmfp {command}: error: "), label
+            assert captured.out == "", label
+        # Nothing was written for a rejected command.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+    def test_diagnostics_error_uses_the_same_form(self, instance_path, capsys):
+        argv = ["run", "--instance", str(instance_path), "--solver", "map", "--diagnostics"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "crmfp run: error: diagnostics are only available for the crm solver\n"
+        )

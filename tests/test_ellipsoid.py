@@ -652,3 +652,79 @@ class TestInteriorScreen:
         for k, j in enumerate(idx):
             np.dot(stack.rot[j], zt[k], out=back[k])
         assert_same_bits(back, np.matmul(stack.rot[idx], zt[:3, :, None])[..., 0])
+
+
+class TestTile:
+    """EllipsoidStack.tile: k copies of a stack's rows over one set of eigenbases."""
+
+    def test_single_member_tiles_are_stride_zero_views(self):
+        rng = np.random.default_rng(31)
+        base = gen_ellipsoid(5, rng).stack()
+        tiled = base.tile(7)
+        assert len(tiled) == 7
+        for name in ("eigs", "rot", "b_rot", "alphas"):
+            view, own = getattr(tiled, name), getattr(base, name)
+            assert view.shape == (7,) + own.shape[1:]
+            assert view.strides[0] == 0 and np.shares_memory(view, own)
+
+    def test_member_of_row_r_is_r_mod_j(self):
+        rng = np.random.default_rng(32)
+        base = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
+        tiled = base.tile(5)
+        assert len(tiled) == 15
+        assert tiled.rot is base.rot
+        members = np.arange(15) % 3
+        assert_same_bits(tiled.eigs, base.eigs[members])
+        assert_same_bits(tiled.b_rot, base.b_rot[members])
+        assert_same_bits(tiled.alphas, base.alphas[members])
+        with pytest.raises(ValueError):
+            EllipsoidStack.concatenate([tiled])
+
+    def test_base_screen_untouched(self):
+        rng = np.random.default_rng(33)
+        base = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
+        kkt_project_stacked(base, np.zeros((3, 4)), KKT_TOL)
+        balls, screen = base.balls, base.screen
+        tiled = base.tile(4)
+        assert tiled.balls is None and not tiled.screen
+        kkt_project_stacked(tiled, np.zeros((12, 4)), KKT_TOL)
+        assert tiled.screen
+        assert base.balls is balls and base.screen is screen
+        for got, want in zip(base.balls, balls):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("method", ["kkt", "admm"])
+    def test_rows_equal_one_row_calls(self, members, method):
+        # Repeated calls on one tile walk the screen's full and partial paths.
+        rng = np.random.default_rng(34 + members)
+        es = [gen_ellipsoid(6, rng) for _ in range(members)]
+        tiled = EllipsoidStack(es).tile(4)
+        x = 0.05 * rng.standard_normal((4 * members, 6))
+        for scale in (1.0, 1.0, 1.0, 40.0, 1.0):
+            x = x + 1e-3 * rng.standard_normal(x.shape)
+            x[1] *= scale
+            if method == "kkt":
+                got = kkt_project_stacked(tiled, x, KKT_TOL)
+                want = [project_kkt(es[r % members], row) for r, row in enumerate(x)]
+            else:
+                got = admm_project_stacked(tiled, x, AdmmConfig())[0]
+                want = [project_admm(es[r % members], row).point for r, row in enumerate(x)]
+            assert_same_bits(got, np.stack(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200])
+    def test_tiled_rotation_equals_row_products(self, n):
+        rng = np.random.default_rng(n + 100)
+        base = EllipsoidStack([gen_ellipsoid(n, rng) for _ in range(3)])
+        rows = rng.standard_normal((12, n)) * 10.0 ** rng.uniform(-5, 5, (12, 1))
+        zt = np.empty((12, n))
+        for r in range(12):
+            np.dot(base.rot[r % 3].T, rows[r], out=zt[r])
+        assert_same_bits(base.tile(4).to_eigen(rows), zt)
+        for start in range(0, 12, 3):
+            assert_same_bits(base.to_eigen(rows[start:start + 3]), zt[start:start + 3])
+        single = EllipsoidStack([gen_ellipsoid(n, rng)])
+        assert_same_bits(
+            single.tile(12).to_eigen(rows),
+            np.concatenate([single.to_eigen(row[None]) for row in rows]),
+        )

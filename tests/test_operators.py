@@ -27,10 +27,12 @@ from crmfp import (
     gen_instance,
     gradient_check,
     idempotence_violation_search,
+    images,
     translate,
     translated_projection_deviation,
 )
 from crmfp.operators import EvaluationPlan
+from crmfp.product_space import BlockOperator
 
 RT2 = np.sqrt(2.0)
 
@@ -589,3 +591,251 @@ class TestEvaluationPlan:
         inst = gen_instance(InstanceSpec(n=4, p=2, seed=3))
         with pytest.raises(RootNotBracketed, match="non-finite"):
             inst.operators[0](np.array([np.nan, 0.0, 1.0, 0.0]))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+IMAGE_KINDS = ["kkt", "admm", "fused", "fused-admm", "unfused", "nested", "ball",
+               "halfspace", "affine", "composition", "identity", "lifted"]
+
+
+def operator_of_kind(kind, rng, n):
+    """One operator of the named kind on R^n, and an operator whose image of
+    a far point lies on the boundary of one of its sets."""
+    if kind in ("kkt", "admm"):
+        op = EllipsoidProjection(gen_ellipsoid(n, rng), method=kind)
+        return op, op
+    if kind in ("fused", "fused-admm"):
+        method = "admm" if kind == "fused-admm" else "kkt"
+        members = [EllipsoidProjection(gen_ellipsoid(n, rng), method=method)
+                   for _ in range(int(rng.integers(1, 5)))]
+        weights = rng.uniform(0.1, 1.0, len(members))
+        op = ConvexCombination(members, weights / weights.sum())
+        assert op.plan.one_row_each
+        return op, members[0]
+    if kind == "unfused":
+        ellipsoid = EllipsoidProjection(gen_ellipsoid(n, rng))
+        op = ConvexCombination([ellipsoid, BallProjection(rng.standard_normal(n), 1.0)],
+                               [0.4, 0.6])
+        return op, ellipsoid
+    if kind == "nested":
+        inner, surface = operator_of_kind("fused", rng, n)
+        return ConvexCombination([inner, EllipsoidProjection(gen_ellipsoid(n, rng))],
+                                 [0.5, 0.5]), surface
+    if kind == "ball":
+        op = BallProjection(rng.standard_normal(n), float(rng.uniform(0.5, 2.0)))
+    elif kind == "halfspace":
+        op = HalfspaceProjection(rng.standard_normal(n), float(rng.standard_normal()))
+    elif kind == "affine":
+        span = rng.standard_normal((max(1, n - 1), n))
+        op = AffineSubspaceProjection(AffineSubspace.from_span(rng.standard_normal(n), span))
+    elif kind == "composition":
+        ellipsoid = EllipsoidProjection(gen_ellipsoid(n, rng))
+        return Composition([BallProjection(np.zeros(n), 3.0), ellipsoid]), ellipsoid
+    elif kind == "identity":
+        op = Identity(n)
+    else:
+        blocks = [EllipsoidProjection(gen_ellipsoid(n, rng)), BallProjection(np.zeros(n), 1.0)]
+        return BlockOperator(blocks), blocks[0]
+    return op, op
+
+
+@st.composite
+def image_cases(draw):
+    """An operator, and k points from 1 to 12: interior, exterior, or a few
+    ulps either side of a boundary point of one of its sets."""
+    kind = draw(st.sampled_from(IMAGE_KINDS))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op, surface = operator_of_kind(kind, rng, n)
+    shape = (2, n) if kind == "lifted" else (n,)
+    points = []
+    for where in draw(st.lists(st.sampled_from(["inside", "outside", "boundary"]),
+                               min_size=1, max_size=12)):
+        if where == "inside":
+            points.append(0.01 * rng.standard_normal(shape))
+        elif where == "outside":
+            points.append(10.0 ** rng.uniform(0, 3) * rng.standard_normal(shape))
+        else:
+            far = 100.0 * rng.standard_normal(n)
+            y = surface(far)
+            direction = far - y if rng.random() < 0.5 else y - far
+            for _ in range(int(rng.integers(0, 5))):
+                y = np.nextafter(y, y + direction)
+            points.append(np.broadcast_to(y, shape).copy())
+    return op, np.stack(points)
+
+
+class TestImages:
+    @settings(max_examples=200, deadline=None)
+    @given(image_cases())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_equals_the_per_point_loop_bitwise(self, case):
+        op, points = case
+        first = images(op, points)
+        loop = np.stack([op(x) for x in points])
+        assert_same_bits(first, loop)
+        # The loop moved the operators' screens; the images do not depend on them.
+        assert_same_bits(images(op, points), loop)
+
+    @pytest.mark.parametrize("kind", ["kkt", "admm", "fused", "fused-admm"])
+    def test_one_stacked_solve_of_two_dimensional_rows(self, kind, monkeypatch):
+        rng = np.random.default_rng(41)
+        op, _ = operator_of_kind(kind, rng, 5)
+        calls = []
+        for name in ("kkt_project_stacked", "admm_project_stacked"):
+            original = getattr(operators_module, name)
+
+            def counted(stack, rows, *rest, original=original):
+                calls.append(rows.shape)
+                return original(stack, rows, *rest)
+
+            monkeypatch.setattr(operators_module, name, counted)
+        points = 5.0 * rng.standard_normal((9, 5))
+        images(op, points)
+        size = 1 if isinstance(op, EllipsoidProjection) else len(op.operators)
+        assert calls == [(9 * size, 5)]
+
+    def test_base_stacks_untouched(self):
+        rng = np.random.default_rng(42)
+        op, _ = operator_of_kind("fused", rng, 4)
+        op(np.zeros(4))
+        stack = op.plan.stack
+        balls, screen = stack.balls, stack.screen
+        images(op, 3.0 * rng.standard_normal((6, 4)))
+        assert stack.balls is balls and stack.screen is screen
+
+    @pytest.mark.parametrize("kind", ["kkt", "fused", "ball"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_row_raises(self, kind):
+        rng = np.random.default_rng(43)
+        op, _ = operator_of_kind(kind, rng, 3)
+        points = rng.standard_normal((4, 3))
+        points[2, 1] = np.nan
+        if kind == "ball":
+            # No root-find: the NaN row comes back as the loop gives it.
+            assert_same_bits(images(op, points), np.stack([op(x) for x in points]))
+            return
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            images(op, points)
+
+    @pytest.mark.parametrize("kind", ["kkt", "fused", "unfused", "ball"])
+    def test_shape_mismatch_raises(self, kind):
+        rng = np.random.default_rng(44)
+        op, _ = operator_of_kind(kind, rng, 3)
+        with pytest.raises(DimensionMismatch):
+            images(op, np.zeros((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            images(op, np.zeros((2, 4, 3)))
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError):
+            images(Identity(2), np.zeros((0, 2)))
+
+
+# Per-point reference implementations of the checks: one operator call per
+# point, as the checks were written before they evaluated through images().
+
+
+def reference_slack(operator, x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d = np.asarray(operator(x), dtype=float) - np.asarray(operator(y), dtype=float)
+    return float(np.vdot(d, x - y) - np.vdot(d, d))
+
+
+def reference_deviation(projection, shift, weight, samples):
+    shifted = translate(projection, shift)
+    target = translate(projection, weight * np.asarray(shift, dtype=float))
+    worst = 0.0
+    for x in samples:
+        x = np.asarray(x, dtype=float)
+        mix = (1.0 - weight) * projection(x) + weight * shifted(x)
+        worst = max(worst, float(np.linalg.norm(mix - target(x))))
+    return worst
+
+
+def reference_idempotence(operator, samples):
+    worst = 0.0
+    for x in samples:
+        tx = np.asarray(operator(np.asarray(x, dtype=float)), dtype=float)
+        worst = max(worst, float(np.linalg.norm(operator(tx) - tx)))
+    return worst
+
+
+def reference_gradient(projection, x, h=1e-5):
+    x = np.asarray(x, dtype=float)
+    analytic = 2.0 * (x - np.asarray(projection(x), dtype=float))
+
+    def dist_sq(u):
+        d = u - np.asarray(projection(u), dtype=float)
+        return float(d @ d)
+
+    fd = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[i] = h
+        fd[i] = (dist_sq(x + e) - dist_sq(x - e)) / (2.0 * h)
+    return float(np.linalg.norm(fd - analytic) / (1.0 + np.linalg.norm(analytic)))
+
+
+def assert_same_float(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+class TestChecksMatchPerPointReferences:
+    """The checks evaluate through images() and return the per-point bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("kind", ["kkt", "admm", "fused", "unfused", "ball",
+                                      "halfspace", "affine", "composition"])
+    def test_all_four_checks(self, kind, n):
+        rng = np.random.default_rng([n, IMAGE_KINDS.index(kind)])
+        op, _ = operator_of_kind(kind, rng, n)
+        for scale in (0.01, 1.0, 30.0):
+            x, y = scale * rng.standard_normal((2, n))
+            samples = scale * rng.standard_normal((6, n))
+            assert_same_float(gradient_check(op, x), reference_gradient(op, x))
+            assert_same_float(gradient_check(op, x, h=1e-3), reference_gradient(op, x, h=1e-3))
+            assert_same_float(firm_nonexpansiveness_slack(op, x, y), reference_slack(op, x, y))
+            assert_same_float(idempotence_violation_search(op, samples),
+                              reference_idempotence(op, samples))
+            if kind != "composition":
+                shift = 0.1 * rng.standard_normal(n)
+                assert_same_float(translated_projection_deviation(op, shift, 0.3, samples),
+                                  reference_deviation(op, shift, 0.3, samples))
+
+    def test_generated_combinations_at_n50(self):
+        # The benchmark's check workload: members and combinations of a
+        # generated instance, at points outside every set.
+        inst = gen_instance(InstanceSpec(n=50, p=4, seed=9))
+        rng = np.random.default_rng(45)
+        for op in list(inst.operators) + [m for c in inst.operators for m in c.operators]:
+            x, y = 30.0 * rng.standard_normal((2, 50))
+            assert_same_float(gradient_check(op, x), reference_gradient(op, x))
+            assert_same_float(firm_nonexpansiveness_slack(op, x, y), reference_slack(op, x, y))
+
+    def test_samples_may_be_a_generator(self):
+        rng = np.random.default_rng(46)
+        op, _ = operator_of_kind("fused", rng, 3)
+        samples = 5.0 * rng.standard_normal((4, 3))
+        assert_same_float(idempotence_violation_search(op, (x for x in samples)),
+                          reference_idempotence(op, samples))
+        ball = BallProjection(np.zeros(3), 1.0)
+        shift = np.array([0.5, 0.0, 0.0])
+        assert_same_float(
+            translated_projection_deviation(ball, shift, 0.5, (list(x) for x in samples)),
+            reference_deviation(ball, shift, 0.5, samples),
+        )
+
+    def test_empty_samples_rejected_by_both(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            idempotence_violation_search(lower_halfplane(), iter(()))
+        with pytest.raises(ValueError, match="at least one sample"):
+            translated_projection_deviation(x_axis(), np.ones(2), 0.5, [])
+        with pytest.raises(ValueError, match="at least one sample"):
+            translated_projection_deviation(x_axis(), np.ones(2), 0.5, iter(()))

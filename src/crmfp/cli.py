@@ -30,7 +30,8 @@ PRESETS = {"max50k": 50000, "max25k": 25000}
 
 
 class UsageError(Exception):
-    """An invalid option value: reported in one line, exit status 2."""
+    """An invalid option value: reported in one line, exit status 2, as
+    is a file that cannot be read or written (OSError)."""
 
 
 def _config(factory, **fields):
@@ -181,7 +182,7 @@ def _cmd_bench(args) -> int:
 def _cmd_summarize(args) -> int:
     results = read_results_csv(args.results)
     group_by = tuple(s.strip() for s in args.group_by.split(",") if s.strip())
-    stats = summarize(results, group_by=group_by, metric=args.metric)
+    stats = _config(summarize, results=results, group_by=group_by, metric=args.metric)
     if args.out:
         export(stats, args.out, format="csv")
         print(f"wrote {len(stats)} groups to {args.out}")
@@ -226,8 +227,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        print(f"crmfp {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OSError as exc:   # a file that cannot be read or written
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    print(f"crmfp {args.command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

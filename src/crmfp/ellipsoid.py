@@ -15,14 +15,15 @@ batched results equal one-at-a-time results exactly.
 
 Most rows of a solver's projector calls are interior and come back
 unchanged, yet the interior test needs the row in the eigenbasis: an
-O(n^2) rotation per row.  g is quadratic, so around any interior anchor y
-it is bounded exactly by g(y) + |grad g(y)| d + w_max d^2 at distance d,
-and a ball around y lies in the set with a margin that covers the float64
-rounding of the exact test.  Each stack keeps one such anchor per row; a
-row inside its anchor's ball is certified interior and returned unchanged
-without being rotated, exactly as the exact test would return it.  Every
-other row takes the same arithmetic as without the cache, so the cache
-never changes an output bit.
+O(n^2) rotation per row.  g is quadratic with Hessian 2A <= 2 w_max I, so
+around any anchor y it is bounded exactly by its tangent plane plus a
+curvature term, g(x) <= g(y) + grad g(y)'(x - y) + w_max |x - y|^2, an
+O(n) test once grad g(y) is known.  Each stack keeps one anchor per row, a
+point the exact test found interior; a row whose bound is below minus a
+margin that covers the float64 rounding of the exact test is certified
+interior and returned unchanged without being rotated, exactly as the
+exact test would return it.  Every other row takes the same arithmetic as
+without the cache, so the cache never changes an output bit.
 
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
@@ -33,6 +34,7 @@ no code with either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +44,8 @@ from .errors import DimensionMismatch, RootNotBracketed
 INNER_G_RTOL = 1e-12
 # Default tolerance of the direct projector (it stops at |g| <= KKT_TOL / 2).
 KKT_TOL = 1e-11
-# Margin of the interior certificate, relative to the size of g's terms
-# within the certified ball: at least 1e4 times the rounding of the exact test.
+# Margin of the interior certificate, relative to the size of g's terms at
+# the anchor and the row (see EllipsoidStack.anchor).
 SCREEN_RTOL = 1e-9
 
 
@@ -120,6 +122,39 @@ class Ellipsoid:
         return cls(A, np.asarray(data["b"], dtype=float), float(data["alpha"]))
 
 
+class Tangents(NamedTuple):
+    """The interior certificate of an EllipsoidStack: one anchor per row.
+
+    Row j is certified at x when level[j] + d'(grad[j] + curv[j] d) < 0,
+    with d = x - anchors[j] (see EllipsoidStack.anchor).  The gradients of
+    new anchors wait in pending = (rows, their gradients in eigencoordinates)
+    until the next certified() rotates them into grad; None when none wait.
+    curv, m_const and m_norm2 are fixed per row.
+    """
+
+    anchors: np.ndarray         # (J, n) the anchors y
+    level: np.ndarray           # (J,) g(y) + m_y; inf without an anchor
+    grad: np.ndarray            # (J, n) grad g(y), stale for the pending rows
+    pending: tuple[np.ndarray, np.ndarray] | None
+    curv: np.ndarray            # (J, 1) w_max (1 + 6 SCREEN_RTOL)
+    m_const: np.ndarray         # (J,) m_y = m_const + m_norm2 |y|^2
+    m_norm2: np.ndarray         # (J,)
+
+
+def _rotate(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row r times rot[r mod len(rot)], in one batched product."""
+    if len(rot) == len(rows):
+        return np.matmul(rot, rows[..., None])[..., 0]
+    return np.matmul(rot, rows.reshape(-1, len(rot), rows.shape[-1], 1)).reshape(rows.shape)
+
+
+def _repeat_view(a: np.ndarray, k: int) -> np.ndarray:
+    """The one row of a, k times: a read-only stride-0 view of a."""
+    view = np.ndarray((k,) + a.shape[1:], a.dtype, a, 0, (0,) + a.strides[1:])
+    view.flags.writeable = False
+    return view
+
+
 class EllipsoidStack:
     """Eigenbasis data for a fixed list of same-dimension ellipsoids.
 
@@ -129,14 +164,14 @@ class EllipsoidStack:
     (row r belongs to member r mod J) without copying an eigenbasis, so k
     points can go through one stacked solve.
 
-    The stack also caches, in balls = (anchors, radii2), one interior
-    anchor per row (the last point of row j found interior by a full
-    rotation) and the squared radius of a ball around it that lies in the
-    set with margin (-1 without one); balls is None before the first.
-    certified() tests rows against those balls, and anchor() replaces the
-    pair as a whole, so a concurrent call never pairs an anchor with
-    another anchor's radius; kkt_project_stacked uses both.  The cache
-    only decides which rows are rotated, never what any row's output is.
+    The stack also caches, in tangents (a Tangents, None before the first
+    anchor), one anchor per row: the last point of row j that was in doubt
+    and that the exact test found interior, with g and its gradient there.  certified() tests
+    rows against the tangent-plane bound at their anchors, and anchor()
+    and certified() replace the cache as a whole, so a concurrent call
+    never pairs one row's anchor with another anchor's gradient;
+    kkt_project_stacked uses both.  The cache only decides which rows are
+    rotated, never what any row's output is.
     """
 
     def __init__(self, ellipsoids):
@@ -181,16 +216,18 @@ class EllipsoidStack:
         """Stack of k * J rows in which row r belongs to member r mod J.
 
         The eigenbases are shared, never copied: rot is this stack's own
-        (J, n, n) array, and for J = 1 all four arrays are stride-0 views
-        of this stack's.  The tiled stack has its own, empty screen.
+        (J, n, n) array, and for J = 1 all four arrays are read-only
+        stride-0 views of this stack's.  The tiled stack has its own, empty
+        screen, and computes an anchor's gradient only when a later call
+        on it tests a row against that anchor.
         """
         out = EllipsoidStack.__new__(EllipsoidStack)
         out.dim = self.dim
         if len(self) == 1:
-            out.eigs = np.broadcast_to(self.eigs, (k, self.dim))
-            out.rot = np.broadcast_to(self.rot, (k, self.dim, self.dim))
-            out.b_rot = np.broadcast_to(self.b_rot, (k, self.dim))
-            out.alphas = np.broadcast_to(self.alphas, (k,))
+            out.eigs = _repeat_view(self.eigs, k)
+            out.rot = _repeat_view(self.rot, k)
+            out.b_rot = _repeat_view(self.b_rot, k)
+            out.alphas = _repeat_view(self.alphas, k)
         else:
             out.eigs = np.tile(self.eigs, (k, 1))
             out.rot = self.rot
@@ -201,20 +238,16 @@ class EllipsoidStack:
 
     def _reset_screen(self) -> None:
         """No anchors: the next call rotates every row."""
-        self.balls = None
-        # False until a full rotation finds an interior row, and again
-        # after one finds none: then no row is screened.
+        self.tangents = None
+        # False until a call finds an interior row, and again after a full
+        # rotation finds none: then no row is screened.
         self.screen = False
 
     def __len__(self) -> int:
         return len(self.alphas)
 
     def to_eigen(self, rows: np.ndarray) -> np.ndarray:
-        rot_t = self.rot.transpose(0, 2, 1)
-        if len(rot_t) == len(rows):
-            return np.matmul(rot_t, rows[..., None])[..., 0]
-        # A tile of J > 1 members: row r against basis r mod J.
-        return np.matmul(rot_t, rows.reshape(-1, len(rot_t), self.dim, 1)).reshape(rows.shape)
+        return _rotate(self.rot.transpose(0, 2, 1), rows)
 
     def g_eigen(self, rows_t: np.ndarray) -> np.ndarray:
         return (
@@ -224,42 +257,77 @@ class EllipsoidStack:
         )
 
     def certified(self, rows: np.ndarray) -> np.ndarray | None:
-        """Rows strictly inside their anchor's ball (a mask), or None when
-        the stack does not screen.  NaN and inf rows are never certified."""
+        """Rows whose tangent-plane bound at their anchor is below minus the
+        margin (a mask), or None when the stack does not screen.  NaN and
+        inf rows are never certified: their bound is NaN or +inf."""
         if not self.screen:
             return None
-        anchors, radii2 = self.balls
-        diff = rows - anchors
-        return np.einsum("ij,ij->i", diff, diff) < radii2
+        tan = self.tangents
+        if tan.pending is not None:
+            tan = self.tangents = self._rotate_back(tan)
+        d = rows - tan.anchors
+        return tan.level + np.einsum("ij,ij->i", d, tan.grad + tan.curv * d) < 0.0
 
-    def anchor(self, rows: np.ndarray, rows_t: np.ndarray, g: np.ndarray, inside: np.ndarray) -> None:
-        """Make the rows that a full rotation found interior (mask inside;
-        eigencoordinates rows_t, computed g) the anchors of their rows.
+    def _rotate_back(self, tan: Tangents) -> Tangents:
+        """tan with the pending gradients rotated into grad: one batched
+        product when at least half the rows are pending, else one np.dot
+        per pending row."""
+        idx, grad_t = tan.pending
+        grad = tan.grad.copy()
+        if 2 * len(idx) >= len(grad):
+            scattered = np.zeros_like(grad)
+            scattered[idx] = grad_t
+            grad[idx] = _rotate(self.rot, scattered)[idx]
+        else:
+            period = len(self.rot)
+            for k, j in enumerate(idx.tolist()):
+                np.dot(self.rot[j % period], grad_t[k], out=grad[j])
+        return tan._replace(grad=grad, pending=None)
 
-        With s = -g(y) - m > 0, every x with |x - y| < r, where
-        r = 2s / (G + sqrt(G^2 + 4 w_max s)) solves G r + w_max r^2 = s and
-        G = |grad g(y)| = 2 |w t + b~|, has g(x) <= g(y) + G r + w_max r^2
-        < -m.  Capping r at |y| + 1 keeps |x| <= R = 2|y| + 1, so the
-        margin m = SCREEN_RTOL (1 + alpha + 2 |b| R + w_max R^2) bounds
-        the rounding of g computed at any certified x.  Rows with s <= 0
-        get radius -1: nothing is certified around them.
+    def anchor(self, idx: np.ndarray, rows: np.ndarray, rows_t: np.ndarray, g: np.ndarray) -> None:
+        """Make rows, which the exact test found interior, the anchors of
+        stack rows idx (rows_t: their eigencoordinates; g: their computed g).
+
+        For an anchor y with eigencoordinates t, G = grad g(y) = Q G~ with
+        G~ = 2 (w t + b~), and g is quadratic with Hessian 2A <= 2 w_max I,
+        so for d = x - y exactly g(x) = g(y) + G'd + d'Ad
+        <= g(y) + G'd + w_max |d|^2.  Row j is certified at x when
+            g(y) + m_y + G'd + w_max (1 + 6 rho) |d|^2 < 0,   rho = SCREEN_RTOL,
+            m_y = rho (1 + 2 alpha + 6 |b|^2 / w_max + 10 w_max |y|^2).
+        The rounding of the exact test at x, of g(y) and G as stored, and
+        of the bound itself is at most c n^(3/2) u (u the unit roundoff, c
+        about 10, worst case) times
+            1 + alpha + |g(y)| + 2 |b| (|x| + |y|) + |G| |d|
+              + w_max (|x|^2 + |y|^2 + |y| |d| + |d|^2).
+        With |x| <= |y| + |d|, |g(y)| <= alpha + 2 |b| |y| + w_max |y|^2,
+        |G|^2 <= 8 (w_max^2 |y|^2 + |b|^2) and 2 |p| |q| <= |p|^2 / s
+        + s |q|^2 for any s > 0, that sum is at most
+        1 + 2 alpha + 6 |b|^2 / w_max + 10 w_max |y|^2 + 6 w_max |d|^2, so
+        the margin m_y + 6 rho w_max |d|^2 covers the rounding while
+        c n^(3/2) u <= rho, for n up to several thousand.  The bound holds
+        about any anchor; anchors are interior points because that is
+        where it certifies most.  G is rotated back on first use
+        (certified()), so a stack used once never pays for it.
         """
-        w_max = self.eigs.max(-1)
-        with np.errstate(all="ignore"):   # non-finite rows are not anchored
-            v = self.eigs * rows_t + self.b_rot
-            grad = 2.0 * np.sqrt(np.einsum("ij,ij->i", v, v))
-            y_norm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-            b_norm = np.sqrt(np.einsum("ij,ij->i", self.b_rot, self.b_rot))
-            big_r = 2.0 * y_norm + 1.0
-            margin = SCREEN_RTOL * (1.0 + self.alphas + (2.0 * b_norm + w_max * big_r) * big_r)
-            s = -g - margin
-            room = np.maximum(s, 0.0)
-            r = 2.0 * room / (grad + np.sqrt(grad * grad + 4.0 * w_max * room))
-            r = np.minimum(r, y_norm + 1.0)
-        anchors, radii2 = self.balls or (0.0, -1.0)
-        anchors = np.where(inside[:, None], rows, anchors)
-        radii2 = np.where(inside, np.where(s > 0.0, r * r, -1.0), radii2)
-        self.balls = (anchors, radii2)
+        tan = self.tangents
+        if tan is None:
+            w_max = self.eigs.max(-1)
+            b2 = np.einsum("ij,ij->i", self.b_rot, self.b_rot)
+            zeros = np.zeros((len(self), self.dim))
+            tan = Tangents(
+                zeros, np.full(len(self), np.inf), zeros, None,
+                (w_max * (1.0 + 6.0 * SCREEN_RTOL))[:, None],
+                SCREEN_RTOL * (1.0 + 2.0 * self.alphas + 6.0 * b2 / w_max),
+                SCREEN_RTOL * 10.0 * w_max,
+            )
+        elif tan.pending is not None:   # another call's anchors, not used yet
+            tan = self._rotate_back(tan)
+        level = tan.level.copy()
+        level[idx] = g + tan.m_const[idx] + tan.m_norm2[idx] * np.einsum("ij,ij->i", rows, rows)
+        anchors = tan.anchors.copy()
+        anchors[idx] = rows
+        grad_t = 2.0 * (self.eigs[idx] * rows_t + self.b_rot[idx])
+        self.tangents = tan._replace(anchors=anchors, level=level, pending=(idx, grad_t))
         self.screen = True
 
 
@@ -331,36 +399,39 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     Rows the stack certifies interior (EllipsoidStack.certified) return
     unchanged without being rotated.  When the stack does not screen, or
     the rows in doubt are at least as many as the certified ones, the whole
-    stack is rotated in one batch and its interior rows become the new
-    anchors; otherwise only the rows in doubt are rotated, one product
-    each, and the anchors stay.  A per-row product equals its row of the
-    batched one bit for bit, and a certified row is interior by the exact
-    test, so every output is what rotating every row would give.  Row j
-    uses basis j mod len(stack.rot), which is j itself unless the stack is
-    a tile (EllipsoidStack.tile).
+    stack is rotated in one batch; otherwise only the rows in doubt are
+    rotated, one product each.  Either way the rows in doubt that the
+    exact test finds interior become the anchors of their rows, and
+    certified rows keep theirs.  A per-row product equals its row of
+    the batched one bit for bit, and a certified row is interior by the
+    exact test, so every output is what rotating every row would give.
+    Row j uses basis j mod len(stack.rot), which is j itself unless the
+    stack is a tile (EllipsoidStack.tile).
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     out = rows.copy()
     period = len(stack.rot)
     cert = stack.certified(rows)
-    if cert is None or 2 * np.count_nonzero(cert) <= len(cert):
+    full = cert is None or 2 * np.count_nonzero(cert) <= len(cert)
+    if full:
+        rotated = np.arange(len(rows))
         zt = stack.to_eigen(rows)
         g = stack.g_eigen(zt)
-        ext = ~(g <= 0.0)   # non-finite rows are exterior, and raise
-        idx = np.flatnonzero(ext)
-        if len(idx) < len(ext):
-            stack.anchor(rows, zt, g, ~ext)
-        else:
-            stack.screen = False
-        zt_ext = zt[idx]
     else:
-        doubt = np.flatnonzero(~cert)
-        zt = np.empty((len(doubt), stack.dim))
-        for k, j in enumerate(doubt.tolist()):
+        rotated = np.flatnonzero(~cert)
+        zt = np.empty((len(rotated), stack.dim))
+        for k, j in enumerate(rotated.tolist()):
             np.dot(stack.rot[j % period].T, rows[j], out=zt[k])
-        ext = ~(_g_rows(stack.eigs[doubt], stack.b_rot[doubt], stack.alphas[doubt], zt) <= 0.0)
-        idx = doubt[ext]
-        zt_ext = zt[ext]
+        g = _g_rows(stack.eigs[rotated], stack.b_rot[rotated], stack.alphas[rotated], zt)
+    inside = g <= 0.0   # non-finite rows are exterior, and raise
+    # Rows in doubt found interior become anchors; certified rows keep theirs.
+    fresh = inside if cert is None or not full else inside & ~cert
+    if full and not inside.any():
+        stack.screen = False
+    elif fresh.any():
+        stack.anchor(rotated[fresh], rows[rotated[fresh]], zt[fresh], g[fresh])
+    idx = rotated[~inside]
+    zt_ext = zt[~inside]
     if len(idx):
         pt = _root_project(
             stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx], zt_ext, 0.5 * tol

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface, in process."""
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -206,3 +207,46 @@ class TestInvalidValues:
         assert capsys.readouterr().err == (
             "crmfp run: error: diagnostics are only available for the crm solver\n"
         )
+
+
+class TestBadFiles:
+    """Missing or unwritable files and unknown fields: one line, status 2."""
+
+    @pytest.fixture()
+    def cases(self, instance_path, tmp_path):
+        golden = str(pathlib.Path(__file__).parent / "data" / "bench_tiny_results.csv")
+        missing = str(tmp_path / "missing")
+        return {
+            "run --instance missing": (
+                "run", ["run", "--instance", missing + ".json", "--solver", "crm"],
+                missing + ".json"),
+            "run --out into a missing directory": (
+                "run", ["run", "--instance", str(instance_path), "--solver", "ppm",
+                        "--out", missing + "/report.json"],
+                missing + "/report.json"),
+            "summarize --results missing": (
+                "summarize", ["summarize", "--results", missing + ".csv"], missing + ".csv"),
+            "profile --results missing": (
+                "profile", ["profile", "--results", missing + ".csv",
+                            "--out", str(tmp_path / "o.csv")],
+                missing + ".csv"),
+            "gen --out into a missing directory": (
+                "gen", ["gen", "--n", "3", "--p", "2", "--seed", "1",
+                        "--out", missing + "/x.json"],
+                missing + "/x.json"),
+            "summarize --group-by bogus": (
+                "summarize", ["summarize", "--results", golden, "--group-by", "bogus"],
+                "cannot group by 'bogus'"),
+        }
+
+    def test_one_line_and_status_two(self, cases, tmp_path, capsys):
+        for label, (command, argv, names) in cases.items():
+            capsys.readouterr()
+            assert main(argv) == 2, label
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"crmfp {command}: error: "), label
+            assert names in lines[0], label
+            assert captured.out == "", label
+        # Nothing was written for a rejected command.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]

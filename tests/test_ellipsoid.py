@@ -478,6 +478,11 @@ def centre_and_boundary(e, v):
     return centre, centre + v * np.sqrt(beta_of(e) / float(v @ e.A @ v))
 
 
+def gradients(es, points):
+    """grad g = 2 (A y + b) of each ellipsoid at its point, from dense data."""
+    return np.stack([2.0 * (e.A @ y + e.b) for e, y in zip(es, points)])
+
+
 moves = st.lists(
     st.tuples(st.sampled_from(["step", "step", "boundary", "centre"]), st.floats(-12.0, 1.0)),
     min_size=1,
@@ -556,7 +561,8 @@ class TestInteriorScreen:
         monkeypatch.setattr(stack, "to_eigen", lambda rows: rotations.append(1) or to_eigen(rows))
         x = 0.1 * rng.standard_normal((5, 6))
         screened_call(stack, x, KKT_TOL)
-        assert len(rotations) == 1 and (stack.balls[1] > 0.0).all()
+        # Every row has an anchor, and certifies a neighbourhood of it.
+        assert len(rotations) == 1 and (stack.tangents.level < 0.0).all()
         for _ in range(10):
             x = x + 1e-3 * rng.standard_normal(x.shape)
             assert stack.certified(x).all()
@@ -571,20 +577,24 @@ class TestInteriorScreen:
         )
         assert len(rotations) == 1
         # Most rows in doubt: one batched rotation, which re-anchors the
-        # interior ones.
+        # interior ones in doubt; certified rows keep their anchors.
         z = np.stack([
             c + 0.9 * (y - c)
             for c, y in (centre_and_boundary(e, rng.standard_normal(6)) for e in es)
         ])
-        assert stack.certified(z).sum() <= 2
+        cert = stack.certified(z)
+        assert cert.sum() <= 2
+        before = stack.tangents.anchors
         assert_same_bits(kkt_project_stacked(stack, z, KKT_TOL), z)
         assert len(rotations) == 2
-        assert_same_bits(stack.balls[0], z)
+        assert_same_bits(stack.tangents.anchors, np.where(cert[:, None], before, z))
 
     def test_edges_of_tight_balls_are_interior(self):
-        # For a round set the certified ball touches the sphere of radius
-        # sqrt(beta - margin) about the centre, so without the margin points
-        # at its edge could be exterior by the rounded exact test.
+        # For a round set the tangent-plane bound is exact: g(x) equals
+        # g(y) + G'd + w_max |d|^2.  Points where the certificate's value
+        # level + G'd + curv |d|^2 is within a few ulps of 0 have a bound
+        # within a few ulps of minus the margin, so without the margin they
+        # could be exterior by the rounded exact test.
         rng = np.random.default_rng(24)
         certified = 0
         for _ in range(400):
@@ -595,12 +605,18 @@ class TestInteriorScreen:
             u = rng.standard_normal(n)
             u /= np.linalg.norm(u)
             y = -b / c + u * np.sqrt(beta_of(e) / c) * rng.uniform(0.0, 0.99)
+            v = rng.standard_normal(n)
+            v /= np.linalg.norm(v)
             for k in range(6):
                 stack = EllipsoidStack([e])
                 screened_call(stack, y[None], KKT_TOL)
-                if stack.balls[1][0] <= 0.0:
+                stack.certified(y[None])
+                tan = stack.tangents
+                if tan.level[0] >= 0.0:
                     break
-                x = y + np.sqrt(stack.balls[1][0]) * (1.0 - k * 1e-16) * u
+                slope, curv = float(tan.grad[0] @ v), float(tan.curv[0, 0])
+                edge = (np.sqrt(slope * slope - 4.0 * curv * tan.level[0]) - slope) / (2.0 * curv)
+                x = y + edge * (1.0 - k * 1e-16) * v
                 certified += bool(screened_call(stack, x[None], KKT_TOL)[0])
         assert certified > 1000
 
@@ -612,7 +628,7 @@ class TestInteriorScreen:
         screened_call(stack, np.full((3, 4), 50.0), KKT_TOL)
         assert not stack.screen and stack.certified(np.zeros((3, 4))) is None
         # The anchors survive; the next full rotation screens again.
-        assert (stack.balls[1] > 0.0).all()
+        assert (stack.tangents.level < 0.0).all()
         screened_call(stack, np.zeros((3, 4)), KKT_TOL)
         assert stack.certified(np.zeros((3, 4))).all()
 
@@ -635,6 +651,135 @@ class TestInteriorScreen:
         assert e.stack().screen
         with pytest.raises(RootNotBracketed, match="non-finite"):
             project_kkt(e, np.array([0.0, bad, 0.0]))
+
+    def test_rows_moved_down_the_gradient_skip_the_rotation(self, monkeypatch):
+        # Member 0 is round, so its tangent-plane bound is exact; members 1
+        # and 2 are not.
+        rng = np.random.default_rng(25)
+        n = 6
+        round_set = Ellipsoid(2.0 * np.eye(n), rng.standard_normal(n), 1.5)
+        es = [round_set, gen_ellipsoid(n, rng), gen_ellipsoid(n, rng)]
+        stack = EllipsoidStack(es)
+        rotations = []
+        to_eigen = stack.to_eigen
+        monkeypatch.setattr(stack, "to_eigen", lambda rows: rotations.append(1) or to_eigen(rows))
+        y = np.stack([
+            centre + f * (edge - centre)
+            for f, (centre, edge) in zip(
+                (0.9, 0.5, 0.5), (centre_and_boundary(e, rng.standard_normal(n)) for e in es)
+            )
+        ])
+        screened_call(stack, y, KKT_TOL)
+        assert len(rotations) == 1
+        # A ball around y in the set, with |G| r + w_max r^2 <= -g(y), has
+        # r < -g(y) / |G|.  Go ten times as far down the gradient.
+        grad = 2.0 * (round_set.A @ y[0] + round_set.b)
+        unit = grad / np.linalg.norm(grad)
+        x = y.copy()
+        x[0] = y[0] - 10.0 * (-round_set.g(y[0]) / np.linalg.norm(grad)) * unit
+        assert stack.certified(x).all()
+        # Every row was pending: one batched back-rotation of the gradients.
+        np.testing.assert_allclose(stack.tangents.grad, gradients(es, y), rtol=1e-12, atol=1e-12)
+        assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
+        # No batch and no row was rotated: a rotated interior row in doubt
+        # would have become its row's anchor.
+        assert len(rotations) == 1
+        assert_same_bits(stack.tangents.anchors, y)
+        # Row 1 at 0.99 of the way to the boundary along A's longest axis is
+        # in doubt yet interior: the partial path rotates it alone and
+        # makes it the anchor of its row.
+        c1, far = centre_and_boundary(es[1], es[1].eig()[1][:, 0])
+        x[1] = c1 + 0.99 * (far - c1)
+        assert stack.certified(x).tolist() == [True, False, True]
+        assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
+        assert len(rotations) == 1
+        assert_same_bits(stack.tangents.anchors, np.stack([y[0], x[1], y[2]]))
+        assert stack.tangents.pending[0].tolist() == [1]
+        assert stack.certified(x).all()
+        # One row of three was pending: one np.dot.
+        np.testing.assert_allclose(
+            stack.tangents.grad, gradients(es, stack.tangents.anchors), rtol=1e-12, atol=1e-12
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(1, 12), st.sampled_from([50, 200])),
+        st.integers(1, 3),
+        st.floats(0.0, 8.0),
+        st.floats(-3.0, 3.0),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["+G", "-G", "tangent", "random"]),
+                st.sampled_from(["boundary", "edge", "edge"]),
+                st.integers(-4, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_tangent_bound_is_sound_near_the_boundary(
+        self, seed, n, members, log_cond, log_scale, steps
+    ):
+        # Anchors anywhere inside, some a few ulps inside the boundary; then
+        # steps along +-grad g, a tangent or a random direction, to a few
+        # ulps either side of the boundary, or of the certificate's own edge
+        # (where its value crosses 0).  screened_call checks that no
+        # certified row is exterior and that the outputs keep their bits.
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        es = []
+        for _ in range(members):
+            e = conditioned_case(int(rng.integers(2**32)), n, log_cond,
+                                 float(rng.choice([0.0, 1.0, 1e3])), 0.0)[0]
+            es.append(Ellipsoid(e.A / scale**2, e.b / scale, e.alpha))
+        tol = 1e-12 * (1.0 + max(beta_of(e) for e in es))
+        stack = EllipsoidStack(es)
+        x = []
+        for e in es:
+            centre, y = centre_and_boundary(e, rng.standard_normal(n))
+            if rng.random() < 0.3:
+                for _ in range(int(rng.integers(1, 5))):
+                    y = np.nextafter(y, centre)
+            else:
+                y = centre + rng.uniform(0.0, 1.0) * (y - centre)
+            x.append(y)
+        x = np.stack(x)
+        screened_call(stack, x, tol)
+
+        def first_root(c, slope, curv):
+            # The positive root of c + slope s + curv s^2 for c <= 0.
+            root = np.sqrt(slope * slope - 4.0 * curv * c)
+            return -2.0 * c / (slope + root) if slope >= 0.0 else (root - slope) / (2.0 * curv)
+
+        for direction, target, ulps in steps:
+            tan = stack.tangents
+            if tan is not None:
+                stack.certified(x)
+                tan = stack.tangents
+            points = []
+            for j, e in enumerate(es):
+                anchored = tan is not None and tan.level[j] < 0.0
+                y = tan.anchors[j] if anchored else x[j]
+                grad = 2.0 * (e.A @ y + e.b)
+                u = rng.standard_normal(n)
+                if direction != "random" and np.linalg.norm(grad) > 0.0:
+                    unit = grad / np.linalg.norm(grad)
+                    u = {"+G": unit, "-G": -unit, "tangent": u - (u @ unit) * unit}[direction]
+                if not np.linalg.norm(u) > 0.0:   # no tangent direction in n = 1
+                    u = np.ones(n)
+                u /= np.linalg.norm(u)
+                if target == "edge" and anchored:
+                    s = first_root(tan.level[j], float(tan.grad[j] @ u), float(tan.curv[j, 0]))
+                    p = y + s * (1.0 + ulps * 2.0**-52) * u
+                else:
+                    s = first_root(min(e.g(y), 0.0), float(grad @ u), float(u @ e.A @ u))
+                    p = y + s * u
+                    for _ in range(abs(ulps)):
+                        p = np.nextafter(p, p + np.sign(ulps) * (e.A @ p + e.b))
+                points.append(p)
+            x = np.stack(points)
+            screened_call(stack, x, tol)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
     def test_row_products_equal_the_stacked_matmul(self, n):
@@ -666,6 +811,7 @@ class TestTile:
             view, own = getattr(tiled, name), getattr(base, name)
             assert view.shape == (7,) + own.shape[1:]
             assert view.strides[0] == 0 and np.shares_memory(view, own)
+            assert not view.flags.writeable
 
     def test_member_of_row_r_is_r_mod_j(self):
         rng = np.random.default_rng(32)
@@ -684,13 +830,14 @@ class TestTile:
         rng = np.random.default_rng(33)
         base = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
         kkt_project_stacked(base, np.zeros((3, 4)), KKT_TOL)
-        balls, screen = base.balls, base.screen
+        tangents, screen = base.tangents, base.screen
+        saved = [tangents.anchors.copy(), tangents.level.copy(), tangents.grad.copy()]
         tiled = base.tile(4)
-        assert tiled.balls is None and not tiled.screen
+        assert tiled.tangents is None and not tiled.screen
         kkt_project_stacked(tiled, np.zeros((12, 4)), KKT_TOL)
         assert tiled.screen
-        assert base.balls is balls and base.screen is screen
-        for got, want in zip(base.balls, balls):
+        assert base.tangents is tangents and base.screen is screen
+        for got, want in zip([tangents.anchors, tangents.level, tangents.grad], saved):
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("members", [1, 3])

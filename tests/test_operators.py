@@ -705,9 +705,9 @@ class TestImages:
         op, _ = operator_of_kind("fused", rng, 4)
         op(np.zeros(4))
         stack = op.plan.stack
-        balls, screen = stack.balls, stack.screen
+        tangents, screen = stack.tangents, stack.screen
         images(op, 3.0 * rng.standard_normal((6, 4)))
-        assert stack.balls is balls and stack.screen is screen
+        assert stack.tangents is tangents and stack.screen is screen
 
     @pytest.mark.parametrize("kind", ["kkt", "fused", "ball"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

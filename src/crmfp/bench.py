@@ -338,18 +338,28 @@ def export(obj, path, format: str = "csv") -> None:
 
 
 def read_results_csv(path) -> list[RunResult]:
-    """Load a results csv written by export()."""
-    types = {f.name: f.type for f in fields(RunResult)}
+    """Load a results csv written by export().
+
+    A missing column, a row of the wrong length or a value that does not
+    parse raises a ValueError naming the file and the field.  Other
+    columns are ignored.
+    """
+    parsers = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunResult)}
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [name for name in parsers if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} values")
             kwargs = {}
-            for name, value in row.items():
-                if types[name] == "int":
-                    kwargs[name] = int(value)
-                elif types[name] == "float":
-                    kwargs[name] = float(value)
-                else:
-                    kwargs[name] = value
+            for name, parse in parsers.items():
+                try:
+                    kwargs[name] = parse(row[name])
+                except ValueError:
+                    raise ValueError(f"{where}: bad {name} {row[name]!r}") from None
             out.append(RunResult(**kwargs))
     return out

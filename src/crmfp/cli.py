@@ -30,12 +30,14 @@ PRESETS = {"max50k": 50000, "max25k": 25000}
 
 
 class UsageError(Exception):
-    """An invalid option value: reported in one line, exit status 2, as
-    is a file that cannot be read or written (OSError)."""
+    """An invalid option value or a malformed input file: reported in one
+    line, exit status 2, as is a file that cannot be read or written
+    (OSError)."""
 
 
 def _config(factory, **fields):
-    """factory(**fields), with its validation errors turned into usage errors."""
+    """factory(**fields), with its validation errors (including malformed
+    input files) turned into usage errors."""
     try:
         return factory(**fields)
     except ValueError as exc:
@@ -115,7 +117,7 @@ def _cmd_run(args) -> int:
         diagnostics = ("fejer", "membership")
     cfg = _config(SolverConfig, tolerance=args.tol, max_iterations=args.max_iter,
                   diagnostics=diagnostics)
-    instance = load_instance(args.instance)
+    instance = _config(load_instance, path=args.instance)
     n, p = instance.spec.n, instance.spec.p
     x0 = initial_point(instance)
     if args.solver in ("crm", "map"):
@@ -180,7 +182,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    results = read_results_csv(args.results)
+    results = _config(read_results_csv, path=args.results)
     group_by = tuple(s.strip() for s in args.group_by.split(",") if s.strip())
     stats = _config(summarize, results=results, group_by=group_by, metric=args.metric)
     if args.out:
@@ -195,7 +197,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    results = read_results_csv(args.results)
+    results = _config(read_results_csv, path=args.results)
     curves = performance_profile(results, metric=args.metric)
     export(curves, args.out, format="csv")
     print(f"wrote {sum(len(c.breakpoints) for c in curves)} breakpoints to {args.out}")

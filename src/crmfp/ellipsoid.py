@@ -25,6 +25,11 @@ interior and returned unchanged without being rotated, exactly as the
 exact test would return it.  Every other row takes the same arithmetic as
 without the cache, so the cache never changes an output bit.
 
+Every rotation of some rows of a call (the rows in doubt, the exterior rows
+back, new anchors' gradients back) goes through one routine, _rotate_rows:
+one batched product when the rows are at least half of the call's, else
+one np.dot per row, which gives the same bits as its row of the batch.
+
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
 with a consensus constraint) whose set step is that same root-find.  The
@@ -126,16 +131,13 @@ class Tangents(NamedTuple):
     """The interior certificate of an EllipsoidStack: one anchor per row.
 
     Row j is certified at x when level[j] + d'(grad[j] + curv[j] d) < 0,
-    with d = x - anchors[j] (see EllipsoidStack.anchor).  The gradients of
-    new anchors wait in pending = (rows, their gradients in eigencoordinates)
-    until the next certified() rotates them into grad; None when none wait.
-    curv, m_const and m_norm2 are fixed per row.
+    with d = x - anchors[j] (see EllipsoidStack.anchor).  curv, m_const and
+    m_norm2 are fixed per row.
     """
 
     anchors: np.ndarray         # (J, n) the anchors y
     level: np.ndarray           # (J,) g(y) + m_y; inf without an anchor
-    grad: np.ndarray            # (J, n) grad g(y), stale for the pending rows
-    pending: tuple[np.ndarray, np.ndarray] | None
+    grad: np.ndarray            # (J, n) grad g(y)
     curv: np.ndarray            # (J, 1) w_max (1 + 6 SCREEN_RTOL)
     m_const: np.ndarray         # (J,) m_y = m_const + m_norm2 |y|^2
     m_norm2: np.ndarray         # (J,)
@@ -146,6 +148,22 @@ def _rotate(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if len(rot) == len(rows):
         return np.matmul(rot, rows[..., None])[..., 0]
     return np.matmul(rot, rows.reshape(-1, len(rot), rows.shape[-1], 1)).reshape(rows.shape)
+
+
+def _rotate_rows(rot: np.ndarray, count: int, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """vecs[k] times rot[idx[k] mod len(rot)], for rows idx of a call of
+    count rows: one batched product when idx is at least half the rows,
+    else one np.dot per row.  Each np.dot equals its row of the batch bit
+    for bit."""
+    if 2 * len(idx) >= count:
+        scattered = np.zeros((count, vecs.shape[-1]))
+        scattered[idx] = vecs
+        return _rotate(rot, scattered)[idx]
+    out = np.empty_like(vecs)
+    period = len(rot)
+    for k, j in enumerate(idx.tolist()):
+        np.dot(rot[j % period], vecs[k], out=out[k])
+    return out
 
 
 def _repeat_view(a: np.ndarray, k: int) -> np.ndarray:
@@ -166,10 +184,10 @@ class EllipsoidStack:
 
     The stack also caches, in tangents (a Tangents, None before the first
     anchor), one anchor per row: the last point of row j that was in doubt
-    and that the exact test found interior, with g and its gradient there.  certified() tests
-    rows against the tangent-plane bound at their anchors, and anchor()
-    and certified() replace the cache as a whole, so a concurrent call
-    never pairs one row's anchor with another anchor's gradient;
+    and that the exact test found interior, with g and its gradient there.
+    certified() tests rows against the tangent-plane bound at their
+    anchors, and anchor() replaces the cache as a whole, so a concurrent
+    call never pairs one row's anchor with another anchor's gradient;
     kkt_project_stacked uses both.  The cache only decides which rows are
     rotated, never what any row's output is.
     """
@@ -197,7 +215,7 @@ class EllipsoidStack:
         self.alphas = np.array([e.alpha for e in ellipsoids])
         for j, e in enumerate(ellipsoids):
             e._eig = (self.eigs[j], self.rot[j])
-        self._reset_screen()
+        self.tangents: Tangents | None = None
 
     @classmethod
     def concatenate(cls, stacks) -> "EllipsoidStack":
@@ -209,7 +227,7 @@ class EllipsoidStack:
         out.rot = np.concatenate([s.rot for s in stacks])
         out.b_rot = np.concatenate([s.b_rot for s in stacks])
         out.alphas = np.concatenate([s.alphas for s in stacks])
-        out._reset_screen()
+        out.tangents = None
         return out
 
     def tile(self, k: int) -> "EllipsoidStack":
@@ -217,9 +235,8 @@ class EllipsoidStack:
 
         The eigenbases are shared, never copied: rot is this stack's own
         (J, n, n) array, and for J = 1 all four arrays are read-only
-        stride-0 views of this stack's.  The tiled stack has its own, empty
-        screen, and computes an anchor's gradient only when a later call
-        on it tests a row against that anchor.
+        stride-0 views of this stack's.  The tiled stack starts with no
+        anchors, and a call on it never changes this stack's.
         """
         out = EllipsoidStack.__new__(EllipsoidStack)
         out.dim = self.dim
@@ -233,15 +250,8 @@ class EllipsoidStack:
             out.rot = self.rot
             out.b_rot = np.tile(self.b_rot, (k, 1))
             out.alphas = np.tile(self.alphas, k)
-        out._reset_screen()
+        out.tangents = None
         return out
-
-    def _reset_screen(self) -> None:
-        """No anchors: the next call rotates every row."""
-        self.tangents = None
-        # False until a call finds an interior row, and again after a full
-        # rotation finds none: then no row is screened.
-        self.screen = False
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -249,40 +259,15 @@ class EllipsoidStack:
     def to_eigen(self, rows: np.ndarray) -> np.ndarray:
         return _rotate(self.rot.transpose(0, 2, 1), rows)
 
-    def g_eigen(self, rows_t: np.ndarray) -> np.ndarray:
-        return (
-            (self.eigs * rows_t * rows_t).sum(-1)
-            + 2.0 * (self.b_rot * rows_t).sum(-1)
-            - self.alphas
-        )
-
     def certified(self, rows: np.ndarray) -> np.ndarray | None:
         """Rows whose tangent-plane bound at their anchor is below minus the
-        margin (a mask), or None when the stack does not screen.  NaN and
+        margin (a mask), or None when the stack has no anchors.  NaN and
         inf rows are never certified: their bound is NaN or +inf."""
-        if not self.screen:
-            return None
         tan = self.tangents
-        if tan.pending is not None:
-            tan = self.tangents = self._rotate_back(tan)
+        if tan is None:
+            return None
         d = rows - tan.anchors
         return tan.level + np.einsum("ij,ij->i", d, tan.grad + tan.curv * d) < 0.0
-
-    def _rotate_back(self, tan: Tangents) -> Tangents:
-        """tan with the pending gradients rotated into grad: one batched
-        product when at least half the rows are pending, else one np.dot
-        per pending row."""
-        idx, grad_t = tan.pending
-        grad = tan.grad.copy()
-        if 2 * len(idx) >= len(grad):
-            scattered = np.zeros_like(grad)
-            scattered[idx] = grad_t
-            grad[idx] = _rotate(self.rot, scattered)[idx]
-        else:
-            period = len(self.rot)
-            for k, j in enumerate(idx.tolist()):
-                np.dot(self.rot[j % period], grad_t[k], out=grad[j])
-        return tan._replace(grad=grad, pending=None)
 
     def anchor(self, idx: np.ndarray, rows: np.ndarray, rows_t: np.ndarray, g: np.ndarray) -> None:
         """Make rows, which the exact test found interior, the anchors of
@@ -306,8 +291,7 @@ class EllipsoidStack:
         the margin m_y + 6 rho w_max |d|^2 covers the rounding while
         c n^(3/2) u <= rho, for n up to several thousand.  The bound holds
         about any anchor; anchors are interior points because that is
-        where it certifies most.  G is rotated back on first use
-        (certified()), so a stack used once never pays for it.
+        where it certifies most.  G~ is rotated back here, by _rotate_rows.
         """
         tan = self.tangents
         if tan is None:
@@ -315,20 +299,20 @@ class EllipsoidStack:
             b2 = np.einsum("ij,ij->i", self.b_rot, self.b_rot)
             zeros = np.zeros((len(self), self.dim))
             tan = Tangents(
-                zeros, np.full(len(self), np.inf), zeros, None,
+                zeros, np.full(len(self), np.inf), zeros,
                 (w_max * (1.0 + 6.0 * SCREEN_RTOL))[:, None],
                 SCREEN_RTOL * (1.0 + 2.0 * self.alphas + 6.0 * b2 / w_max),
                 SCREEN_RTOL * 10.0 * w_max,
             )
-        elif tan.pending is not None:   # another call's anchors, not used yet
-            tan = self._rotate_back(tan)
         level = tan.level.copy()
         level[idx] = g + tan.m_const[idx] + tan.m_norm2[idx] * np.einsum("ij,ij->i", rows, rows)
         anchors = tan.anchors.copy()
         anchors[idx] = rows
-        grad_t = 2.0 * (self.eigs[idx] * rows_t + self.b_rot[idx])
-        self.tangents = tan._replace(anchors=anchors, level=level, pending=(idx, grad_t))
-        self.screen = True
+        grad = tan.grad.copy()
+        grad[idx] = _rotate_rows(
+            self.rot, len(self), idx, 2.0 * (self.eigs[idx] * rows_t + self.b_rot[idx])
+        )
+        self.tangents = tan._replace(anchors=anchors, level=level, grad=grad)
 
 
 @dataclass(frozen=True)
@@ -397,47 +381,41 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     """Rowwise direct projections: row j onto stack ellipsoid j.
 
     Rows the stack certifies interior (EllipsoidStack.certified) return
-    unchanged without being rotated.  When the stack does not screen, or
+    unchanged without being rotated.  When the stack has no anchors, or
     the rows in doubt are at least as many as the certified ones, the whole
     stack is rotated in one batch; otherwise only the rows in doubt are
-    rotated, one product each.  Either way the rows in doubt that the
-    exact test finds interior become the anchors of their rows, and
-    certified rows keep theirs.  A per-row product equals its row of
-    the batched one bit for bit, and a certified row is interior by the
-    exact test, so every output is what rotating every row would give.
-    Row j uses basis j mod len(stack.rot), which is j itself unless the
-    stack is a tile (EllipsoidStack.tile).
+    rotated, by _rotate_rows.  Either way the rows in doubt that the exact
+    test finds interior become the anchors of their rows, and certified
+    rows keep theirs.  A per-row product equals its row of the batched one
+    bit for bit, and a certified row is interior by the exact test, so
+    every output is what rotating every row would give.  Row j uses basis
+    j mod len(stack.rot), which is j itself unless the stack is a tile
+    (EllipsoidStack.tile).
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     out = rows.copy()
-    period = len(stack.rot)
+    count = len(rows)
     cert = stack.certified(rows)
-    full = cert is None or 2 * np.count_nonzero(cert) <= len(cert)
+    full = cert is None or 2 * np.count_nonzero(cert) <= count
     if full:
-        rotated = np.arange(len(rows))
+        rotated = np.arange(count)
         zt = stack.to_eigen(rows)
-        g = stack.g_eigen(zt)
+        g = _g_rows(stack.eigs, stack.b_rot, stack.alphas, zt)
     else:
         rotated = np.flatnonzero(~cert)
-        zt = np.empty((len(rotated), stack.dim))
-        for k, j in enumerate(rotated.tolist()):
-            np.dot(stack.rot[j % period].T, rows[j], out=zt[k])
+        zt = _rotate_rows(stack.rot.transpose(0, 2, 1), count, rotated, rows[rotated])
         g = _g_rows(stack.eigs[rotated], stack.b_rot[rotated], stack.alphas[rotated], zt)
     inside = g <= 0.0   # non-finite rows are exterior, and raise
     # Rows in doubt found interior become anchors; certified rows keep theirs.
     fresh = inside if cert is None or not full else inside & ~cert
-    if full and not inside.any():
-        stack.screen = False
-    elif fresh.any():
+    if fresh.any():
         stack.anchor(rotated[fresh], rows[rotated[fresh]], zt[fresh], g[fresh])
     idx = rotated[~inside]
-    zt_ext = zt[~inside]
     if len(idx):
         pt = _root_project(
-            stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx], zt_ext, 0.5 * tol
+            stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx], zt[~inside], 0.5 * tol
         )
-        for k, j in enumerate(idx.tolist()):
-            np.dot(stack.rot[j % period], pt[k], out=out[j])
+        out[idx] = _rotate_rows(stack.rot, count, idx, pt)
     return out
 
 
@@ -457,7 +435,8 @@ def admm_project_stacked(
     out = rows.copy()
     iters = np.ones(count, dtype=int)
     converged = np.ones(count, dtype=bool)
-    ext = ~(stack.g_eigen(zt_all) <= 0.0)   # non-finite rows are exterior, and raise
+    # Non-finite rows are exterior, and raise.
+    ext = ~(_g_rows(stack.eigs, stack.b_rot, stack.alphas, zt_all) <= 0.0)
     if not ext.any():
         return out, iters, converged
 
@@ -502,7 +481,7 @@ def admm_project_stacked(
             if not active.any():
                 break
 
-    out[idx] = np.matmul(stack.rot[idx % len(stack.rot)], q_prev[..., None])[..., 0]
+    out[idx] = _rotate_rows(stack.rot, count, idx, q_prev)
     iters[idx] = sub_iters
     converged[idx] = sub_conv
     return out, iters, converged

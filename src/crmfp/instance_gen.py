@@ -66,15 +66,24 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InstanceSpec":
-        return cls(
-            n=int(data["n"]),
-            p=int(data["p"]),
-            seed=int(data["seed"]),
-            gamma=float(data["gamma"]),
-            density=float(data["density"]),
-            r_range=tuple(int(r) for r in data["r_range"]),
-            eta=float(data["eta"]),
-        )
+        parsers = {"n": int, "p": int, "seed": int, "gamma": float, "density": float,
+                   "r_range": lambda rs: tuple(int(r) for r in rs), "eta": float}
+        return cls(**{name: _field(data, name, parse) for name, parse in parsers.items()})
+
+
+def _field(data, key, convert):
+    """convert(data[key]).  A missing or malformed value raises a ValueError
+    that names key; nested fields read "operators: 0: ellipsoids: 1: A: missing"."""
+    try:
+        value = data[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"{key}: missing") from None
+    try:
+        return convert(value)
+    except KeyError as exc:   # a field of value is missing (Ellipsoid.from_dict)
+        raise ValueError(f"{key}: {exc.args[0]}: missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 @dataclass
@@ -157,14 +166,21 @@ def instance_to_dict(instance: FppInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> FppInstance:
-    spec = InstanceSpec.from_dict(data["spec"])
-    operators = []
-    for op_data in data["operators"]:
-        members = [
-            EllipsoidProjection(Ellipsoid.from_dict(e, spec.n), method="kkt")
-            for e in op_data["ellipsoids"]
-        ]
-        operators.append(ConvexCombination(members, np.asarray(op_data["weights"])))
+    """Inverse of instance_to_dict.  A missing or malformed field raises a
+    ValueError that names it."""
+    spec = _field(data, "spec", InstanceSpec.from_dict)
+
+    def entries(convert):
+        return lambda items: [_field(items, k, convert) for k in range(len(items))]
+
+    def member(e):
+        return EllipsoidProjection(Ellipsoid.from_dict(e, spec.n), method="kkt")
+
+    def combination(op_data):
+        members = _field(op_data, "ellipsoids", entries(member))
+        return ConvexCombination(members, _field(op_data, "weights", np.asarray))
+
+    operators = _field(data, "operators", entries(combination))
     return FppInstance(spec=spec, operators=operators, fixed_point=np.zeros(spec.n))
 
 
@@ -175,5 +191,10 @@ def save_instance(instance: FppInstance, path) -> None:
 
 
 def load_instance(path) -> FppInstance:
+    """Read an instance json.  A file that is not json, or whose fields are
+    missing or malformed, raises a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return instance_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

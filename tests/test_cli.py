@@ -210,13 +210,48 @@ class TestInvalidValues:
 
 
 class TestBadFiles:
-    """Missing or unwritable files and unknown fields: one line, status 2."""
+    """Missing, unwritable or malformed files and unknown fields: one line,
+    status 2."""
 
     @pytest.fixture()
-    def cases(self, instance_path, tmp_path):
-        golden = str(pathlib.Path(__file__).parent / "data" / "bench_tiny_results.csv")
+    def cases(self, instance_path, tmp_path, tmp_path_factory):
+        golden_path = pathlib.Path(__file__).parent / "data" / "bench_tiny_results.csv"
+        golden = str(golden_path)
         missing = str(tmp_path / "missing")
+        # Files that exist but are malformed, kept out of tmp_path.
+        inputs = tmp_path_factory.mktemp("inputs")
+        bad = {
+            "x.csv": "a,b\n1,2\n",
+            "abc.csv": golden_path.read_text().replace(",78,", ",abc,"),
+            "two.csv": "solver,n\ncrm,3\n",
+            "bad.json": "{",
+            "x.json": '{"spec": {}}',
+        }
+        for name, text in bad.items():
+            (inputs / name).write_text(text)
+        bad = {name: str(inputs / name) for name in bad}
         return {
+            "summarize --results without result columns": (
+                "summarize", ["summarize", "--results", bad["x.csv"]],
+                "missing columns: solver, n, p"),
+            "profile --results without result columns": (
+                "profile", ["profile", "--results", bad["x.csv"],
+                            "--out", str(tmp_path / "o.csv")],
+                "missing columns: solver, n, p"),
+            "summarize --results with iterations=abc": (
+                "summarize", ["summarize", "--results", bad["abc.csv"]],
+                "line 2: bad iterations 'abc'"),
+            "summarize --results with two columns": (
+                "summarize", ["summarize", "--results", bad["two.csv"]],
+                "missing columns: p, replicate"),
+            "run --instance a csv file": (
+                "run", ["run", "--instance", bad["x.csv"], "--solver", "crm"], bad["x.csv"]),
+            "run --instance malformed json": (
+                "run", ["run", "--instance", bad["bad.json"], "--solver", "crm"], bad["bad.json"]),
+            "run --instance with an empty spec": (
+                "run", ["run", "--instance", bad["x.json"], "--solver", "crm",
+                        "--out", str(tmp_path / "report.json")],
+                "spec: n: missing"),
             "run --instance missing": (
                 "run", ["run", "--instance", missing + ".json", "--solver", "crm"],
                 missing + ".json"),

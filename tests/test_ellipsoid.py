@@ -29,7 +29,15 @@ from crmfp import (
     project_admm,
     project_kkt,
 )
-from crmfp.ellipsoid import KKT_TOL, EllipsoidStack, admm_project_stacked, kkt_project_stacked
+from crmfp.ellipsoid import (
+    KKT_TOL,
+    EllipsoidStack,
+    _g_rows,
+    _rotate,
+    _rotate_rows,
+    admm_project_stacked,
+    kkt_project_stacked,
+)
 from crmfp.operators import EvaluationPlan
 
 
@@ -184,12 +192,18 @@ class TestKktProjection:
         stack = EllipsoidStack([e, e])
         evaluations = []
         g_rows = ellipsoid_module._g_rows
+        root_project = ellipsoid_module._root_project
 
         def counting_g_rows(*args):
             evaluations.append(1)
             return g_rows(*args)
 
-        monkeypatch.setattr(ellipsoid_module, "_g_rows", counting_g_rows)
+        def counting_root_project(*args):
+            # Count the root-find's g-evaluations, not the interior test's.
+            monkeypatch.setattr(ellipsoid_module, "_g_rows", counting_g_rows)
+            return root_project(*args)
+
+        monkeypatch.setattr(ellipsoid_module, "_root_project", counting_root_project)
         with pytest.raises(RootNotBracketed, match="non-finite"):
             kkt_project_stacked(stack, np.array([[3.0], [np.inf]]), 1e-10)
         assert len(evaluations) == 1
@@ -455,7 +469,7 @@ def screened_call(stack, rows, tol):
     rows = np.ascontiguousarray(rows, dtype=float)
     cert = stack.certified(rows)
     if cert is not None:
-        exact = stack.g_eigen(stack.to_eigen(rows)) <= 0.0
+        exact = _g_rows(stack.eigs, stack.b_rot, stack.alphas, stack.to_eigen(rows)) <= 0.0
         assert not (cert & ~exact).any()
     try:
         want = kkt_project_stacked(EllipsoidStack.concatenate([stack]), rows, tol)
@@ -530,7 +544,7 @@ class TestInteriorScreen:
         # interior to every set, for a shared point).
         x = np.zeros(n) if shared else centres.copy()
         screened_call(stack, as_rows(x), tol)
-        assert stack.screen
+        assert stack.tangents is not None
         for move, log_h in walk:
             if move == "step":
                 d = rng.standard_normal(x.shape)
@@ -610,7 +624,6 @@ class TestInteriorScreen:
             for k in range(6):
                 stack = EllipsoidStack([e])
                 screened_call(stack, y[None], KKT_TOL)
-                stack.certified(y[None])
                 tan = stack.tangents
                 if tan.level[0] >= 0.0:
                     break
@@ -620,17 +633,21 @@ class TestInteriorScreen:
                 certified += bool(screened_call(stack, x[None], KKT_TOL)[0])
         assert certified > 1000
 
-    def test_all_exterior_call_stops_the_screen(self):
+    def test_all_exterior_call_keeps_the_anchors(self):
         rng = np.random.default_rng(22)
         stack = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
         screened_call(stack, np.zeros((3, 4)), KKT_TOL)
-        assert stack.screen
+        tangents = stack.tangents
+        assert (tangents.level < 0.0).all()
         screened_call(stack, np.full((3, 4), 50.0), KKT_TOL)
-        assert not stack.screen and stack.certified(np.zeros((3, 4))) is None
-        # The anchors survive; the next full rotation screens again.
-        assert (stack.tangents.level < 0.0).all()
-        screened_call(stack, np.zeros((3, 4)), KKT_TOL)
+        assert stack.tangents is tangents
+        # Later calls still screen against those anchors, and keep their bits.
         assert stack.certified(np.zeros((3, 4))).all()
+        x = np.zeros((3, 4))
+        for _ in range(5):
+            x = x + 0.05 * rng.standard_normal(x.shape)
+            screened_call(stack, x, KKT_TOL)
+            screened_call(stack, np.full((3, 4), 50.0), KKT_TOL)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -648,7 +665,7 @@ class TestInteriorScreen:
             kkt_project_stacked(stack, np.full((4, 3), bad), KKT_TOL)
         e = es[0]
         project_kkt(e, np.zeros(3))
-        assert e.stack().screen
+        assert e.stack().tangents is not None
         with pytest.raises(RootNotBracketed, match="non-finite"):
             project_kkt(e, np.array([0.0, bad, 0.0]))
 
@@ -671,6 +688,9 @@ class TestInteriorScreen:
         ])
         screened_call(stack, y, KKT_TOL)
         assert len(rotations) == 1
+        # All three rows were anchored at once: one batched back-rotation of
+        # the gradients.
+        np.testing.assert_allclose(stack.tangents.grad, gradients(es, y), rtol=1e-12, atol=1e-12)
         # A ball around y in the set, with |G| r + w_max r^2 <= -g(y), has
         # r < -g(y) / |G|.  Go ten times as far down the gradient.
         grad = 2.0 * (round_set.A @ y[0] + round_set.b)
@@ -678,8 +698,6 @@ class TestInteriorScreen:
         x = y.copy()
         x[0] = y[0] - 10.0 * (-round_set.g(y[0]) / np.linalg.norm(grad)) * unit
         assert stack.certified(x).all()
-        # Every row was pending: one batched back-rotation of the gradients.
-        np.testing.assert_allclose(stack.tangents.grad, gradients(es, y), rtol=1e-12, atol=1e-12)
         assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
         # No batch and no row was rotated: a rotated interior row in doubt
         # would have become its row's anchor.
@@ -694,12 +712,11 @@ class TestInteriorScreen:
         assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
         assert len(rotations) == 1
         assert_same_bits(stack.tangents.anchors, np.stack([y[0], x[1], y[2]]))
-        assert stack.tangents.pending[0].tolist() == [1]
-        assert stack.certified(x).all()
-        # One row of three was pending: one np.dot.
+        # One row of three was anchored: one np.dot.
         np.testing.assert_allclose(
             stack.tangents.grad, gradients(es, stack.tangents.anchors), rtol=1e-12, atol=1e-12
         )
+        assert stack.certified(x).all()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -754,9 +771,6 @@ class TestInteriorScreen:
 
         for direction, target, ulps in steps:
             tan = stack.tangents
-            if tan is not None:
-                stack.certified(x)
-                tan = stack.tangents
             points = []
             for j, e in enumerate(es):
                 anchored = tan is not None and tan.level[j] < 0.0
@@ -783,20 +797,23 @@ class TestInteriorScreen:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
     def test_row_products_equal_the_stacked_matmul(self, n):
-        # The screen rotates rows one np.dot at a time on views; its outputs
-        # are bit-identical only because each equals its row of the batch.
+        # _rotate_rows rotates a few rows one np.dot at a time on views and
+        # many in one scattered batch; outputs are bit-identical only
+        # because both equal their rows of the full batch.
         rng = np.random.default_rng(n)
-        stack = EllipsoidStack([gen_ellipsoid(n, rng) for _ in range(5)])
-        rows = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-5, 5, (5, 1))
-        zt = np.empty((5, n))
-        for j in range(5):
-            np.dot(stack.rot[j].T, rows[j], out=zt[j])
-        assert_same_bits(zt, stack.to_eigen(rows))
-        idx = np.array([0, 2, 3])
-        back = np.empty((3, n))
-        for k, j in enumerate(idx):
-            np.dot(stack.rot[j], zt[k], out=back[k])
-        assert_same_bits(back, np.matmul(stack.rot[idx], zt[:3, :, None])[..., 0])
+        base = EllipsoidStack([gen_ellipsoid(n, rng) for _ in range(5)])
+        single = gen_ellipsoid(n, rng).stack()
+        for stack in (base, single.tile(6), base.tile(3)):
+            count = len(stack)
+            rows = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-5, 5, (count, 1))
+            for rot in (stack.rot.transpose(0, 2, 1), stack.rot):   # forward, back
+                full = _rotate(rot, rows)
+                per_row = [np.dot(rot[j % len(rot)], rows[j]) for j in range(count)]
+                assert_same_bits(full, np.stack(per_row))
+                few = np.array([1, count - 1])
+                many = np.flatnonzero(np.arange(count) % 3 != 1)
+                for idx in (few, many, np.arange(count)):
+                    assert_same_bits(_rotate_rows(rot, count, idx, rows[idx]), full[idx])
 
 
 class TestTile:
@@ -830,13 +847,13 @@ class TestTile:
         rng = np.random.default_rng(33)
         base = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
         kkt_project_stacked(base, np.zeros((3, 4)), KKT_TOL)
-        tangents, screen = base.tangents, base.screen
+        tangents = base.tangents
         saved = [tangents.anchors.copy(), tangents.level.copy(), tangents.grad.copy()]
         tiled = base.tile(4)
-        assert tiled.tangents is None and not tiled.screen
+        assert tiled.tangents is None
         kkt_project_stacked(tiled, np.zeros((12, 4)), KKT_TOL)
-        assert tiled.screen
-        assert base.tangents is tangents and base.screen is screen
+        assert tiled.tangents is not None
+        assert base.tangents is tangents
         for got, want in zip([tangents.anchors, tangents.level, tangents.grad], saved):
             assert_same_bits(got, want)
 

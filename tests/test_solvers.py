@@ -562,7 +562,7 @@ class TestProjectorAnchorCache:
         project = operators_module.kkt_project_stacked
 
         def without_anchors(stack, rows, tol):
-            stack._reset_screen()
+            stack.tangents = None
             return project(stack, rows, tol)
 
         monkeypatch.setattr(operators_module, "kkt_project_stacked", without_anchors)

@@ -114,48 +114,37 @@ def run_cell(grid: GridConfig, n: int, p: int, replicate: int) -> list[RunResult
     """Both solver runs for one grid cell.  A run that raises becomes an
     error:<Type> row (traceback logged); it never aborts the grid."""
     seed = derive_seed(grid.master_seed, n, p, replicate)
-    ident = dict(n=n, p=p, replicate=replicate, seed=seed)
     try:
         spec = InstanceSpec(n=n, p=p, seed=seed, gamma=grid.gamma, eta=grid.eta)
         instance = gen_instance(spec)
         x0 = initial_point(instance)
     except Exception as exc:
-        return [
-            _failure_result("ppm", n, p, replicate, seed, exc),
-            _failure_result("crm", n, p, replicate, seed, exc),
-        ]
+        return [_failure_result(solver, n, p, replicate, seed, exc) for solver in ("ppm", "crm")]
 
-    out = []
     cfg = SolverConfig(tolerance=grid.tolerance, max_iterations=grid.max_iterations)
-    try:
-        trace = run("ppm", instance.operators, x0, cfg)
-        out.append(RunResult(
-            solver="ppm", iterations=trace.iterations, elapsed_s=trace.elapsed_s,
-            final_residual=trace.residual_history[-1], stop_reason=trace.stop_reason,
-            **ident,
-        ))
-    except Exception as exc:
-        out.append(_failure_result("ppm", n, p, replicate, seed, exc))
-
-    lifted = BlockOperator(instance.operators)
-    diagonal = DiagonalSubspace(n, p)
     crm_cfg = SolverConfig(
         tolerance=grid.tolerance,
         max_iterations=grid.max_iterations,
         diagnostics=("fejer", "membership") if grid.diagnostics else (),
     )
-    try:
-        trace = run(
-            "crm", (lifted, diagonal), embed(x0, p), crm_cfg,
-            solution=embed(instance.fixed_point, p),
-        )
-        out.append(RunResult(
-            solver="crm", iterations=trace.iterations, elapsed_s=trace.elapsed_s,
-            final_residual=trace.residual_history[-1], stop_reason=trace.stop_reason,
-            **ident,
-        ))
-    except Exception as exc:
-        out.append(_failure_result("crm", n, p, replicate, seed, exc))
+    runs = {
+        "ppm": lambda: run("ppm", instance.operators, x0, cfg),
+        "crm": lambda: run(
+            "crm", (BlockOperator(instance.operators), DiagonalSubspace(n, p)), embed(x0, p),
+            crm_cfg, solution=embed(instance.fixed_point, p),
+        ),
+    }
+    out = []
+    for solver, start in runs.items():
+        try:
+            trace = start()
+            out.append(RunResult(
+                solver=solver, n=n, p=p, replicate=replicate, seed=seed,
+                iterations=trace.iterations, elapsed_s=trace.elapsed_s,
+                final_residual=trace.residual_history[-1], stop_reason=trace.stop_reason,
+            ))
+        except Exception as exc:
+            out.append(_failure_result(solver, n, p, replicate, seed, exc))
     return out
 
 

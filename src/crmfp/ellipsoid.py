@@ -33,6 +33,7 @@ one np.dot per row, which gives the same bits as its row of the batch.
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
 with a consensus constraint) whose set step is that same root-find.  The
+operators of crmfp.operators project through the direct one only.  The
 tests check both against dense bisection on the multiplier, which shares
 no code with either.
 """
@@ -80,6 +81,7 @@ class Ellipsoid:
         self.b = b
         self.alpha = alpha
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._b_rot: np.ndarray | None = None   # b in the eigenbasis, set by a stack
         self._single: EllipsoidStack | None = None
 
     @property
@@ -176,11 +178,18 @@ def _repeat_view(a: np.ndarray, k: int) -> np.ndarray:
 class EllipsoidStack:
     """Eigenbasis data for a fixed list of same-dimension ellipsoids.
 
-    Row j of a batch belongs to ellipsoid j.  Built once and reused; each
-    member's Ellipsoid.eig() cache becomes a view of its own rows, so no
-    eigenbasis is held twice.  tile(k) repeats the stack k times over
-    (row r belongs to member r mod J) without copying an eigenbasis, so k
-    points can go through one stacked solve.
+    Row j of a batch belongs to ellipsoid j.  Built once and reused.  The
+    first stack to compute a member's eigendecomposition owns its
+    Ellipsoid.eig() cache: the cache becomes a view of that stack's row,
+    so the eigenbasis is not held twice once the stack is built.  A later
+    stack over the same member copies the cached row and leaves the cache
+    as it is, so the cache never keeps a later stack alive after its last
+    user drops it.  b in the eigenbasis is cached on the member the same
+    way, and a stack whose members all have it copies it instead of
+    rotating b again (every row of a batched product is that row's product
+    alone, so the bits are the same either way).  tile(k) repeats the
+    stack k times over (row r belongs to member r mod J) without copying
+    an eigenbasis, so k points can go through one stacked solve.
 
     The stack also caches, in tangents (a Tangents, None before the first
     anchor), one anchor per row: the last point of row j that was in doubt
@@ -199,22 +208,23 @@ class EllipsoidStack:
         n = ellipsoids[0].dim
         if any(e.dim != n for e in ellipsoids):
             raise DimensionMismatch("stacked ellipsoids must share one dimension")
-        eigs = []
-        rots = []
-        for e in ellipsoids:
-            w, q = e.eig()
-            eigs.append(w)
-            rots.append(q)
+        computed = [e._eig is None for e in ellipsoids]
+        eig = [e.eig() for e in ellipsoids]
         self.dim = n
-        self.eigs = np.stack(eigs)                    # (J, n)
-        self.rot = np.stack(rots)                     # (J, n, n)
-        self.b_rot = np.matmul(
-            self.rot.transpose(0, 2, 1),
-            np.stack([e.b for e in ellipsoids])[..., None],
-        )[..., 0]                                     # (J, n)
-        self.alphas = np.array([e.alpha for e in ellipsoids])
+        self.eigs = np.stack([w for w, _ in eig])     # (J, n)
+        self.rot = np.stack([q for _, q in eig])      # (J, n, n)
         for j, e in enumerate(ellipsoids):
-            e._eig = (self.eigs[j], self.rot[j])
+            if computed[j]:
+                e._eig = (self.eigs[j], self.rot[j])
+        if all(e._b_rot is not None for e in ellipsoids):
+            self.b_rot = np.array([e._b_rot for e in ellipsoids])
+        else:
+            b = np.array([e.b for e in ellipsoids])
+            self.b_rot = np.matmul(self.rot.transpose(0, 2, 1), b[..., None])[..., 0]  # (J, n)
+            for j, e in enumerate(ellipsoids):
+                if e._b_rot is None:
+                    e._b_rot = self.b_rot[j]
+        self.alphas = np.array([e.alpha for e in ellipsoids])
         self.tangents: Tangents | None = None
 
     @classmethod

@@ -120,7 +120,7 @@ def gen_operator(n: int, rng: np.random.Generator, spec: InstanceSpec) -> Convex
     raw = rng.random(r)
     weights = raw / raw.sum()
     members = [
-        EllipsoidProjection(gen_ellipsoid(n, rng, spec.gamma, spec.density), method="kkt")
+        EllipsoidProjection(gen_ellipsoid(n, rng, spec.gamma, spec.density))
         for _ in range(r)
     ]
     return ConvexCombination(members, weights)
@@ -174,7 +174,7 @@ def instance_from_dict(data: dict) -> FppInstance:
         return lambda items: [_field(items, k, convert) for k in range(len(items))]
 
     def member(e):
-        return EllipsoidProjection(Ellipsoid.from_dict(e, spec.n), method="kkt")
+        return EllipsoidProjection(Ellipsoid.from_dict(e, spec.n))
 
     def combination(op_data):
         members = _field(op_data, "ellipsoids", entries(member))

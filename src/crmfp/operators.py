@@ -4,12 +4,14 @@ The closed set of operator kinds is: identity, halfspace-projection,
 affine-subspace-projection, ball-projection, ellipsoid-projection,
 convex-combination, composition, and the blockwise "lifted" kind defined in
 product_space.  Operators are immutable, validate their input dimension on
-every call, and return new arrays.
+every call, and return new arrays.  Every ellipsoid projection goes through
+one projector, the stacked root-find kkt_project_stacked.
 
 A fixed list of operators is evaluated through an EvaluationPlan, built
 once per list: every ellipsoid projection among the operators (or among
 the members of their convex combinations) is one row of a single stacked
-solve.  Rows of a batch never interact, and convex combinations sum their
+solve, on one EllipsoidStack built straight from those member ellipsoids.
+Rows of a batch never interact, and convex combinations sum their
 members the same way in a plan and alone, so a plan returns exactly what
 operator-by-operator evaluation returns, without the per-member loop.
 images() is the other direction: one operator at many points, in one
@@ -22,19 +24,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .ellipsoid import (
-    KKT_TOL,
-    AdmmConfig,
-    Ellipsoid,
-    EllipsoidStack,
-    admm_project_stacked,
-    kkt_project_stacked,
-)
+from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked
+from .ellipsoid import admm_project_stacked  # noqa: F401  (a perfbench trace site)
 from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
 
-# A plan that would concatenate more than this many eigenbasis floats (a
-# second copy of its operators' own stacks) calls its operators one by one
-# instead (memory gate; results are identical either way).
+# A plan that fuses a convex combination into a stack of more than this
+# many eigenbasis floats calls its operators one by one instead; results are
+# identical either way.  The gate bounds memory: bench.run_cell's crm plan
+# copies the eigenbases that its ppm plan computed, so without the gate a
+# 30-iteration 200 x 200 cell peaked at 1028 MB of RSS against 542 MB with
+# it (286 against 167 MB at 100 x 200).
 FUSE_GATE = 1 << 22
 
 
@@ -156,36 +155,19 @@ class BallProjection:
 
 
 class EllipsoidProjection:
-    """Projection onto an ellipsoid through one of the two solvers.
-
-    method "kkt" (the default) runs the direct root-find, stopping at
-    |g| <= kkt_tol / 2; method "admm" runs the splitting iteration, whose
-    set step is that same root-find.
-    """
+    """Projection onto an ellipsoid by the direct root-find, which stops at
+    |g| <= kkt_tol / 2 (kkt_project_stacked)."""
 
     kind = "ellipsoid-projection"
 
-    def __init__(
-        self,
-        ellipsoid: Ellipsoid,
-        method: str = "kkt",
-        admm: AdmmConfig | None = None,
-        kkt_tol: float = KKT_TOL,
-    ):
-        if method not in ("admm", "kkt"):
-            raise ValueError(f"unknown projection method {method!r}")
+    def __init__(self, ellipsoid: Ellipsoid, kkt_tol: float = KKT_TOL):
         self.ellipsoid = ellipsoid
-        self.method = method
-        self.admm = admm if admm is not None else AdmmConfig()
         self.kkt_tol = float(kkt_tol)
         self.dim = ellipsoid.dim
 
-    def _solver_key(self):
-        return (self.method, self.admm, self.kkt_tol)
-
     def __call__(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim)
-        return _project_rows(self.ellipsoid.stack(), x[None, :], self._solver_key())[0]
+        return kkt_project_stacked(self.ellipsoid.stack(), x[None, :], self.kkt_tol)[0]
 
 
 class ConvexCombination:
@@ -254,11 +236,18 @@ def _segment_sums(row_weights, rows, starts) -> np.ndarray:
     return np.add.reduceat(row_weights[:, None] * rows, starts, axis=0)
 
 
-def _project_rows(stack: EllipsoidStack, rows: np.ndarray, key) -> np.ndarray:
-    method, admm_cfg, kkt_tol = key
-    if method == "admm":
-        return admm_project_stacked(stack, rows, admm_cfg)[0]
-    return kkt_project_stacked(stack, rows, kkt_tol)
+def _stacked_rows(op):
+    """(member ellipsoids, weights, kkt_tol) of an ellipsoid projection
+    (weights None: one row) or of a convex combination whose members are
+    all ellipsoid projections with one kkt_tol; None for any other operator."""
+    if isinstance(op, EllipsoidProjection):
+        return [op.ellipsoid], None, op.kkt_tol
+    if isinstance(op, ConvexCombination):
+        tols = {m.kkt_tol if isinstance(m, EllipsoidProjection) else None
+                for m in op.operators}
+        if None not in tols and len(tols) == 1:
+            return [m.ellipsoid for m in op.operators], op.weights, tols.pop()
+    return None
 
 
 class EvaluationPlan:
@@ -266,12 +255,17 @@ class EvaluationPlan:
 
     Each ellipsoid projection in the list owns one row of the plan's
     EllipsoidStack; each convex combination of ellipsoid projections owns
-    a run of consecutive rows (one per member) and its weights.  A call
-    projects all rows in one stacked solve and sums the runs in one
-    segmented sum.  Operators of other kinds or solver settings, and every
-    operator when the concatenated stack would exceed FUSE_GATE floats, are
-    called as they are.  Each image is the same arithmetic on the same
-    values as the operator's own call, so the two agree bit for bit.
+    a run of consecutive rows (one per member) and its weights.  The stack
+    is built straight from those member ellipsoids, and the rows of the
+    first such operator's kkt_tol are fused.  A call projects all rows in
+    one stacked solve and sums the runs in one segmented sum.  Operators of
+    other kinds or tolerances, and every operator when a plan that fuses a
+    combination would stack more than FUSE_GATE floats, are called as they
+    are.  The first stack over a member ellipsoid owns its eig() cache (see
+    EllipsoidStack), so a plan built after another over the same members
+    copies their eigenbases and leaves the caches to the first.  Each image
+    is the same arithmetic on the same values as the operator's own call,
+    so the two agree bit for bit.
     """
 
     def __init__(self, operators):
@@ -279,30 +273,22 @@ class EvaluationPlan:
         if not operators:
             raise EmptyOperatorList("need at least one operator")
         n = operators[0].dim
-        parts = {}  # operator index -> (weights, or None for one row; solver key)
+        parts = {}  # operator index -> (member ellipsoids, weights, kkt_tol)
         for i, op in enumerate(operators):
-            if isinstance(op, EllipsoidProjection):
-                parts[i] = (None, op._solver_key())
-            elif isinstance(op, ConvexCombination) and op.plan.one_row_each:
-                parts[i] = (op.weights, op.plan.key)
-        key = next(iter(parts.values()), (None, None))[1]
-        fused = [i for i, part in parts.items() if part[1] == key]
-        weights = [parts[i][0] for i in fused]
-        stack = None
-        if fused and all(w is None for w in weights):
-            stack = EllipsoidStack([operators[i].ellipsoid for i in fused])
-        elif fused:
-            stacks = [operators[i].ellipsoid.stack() if w is None else operators[i].plan.stack
-                      for i, w in zip(fused, weights)]
-            if sum(map(len, stacks)) * n * n <= FUSE_GATE:
-                stack = stacks[0] if len(stacks) == 1 else EllipsoidStack.concatenate(stacks)
-            else:
-                fused, weights = [], []
+            part = _stacked_rows(op)
+            if part is not None:
+                parts[i] = part
+        key = next(iter(parts.values()), (None, None, None))[2]
+        fused = [i for i, part in parts.items() if part[2] == key]
+        members = [e for i in fused for e in parts[i][0]]
+        weights = [parts[i][1] for i in fused]
+        if any(w is not None for w in weights) and len(members) * n * n > FUSE_GATE:
+            fused, members, weights = [], [], []
         row_weights = [np.ones(1) if w is None else w for w in weights]
         self.operators = operators
         self.dim = n
         self.key = key
-        self.stack = stack
+        self.stack = EllipsoidStack(members) if members else None
         self.fused = np.array(fused, dtype=int)
         self.counts = np.array([len(w) for w in row_weights], dtype=int)
         self.starts = np.cumsum(self.counts) - self.counts
@@ -325,7 +311,7 @@ class EvaluationPlan:
                 rows = np.broadcast_to(points, (len(self.stack), self.dim))
             else:
                 rows = np.repeat(points[self.fused], self.counts, axis=0)
-            proj = _project_rows(self.stack, rows, self.key)
+            proj = kkt_project_stacked(self.stack, rows, self.key)
             if self.one_row_each:
                 return proj
             out[self.fused] = _segment_sums(self.row_weights, proj, self.starts)
@@ -365,10 +351,10 @@ def images(operator, points) -> np.ndarray:
     if points.shape != (k, operator.dim):
         raise DimensionMismatch(f"points have shape {points.shape}, expected (k, {operator.dim})")
     if single:
-        return _project_rows(operator.ellipsoid.stack().tile(k), points, operator._solver_key())
+        return kkt_project_stacked(operator.ellipsoid.stack().tile(k), points, operator.kkt_tol)
     plan = operator.plan
     size = len(plan.stack)
-    proj = _project_rows(plan.stack.tile(k), np.repeat(points, size, axis=0), plan.key)
+    proj = kkt_project_stacked(plan.stack.tile(k), np.repeat(points, size, axis=0), plan.key)
     return _segment_sums(np.tile(operator.weights, k), proj, np.arange(0, k * size, size))
 
 
@@ -401,9 +387,7 @@ def translate(op, shift):
         alpha = e.alpha + 2.0 * float(e.b @ shift) - float(shift @ e.A @ shift)
         if alpha <= 0.0:
             raise ValueError("translated ellipsoid would not contain the origin")
-        return EllipsoidProjection(
-            Ellipsoid(e.A, b, alpha), op.method, op.admm, op.kkt_tol
-        )
+        return EllipsoidProjection(Ellipsoid(e.A, b, alpha), op.kkt_tol)
     if isinstance(op, ConvexCombination):
         return ConvexCombination([translate(t, shift) for t in op.operators], op.weights)
     if isinstance(op, Composition):

@@ -157,8 +157,12 @@ def spm_step(operators, x) -> np.ndarray:
 def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> IterationTrace:
     """Iterate one of the steps until the displacement drops below tolerance.
 
-    stop_reason is "converged", "max-iterations", or "non-finite" (a NaN or
-    infinite displacement, which stops the run).
+    stop_reason is "converged", "max-iterations", "non-finite" (a NaN or
+    infinite displacement, which stops the run), or, for "crm" only,
+    "inconsistent": the step is below tolerance while ||T(x) - x|| is not.
+    Only the degeneracy guard (P_U T(x) counts as x) gives such a step,
+    since every other crm step moves at least ||T(x) - x||: T moves x while
+    P_U T(x) stays at x, so x is no fixed point of T.
 
     Parameters
     ----------
@@ -252,7 +256,8 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
             dists.append(new_dist)
         x = xn
         if res < cfg.tolerance:
-            stop_reason = "converged"
+            moved = kind == "crm" and fix_residuals[-1] >= cfg.tolerance
+            stop_reason = "inconsistent" if moved else "converged"
             break
         if not math.isfinite(res):
             stop_reason = "non-finite"

@@ -235,7 +235,7 @@ class TestKktProjection:
         gc.disable()
         try:
             e = gen_ellipsoid(4, np.random.default_rng(3))
-            op = EllipsoidProjection(e, method="kkt")
+            op = EllipsoidProjection(e)
             op(np.full(4, 10.0))
             assert e._single is not None
             alive = weakref.ref(e)
@@ -340,7 +340,7 @@ class TestGeneratedMembers:
     def test_one_kkt_plan_agreeing_with_splitting_and_oracle(self, n, p, seed):
         inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
         members = [m for op in inst.operators for m in op.operators]
-        assert all(m.method == "kkt" for m in members)
+        assert all(m.kkt_tol == KKT_TOL for m in members)
         assert len({op.plan.key for op in inst.operators}) == 1
         plan = EvaluationPlan(inst.operators)
         assert plan.called == [] and len(plan.stack) == len(members)

@@ -1,4 +1,7 @@
 """Operator algebra: concrete projections and the structural checks."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,9 +31,11 @@ from crmfp import (
     gradient_check,
     idempotence_violation_search,
     images,
+    project_admm,
     translate,
     translated_projection_deviation,
 )
+from crmfp.ellipsoid import KKT_TOL
 from crmfp.operators import EvaluationPlan
 from crmfp.product_space import BlockOperator
 
@@ -58,8 +63,7 @@ def projection_zoo(rng, dim=20):
         HalfspaceProjection(normal, float(rng.normal())),
         AffineSubspaceProjection(AffineSubspace.from_span(rng.standard_normal(dim), span)),
         BallProjection(rng.standard_normal(dim), 1.5),
-        EllipsoidProjection(gen_ellipsoid(dim, rng), method="kkt"),
-        EllipsoidProjection(gen_ellipsoid(dim, rng), method="admm"),
+        EllipsoidProjection(gen_ellipsoid(dim, rng)),
     ]
 
 
@@ -163,12 +167,7 @@ class TestRayProperty:
     # return the same z = P(x).
     def test_exact_kinds(self):
         rng = np.random.default_rng(19)
-        exact = [
-            op
-            for op in projection_zoo(rng)
-            if not (isinstance(op, EllipsoidProjection) and op.method == "admm")
-        ]
-        for op in exact:
+        for op in projection_zoo(rng):
             for _ in range(10):
                 x = rng.standard_normal(20) * 4
                 z = op(x)
@@ -178,12 +177,12 @@ class TestRayProperty:
 
     def test_admm_within_budget(self):
         rng = np.random.default_rng(23)
-        op = EllipsoidProjection(gen_ellipsoid(8, rng), method="admm")
+        e = gen_ellipsoid(8, rng)
         for _ in range(10):
             x = rng.standard_normal(8) * 4
-            z = op(x)
+            z = project_admm(e, x).point
             for alpha in (0.5, 1.0, 2.0, 10.0):
-                assert np.linalg.norm(op(z + alpha * (x - z)) - z) <= 1e-6
+                assert np.linalg.norm(project_admm(e, z + alpha * (x - z)).point - z) <= 1e-6
 
 
 class TestAcuteAngle:
@@ -205,14 +204,14 @@ class TestAcuteAngle:
 class TestCommonFixedPoints:
     def test_combination_fixes_certified_point(self):
         rng = np.random.default_rng(31)
-        ops = [EllipsoidProjection(gen_ellipsoid(6, rng), method="kkt") for _ in range(4)]
+        ops = [EllipsoidProjection(gen_ellipsoid(6, rng)) for _ in range(4)]
         combo = ConvexCombination(ops, np.full(4, 0.25))
         star = np.zeros(6)
         assert np.linalg.norm(combo(star) - star) <= 1e-12
 
     def test_residual_decreases_under_iteration(self):
         rng = np.random.default_rng(37)
-        ops = [EllipsoidProjection(gen_ellipsoid(5, rng), method="kkt") for _ in range(3)]
+        ops = [EllipsoidProjection(gen_ellipsoid(5, rng)) for _ in range(3)]
         combo = ConvexCombination(ops, np.full(3, 1.0 / 3.0))
         x = rng.standard_normal(5) * 10
         res = fixed_point_residual(combo, x)
@@ -234,7 +233,7 @@ class TestTranslate:
                 AffineSubspace.from_span(rng.standard_normal(dim), rng.standard_normal((2, dim)))
             ),
             BallProjection(rng.standard_normal(dim), 2.0),
-            EllipsoidProjection(gen_ellipsoid(dim, rng), method="kkt"),
+            EllipsoidProjection(gen_ellipsoid(dim, rng)),
         ]
 
     def test_equivariance(self):
@@ -411,11 +410,6 @@ class TestContainers:
         with pytest.raises(DimensionMismatch):
             Composition([Identity(2), Identity(3)])
 
-    def test_unknown_ellipsoid_method_rejected(self):
-        e = gen_ellipsoid(2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            EllipsoidProjection(e, method="newton")
-
     def test_nonorthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
             AffineSubspace(np.zeros(2), np.array([[1.0, 1.0]]))
@@ -509,8 +503,8 @@ def random_operator(draw, rng, n, depth=0):
     kinds = ["ellipsoid", "ball", "halfspace"] + (["combination"] if depth < 2 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "ellipsoid":
-        method = draw(st.sampled_from(["admm", "kkt"]))
-        return EllipsoidProjection(gen_ellipsoid(n, rng), method=method)
+        kkt_tol = draw(st.sampled_from([KKT_TOL, 1e-12]))
+        return EllipsoidProjection(gen_ellipsoid(n, rng), kkt_tol=kkt_tol)
     if kind == "ball":
         return BallProjection(rng.standard_normal(n), float(rng.uniform(0.5, 2.0)))
     if kind == "halfspace":
@@ -561,6 +555,17 @@ class TestEvaluationPlan:
             np.testing.assert_array_equal(image, combo(x))
             assert_matches_member_loop(image, combo, x)
 
+    def test_gate_leaves_plans_of_projections_fused(self, monkeypatch):
+        # Only a plan that fuses a combination is gated.
+        rng = np.random.default_rng(7)
+        ops = [EllipsoidProjection(gen_ellipsoid(4, rng)) for _ in range(3)]
+        monkeypatch.setattr(operators_module, "FUSE_GATE", 0)
+        plan = EvaluationPlan(ops)
+        assert plan.called == [] and len(plan.stack) == 3
+        x = rng.standard_normal(4) * 3
+        for image, op in zip(plan(x), ops):
+            np.testing.assert_array_equal(image, op(x))
+
     def test_combination_stack_built_once(self, monkeypatch):
         rng = np.random.default_rng(6)
         combo = ConvexCombination(
@@ -579,6 +584,31 @@ class TestEvaluationPlan:
         assert len(builds) == 1
         for e in (m.ellipsoid for m in combo.operators):
             assert np.shares_memory(e.eig()[1], combo.plan.stack.rot)
+
+    def test_second_plan_leaves_the_eig_caches(self):
+        inst = gen_instance(InstanceSpec(n=4, p=3, seed=11))
+        members = [m.ellipsoid for op in inst.operators for m in op.operators]
+        first = EvaluationPlan(inst.operators)
+        second = EvaluationPlan(inst.operators)
+        assert_same_bits(second.stack.rot, first.stack.rot)
+        # The second plan copies the cached rotated b: the bits of rotating it.
+        b = np.stack([e.b for e in members])
+        assert_same_bits(second.stack.b_rot,
+                         np.matmul(first.stack.rot.transpose(0, 2, 1), b[..., None])[..., 0])
+        for e in members:
+            assert np.shares_memory(e.eig()[1], first.stack.rot)
+            assert not np.shares_memory(e.eig()[1], second.stack.rot)
+            assert not np.shares_memory(e._b_rot, second.stack.b_rot)
+        # No cache keeps the second plan's stack alive.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            alive = weakref.ref(second.stack)
+            del second
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_points_shape_checked(self):
         plan = EvaluationPlan([Identity(2), Identity(2)])
@@ -599,19 +629,18 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-IMAGE_KINDS = ["kkt", "admm", "fused", "fused-admm", "unfused", "nested", "ball",
+IMAGE_KINDS = ["kkt", "fused", "unfused", "nested", "ball",
                "halfspace", "affine", "composition", "identity", "lifted"]
 
 
 def operator_of_kind(kind, rng, n):
     """One operator of the named kind on R^n, and an operator whose image of
     a far point lies on the boundary of one of its sets."""
-    if kind in ("kkt", "admm"):
-        op = EllipsoidProjection(gen_ellipsoid(n, rng), method=kind)
+    if kind == "kkt":
+        op = EllipsoidProjection(gen_ellipsoid(n, rng))
         return op, op
-    if kind in ("fused", "fused-admm"):
-        method = "admm" if kind == "fused-admm" else "kkt"
-        members = [EllipsoidProjection(gen_ellipsoid(n, rng), method=method)
+    if kind == "fused":
+        members = [EllipsoidProjection(gen_ellipsoid(n, rng))
                    for _ in range(int(rng.integers(1, 5)))]
         weights = rng.uniform(0.1, 1.0, len(members))
         op = ConvexCombination(members, weights / weights.sum())
@@ -682,19 +711,18 @@ class TestImages:
         # The loop moved the operators' screens; the images do not depend on them.
         assert_same_bits(images(op, points), loop)
 
-    @pytest.mark.parametrize("kind", ["kkt", "admm", "fused", "fused-admm"])
+    @pytest.mark.parametrize("kind", ["kkt", "fused"])
     def test_one_stacked_solve_of_two_dimensional_rows(self, kind, monkeypatch):
         rng = np.random.default_rng(41)
         op, _ = operator_of_kind(kind, rng, 5)
         calls = []
-        for name in ("kkt_project_stacked", "admm_project_stacked"):
-            original = getattr(operators_module, name)
+        original = operators_module.kkt_project_stacked
 
-            def counted(stack, rows, *rest, original=original):
-                calls.append(rows.shape)
-                return original(stack, rows, *rest)
+        def counted(stack, rows, tol):
+            calls.append(rows.shape)
+            return original(stack, rows, tol)
 
-            monkeypatch.setattr(operators_module, name, counted)
+        monkeypatch.setattr(operators_module, "kkt_project_stacked", counted)
         points = 5.0 * rng.standard_normal((9, 5))
         images(op, points)
         size = 1 if isinstance(op, EllipsoidProjection) else len(op.operators)
@@ -792,7 +820,7 @@ class TestChecksMatchPerPointReferences:
     """The checks evaluate through images() and return the per-point bits."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50])
-    @pytest.mark.parametrize("kind", ["kkt", "admm", "fused", "unfused", "ball",
+    @pytest.mark.parametrize("kind", ["kkt", "fused", "unfused", "ball",
                                       "halfspace", "affine", "composition"])
     def test_all_four_checks(self, kind, n):
         rng = np.random.default_rng([n, IMAGE_KINDS.index(kind)])

@@ -183,7 +183,7 @@ class TestBlockOperator:
             assert_matches_member_loop(per_row[i], op, points[i])
             assert_matches_member_loop(on_diagonal[i], op, points[0])
 
-    def test_concatenates_once(self, monkeypatch):
+    def test_one_stack_of_all_member_rows(self, monkeypatch):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=9))
         calls = []
         original = EllipsoidStack.concatenate.__func__
@@ -197,9 +197,12 @@ class TestBlockOperator:
         x = embed(np.full(4, 3.0), 3)
         for _ in range(5):
             x = diag_project(block(x))
-        assert calls == [3]
-        rows = sum(len(op.operators) for op in inst.operators)
-        assert len(block.plan.stack) == rows
+        assert calls == []
+        members = [m.ellipsoid for op in inst.operators for m in op.operators]
+        assert len(block.plan.stack) == len(members)
+        for j, e in enumerate(members):
+            assert e.eig()[1].tobytes() == block.plan.stack.rot[j].tobytes()
+        assert all("plan" not in vars(op) for op in inst.operators)
 
     def test_diagonal_iterates_take_the_shared_path(self, monkeypatch):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=10))

@@ -221,6 +221,17 @@ class TestRunLoop:
         assert trace.iterations <= 2
         np.testing.assert_allclose(trace.final_point, [0.0, 0.0], atol=1e-10)
 
+    def test_crm_guard_on_disjoint_balls_stops_inconsistent(self):
+        # At the midpoint of two disjoint unit balls the two projections
+        # disagree while their mean is the point: the guard returns the
+        # point, but it is no common fixed point.
+        balls = [BallProjection(np.zeros(3), 1.0), BallProjection(np.array([5.0, 0, 0]), 1.0)]
+        x0 = embed(np.array([2.5, 0.0, 0.0]), 2)
+        trace = run("crm", (BlockOperator(balls), DiagonalSubspace(3, 2)), x0)
+        assert trace.stop_reason == "inconsistent"
+        assert trace.iterations == 1 and trace.residual_history == [0.0]
+        assert trace.fixed_point_residuals[-1] == pytest.approx(1.5 * np.sqrt(2.0))
+
     def test_max_iterations_stop(self):
         op, sub = two_line_problem(np.pi / 4)
         cfg = SolverConfig(tolerance=1e-12, max_iterations=5)

@@ -11,7 +11,13 @@ rises monotonically to the root and needs no bracket.  All heavy work
 happens in the eigenbasis (computed once per ellipsoid and cached), which
 makes every Newton step O(n) and lets many (ellipsoid, point) pairs be
 driven in lockstep as rows of a batch.  Rows of a batch never interact, so
-batched results equal one-at-a-time results exactly.
+batched results equal one-at-a-time results exactly.  At these sizes a
+step costs its numpy calls more than its arithmetic, so the root-find
+makes as few as it can: it starts from the g of the interior test (at
+lam = 0 nothing is left to evaluate), reads the constant beta of the
+secular form from the stack, and steps in buffers allocated once per
+call.  A call whose rows are all exterior rotates them back in one
+batched product, with no copy of the input and no scatter.
 
 Most rows of a solver's projector calls are interior and come back
 unchanged, yet the interior test needs the row in the eigenbasis: an
@@ -187,9 +193,12 @@ class EllipsoidStack:
     user drops it.  b in the eigenbasis is cached on the member the same
     way, and a stack whose members all have it copies it instead of
     rotating b again (every row of a batched product is that row's product
-    alone, so the bits are the same either way).  tile(k) repeats the
-    stack k times over (row r belongs to member r mod J) without copying
-    an eigenbasis, so k points can go through one stacked solve.
+    alone, so the bits are the same either way).  betas holds each row's
+    constant beta = alpha + sum b~^2 / w of the secular form (see
+    _root_project), computed once here rather than per projector call.
+    tile(k) repeats the stack k times over (row r belongs to member r mod
+    J) without copying an eigenbasis, so k points can go through one
+    stacked solve.
 
     The stack also caches, in tangents (a Tangents, None before the first
     anchor), one anchor per row: the last point of row j that was in doubt
@@ -225,6 +234,7 @@ class EllipsoidStack:
                 if e._b_rot is None:
                     e._b_rot = self.b_rot[j]
         self.alphas = np.array([e.alpha for e in ellipsoids])
+        self.betas = self.alphas + (self.b_rot * self.b_rot / self.eigs).sum(-1)
         self.tangents: Tangents | None = None
 
     @classmethod
@@ -237,6 +247,7 @@ class EllipsoidStack:
         out.rot = np.concatenate([s.rot for s in stacks])
         out.b_rot = np.concatenate([s.b_rot for s in stacks])
         out.alphas = np.concatenate([s.alphas for s in stacks])
+        out.betas = np.concatenate([s.betas for s in stacks])
         out.tangents = None
         return out
 
@@ -244,9 +255,10 @@ class EllipsoidStack:
         """Stack of k * J rows in which row r belongs to member r mod J.
 
         The eigenbases are shared, never copied: rot is this stack's own
-        (J, n, n) array, and for J = 1 all four arrays are read-only
-        stride-0 views of this stack's.  The tiled stack starts with no
-        anchors, and a call on it never changes this stack's.
+        (J, n, n) array, and for J = 1 all five per-row arrays (eigs, rot,
+        b_rot, alphas, betas) are read-only stride-0 views of this stack's.
+        The tiled stack starts with no anchors, and a call on it never
+        changes this stack's.
         """
         out = EllipsoidStack.__new__(EllipsoidStack)
         out.dim = self.dim
@@ -255,11 +267,13 @@ class EllipsoidStack:
             out.rot = _repeat_view(self.rot, k)
             out.b_rot = _repeat_view(self.b_rot, k)
             out.alphas = _repeat_view(self.alphas, k)
+            out.betas = _repeat_view(self.betas, k)
         else:
             out.eigs = np.tile(self.eigs, (k, 1))
             out.rot = self.rot
             out.b_rot = np.tile(self.b_rot, (k, 1))
             out.alphas = np.tile(self.alphas, k)
+            out.betas = np.tile(self.betas, k)
         out.tangents = None
         return out
 
@@ -355,35 +369,61 @@ def _g_rows(w, bt, alph, pt) -> np.ndarray:
     return (w * pt * pt).sum(-1) + 2.0 * (bt * pt).sum(-1) - alph
 
 
-def _root_project(w, bt, alph, zt, gtol) -> np.ndarray:
+def _root_project(w, bt, alph, beta, zt, g, gtol) -> np.ndarray:
     """Eigencoordinate projections for rows strictly outside their sets.
 
     Solves g(p(lam)) = 0 per row, p(lam) = (z - lam b) / (1 + lam w)
     elementwise.  With s = (w z + b) / (1 + lam w) = w p + b, the value has
     the secular form phi(lam) = g + beta = sum s^2 / w, where
-    beta = alpha + sum b^2 / w > 0, so h = phi^(-1/2) is concave and
-    increasing in lam.  Newton on h(lam) = beta^(-1/2) from lam = 0 therefore
-    rises monotonically to the root: no bracket or safeguard is needed.
-    Stops when |g| <= gtol (rowwise); finished rows keep their multiplier.
+    beta = alpha + sum b^2 / w > 0 (EllipsoidStack.betas), so h = phi^(-1/2)
+    is concave and increasing in lam.  Newton on h(lam) = beta^(-1/2) from
+    lam = 0 therefore rises monotonically to the root: no bracket or
+    safeguard is needed.  Stops when |g| <= gtol (rowwise); finished rows
+    keep their multiplier.
+
+    g is the rows' value at lam = 0, which the caller's interior test has
+    computed: there the denominator is exactly 1 and s = w z + b, so the
+    first step evaluates nothing.  Every step writes into buffers allocated
+    once per call; 2 b is formed once, and doubling is exact unless b p
+    underflows, so the values are those of evaluating each step afresh.
+    The buffers are C-contiguous, so each row sum is numpy's pairwise sum
+    of that row, as for a freshly allocated array.  At these sizes numpy's
+    per-call dispatch outweighs the arithmetic: the stride-0 rows of a
+    tile are copied once, and constants are 0-d arrays, because both
+    dispatch faster in every step.
     """
+    if np.count_nonzero(np.isfinite(g)) < len(g):
+        raise RootNotBracketed("non-finite exterior row")
+    w, bt, alph, beta = (np.ascontiguousarray(a) for a in (w, bt, alph, beta))
+    gtol, one, bt2 = np.asarray(gtol), np.array(1.0), 2.0 * bt
     num = w * zt + bt
-    beta = alph + (bt * bt / w).sum(-1)
-    lam = np.zeros(zt.shape[0])
-    done = np.zeros(zt.shape[0], dtype=bool)
+    lam = np.zeros(len(zt))
+    lam_col = lam[:, None]
+    denom, pt, buf = np.ones(zt.shape), np.empty(zt.shape), np.empty(zt.shape)
+    val = g.copy()
+    phi, aux, sums = (np.empty(len(zt)) for _ in range(3))
+    hit, active = np.empty(len(zt), dtype=bool), np.ones(len(zt), dtype=bool)
     for k in range(100):
-        denom = 1.0 + lam[:, None] * w
-        pt = (zt - lam[:, None] * bt) / denom
-        val = _g_rows(w, bt, alph, pt)
-        if k == 0 and not np.isfinite(val).all():
-            raise RootNotBracketed("non-finite exterior row")
-        done |= np.abs(val) <= gtol
-        if done.all():
-            return pt
-        s = num / denom
-        phi = val + beta
-        # h step (beta^-1/2 - phi^-1/2) / h' with -phi' = 2 sum s^2 / denom.
-        step = phi * val / (beta * (np.sqrt(phi / beta) + 1.0) * (s * s / denom).sum(-1))
-        lam = np.where(done, lam, lam + step)
+        np.less_equal(np.abs(val, out=aux), gtol, out=hit)
+        if not np.count_nonzero(np.greater(active, hit, out=active)):
+            return pt if k else zt - 0.0 * bt   # p(0), its signs of zero included
+        # h step (beta^-1/2 - phi^-1/2) / h' with -phi' = 2 sum s^2 / denom,
+        # s = num / denom, one line per term of
+        # phi val / (beta (sqrt(phi / beta) + 1) sum(s s / denom)).
+        np.square(np.divide(num, denom, out=buf), out=buf)
+        np.add.reduce(np.divide(buf, denom, out=buf), -1, out=sums)
+        np.add(val, beta, out=phi)
+        np.add(np.sqrt(np.divide(phi, beta, out=aux), out=aux), one, out=aux)
+        np.multiply(np.multiply(beta, aux, out=aux), sums, out=aux)
+        np.divide(np.multiply(phi, val, out=phi), aux, out=phi)
+        np.add(lam, phi, out=lam, where=active)
+        # g at the new multipliers: p = (z - lam b) / (1 + lam w), then
+        # (w p p).sum + (2 b p).sum - alpha.
+        np.add(np.multiply(lam_col, w, out=denom), one, out=denom)
+        np.divide(np.subtract(zt, np.multiply(lam_col, bt, out=pt), out=pt), denom, out=pt)
+        np.add.reduce(np.multiply(np.multiply(w, pt, out=buf), pt, out=buf), -1, out=val)
+        np.add.reduce(np.multiply(bt2, pt, out=buf), -1, out=sums)
+        np.subtract(np.add(val, sums, out=val), alph, out=val)
     raise RootNotBracketed("projection multiplier iteration did not converge")
 
 
@@ -398,17 +438,17 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     test finds interior become the anchors of their rows, and certified
     rows keep theirs.  A per-row product equals its row of the batched one
     bit for bit, and a certified row is interior by the exact test, so
-    every output is what rotating every row would give.  Row j uses basis
-    j mod len(stack.rot), which is j itself unless the stack is a tile
-    (EllipsoidStack.tile).
+    every output is what rotating every row would give.  A call whose rows
+    are all exterior (none certified, none interior) hands them to the
+    root-find as they are and rotates the results back in one batch.  Row
+    j uses basis j mod len(stack.rot), which is j itself unless the stack
+    is a tile (EllipsoidStack.tile).
     """
     rows = np.ascontiguousarray(rows, dtype=float)
-    out = rows.copy()
     count = len(rows)
     cert = stack.certified(rows)
     full = cert is None or 2 * np.count_nonzero(cert) <= count
     if full:
-        rotated = np.arange(count)
         zt = stack.to_eigen(rows)
         g = _g_rows(stack.eigs, stack.b_rot, stack.alphas, zt)
     else:
@@ -416,15 +456,21 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
         zt = _rotate_rows(stack.rot.transpose(0, 2, 1), count, rotated, rows[rotated])
         g = _g_rows(stack.eigs[rotated], stack.b_rot[rotated], stack.alphas[rotated], zt)
     inside = g <= 0.0   # non-finite rows are exterior, and raise
+    if full and not inside.any():
+        pt = _root_project(stack.eigs, stack.b_rot, stack.alphas, stack.betas, zt, g, 0.5 * tol)
+        return _rotate(stack.rot, pt)
+    out = rows.copy()
+    if full:
+        rotated = np.arange(count)
     # Rows in doubt found interior become anchors; certified rows keep theirs.
     fresh = inside if cert is None or not full else inside & ~cert
     if fresh.any():
         stack.anchor(rotated[fresh], rows[rotated[fresh]], zt[fresh], g[fresh])
-    idx = rotated[~inside]
+    ext = ~inside
+    idx = rotated[ext]
     if len(idx):
-        pt = _root_project(
-            stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx], zt[~inside], 0.5 * tol
-        )
+        pt = _root_project(stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx],
+                           stack.betas[idx], zt[ext], g[ext], 0.5 * tol)
         out[idx] = _rotate_rows(stack.rot, count, idx, pt)
     return out
 
@@ -454,6 +500,7 @@ def admm_project_stacked(
     w = stack.eigs[idx]
     bt = stack.b_rot[idx]
     alph = stack.alphas[idx]
+    beta = stack.betas[idx]
     zt = zt_all[idx]
     gtol_inner = INNER_G_RTOL * (1.0 + np.abs(alph))
     rho = cfg.penalty
@@ -469,12 +516,12 @@ def admm_project_stacked(
         act = np.flatnonzero(active)
         shifted = p[act] + u[act]
         q_act = shifted.copy()
-        inner_ext = ~(_g_rows(w[act], bt[act], alph[act], shifted) <= 0.0)
+        g_inner = _g_rows(w[act], bt[act], alph[act], shifted)
+        inner_ext = ~(g_inner <= 0.0)
         if inner_ext.any():
             ii = act[inner_ext]
-            q_act[inner_ext] = _root_project(
-                w[ii], bt[ii], alph[ii], shifted[inner_ext], gtol_inner[ii]
-            )
+            q_act[inner_ext] = _root_project(w[ii], bt[ii], alph[ii], beta[ii], shifted[inner_ext],
+                                             g_inner[inner_ext], gtol_inner[ii])
         p_new = (zt[act] + rho * (q_act - u[act])) / (1.0 + rho)
         u_new = u[act] + p_new - q_act
         disp = np.linalg.norm(q_act - q_prev[act], axis=-1)

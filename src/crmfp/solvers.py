@@ -103,21 +103,26 @@ def map_step(operator, subspace, z) -> np.ndarray:
 
 
 def _crm_parts(operator, subspace, x):
-    """(next iterate, T(x), P_U T(x)) for one step from x in U.
+    """(next iterate, T(x), P_U T(x), ||T(x) - x||, ||P_U T(x) - x||) for
+    one step from x in U.
 
     The circumcenter of x, R_T x and R_U R_T x lies on the line through x
     and P_U T(x); as T(x) - P_U T(x) is orthogonal to U, equidistance from
     x and R_T x puts it at x + (||T(x) - x||^2 / ||P_U T(x) - x||^2)
-    (P_U T(x) - x).  Where P_U T(x) is x, the step is x.
+    (P_U T(x) - x).  Where P_U T(x) is x, the step is x.  The norms are
+    the square roots of the two differences' inner products, which is how
+    np.linalg.norm computes them too.
     """
     tx = np.asarray(operator(x), dtype=float)
     ptx = subspace.project(tx)
     step = ptx - x
-    den = float(np.vdot(step, step))
-    if 2.0 * math.sqrt(den) <= EPS_DEG * (1.0 + _norm(x)):
-        return x.copy(), tx, ptx
     disp = tx - x
-    return x + (float(np.vdot(disp, disp)) / den) * step, tx, ptx
+    den = float(np.vdot(step, step))
+    num = float(np.vdot(disp, disp))
+    norms = math.sqrt(num), math.sqrt(den)
+    if 2.0 * norms[1] <= EPS_DEG * (1.0 + _norm(x)):
+        return (x.copy(), tx, ptx) + norms
+    return (x + (num / den) * step, tx, ptx) + norms
 
 
 def crm_step(operator, subspace, x) -> np.ndarray:
@@ -215,15 +220,16 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     if kind == "ppm":
         plan = EvaluationPlan(operators)   # built once, timed with the loop
     for k in range(cfg.max_iterations):
-        tx = None
+        fix = None
         if kind == "crm":
             # The checks see the raw circumcenter; the iterate continues from
             # its projection, so drift out of the subspace cannot compound.
-            raw, tx, ptx = _crm_parts(operator, subspace, x)
+            raw, tx, _, fix, step_norm = _crm_parts(operator, subspace, x)
             xn = subspace.project(raw)
         elif kind == "map":
             tx = np.asarray(operator(x), dtype=float)
             xn = subspace.project(tx)
+            fix = _norm(tx - x)
         elif kind == "ppm":
             xn = np.mean(plan(x), axis=0)
         else:
@@ -231,7 +237,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
 
         res = _norm(xn - x)
         residuals.append(res)
-        fix_residuals.append(res if tx is None else _norm(tx - x))
+        fix_residuals.append(res if fix is None else fix)
 
         new_dist = None if sol is None else _norm(xn - sol)
         if want_member:
@@ -246,7 +252,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         if want_fejer:
             slack = dists[-1] ** 2 - new_dist**2
             if kind == "crm":
-                slack -= _norm(ptx - x) ** 2
+                slack -= step_norm**2
             elif kind in ("map", "ppm"):
                 slack -= res**2
             if slack < -FEJER_SLACK_TOL:

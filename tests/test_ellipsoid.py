@@ -9,6 +9,7 @@ for both.
 """
 import gc
 import weakref
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -187,7 +188,8 @@ class TestKktProjection:
     def test_infinite_exterior_row_fails_fast(self, monkeypatch):
         # In one dimension the eigenbasis rotation maps inf to inf (in more
         # it mixes in inf * 0 = nan), so the row reaches the root-find as
-        # exterior with g = inf.
+        # exterior with g = inf.  The root-find starts from the interior
+        # test's g, so it raises before it evaluates g at all.
         e = Ellipsoid(np.array([[2.0]]), np.array([0.5]), 1.0)
         stack = EllipsoidStack([e, e])
         evaluations = []
@@ -206,7 +208,7 @@ class TestKktProjection:
         monkeypatch.setattr(ellipsoid_module, "_root_project", counting_root_project)
         with pytest.raises(RootNotBracketed, match="non-finite"):
             kkt_project_stacked(stack, np.array([[3.0], [np.inf]]), 1e-10)
-        assert len(evaluations) == 1
+        assert len(evaluations) == 0
         with pytest.raises(RootNotBracketed):
             project_admm(e, np.array([np.inf]))
 
@@ -824,7 +826,7 @@ class TestTile:
         base = gen_ellipsoid(5, rng).stack()
         tiled = base.tile(7)
         assert len(tiled) == 7
-        for name in ("eigs", "rot", "b_rot", "alphas"):
+        for name in ("eigs", "rot", "b_rot", "alphas", "betas"):
             view, own = getattr(tiled, name), getattr(base, name)
             assert view.shape == (7,) + own.shape[1:]
             assert view.strides[0] == 0 and np.shares_memory(view, own)
@@ -840,6 +842,7 @@ class TestTile:
         assert_same_bits(tiled.eigs, base.eigs[members])
         assert_same_bits(tiled.b_rot, base.b_rot[members])
         assert_same_bits(tiled.alphas, base.alphas[members])
+        assert_same_bits(tiled.betas, base.betas[members])
         with pytest.raises(ValueError):
             EllipsoidStack.concatenate([tiled])
 
@@ -892,3 +895,160 @@ class TestTile:
             single.tile(12).to_eigen(rows),
             np.concatenate([single.to_eigen(row[None]) for row in rows]),
         )
+
+
+def textbook_root_project(w, bt, alph, zt, gtol):
+    """The exterior root-find as first written, kept as the reference: each
+    Newton step evaluates p, g and the secular derivative afresh from lam,
+    starting with g at lam = 0, and allocates its temporaries."""
+    num = w * zt + bt
+    beta = alph + (bt * bt / w).sum(-1)
+    lam = np.zeros(zt.shape[0])
+    done = np.zeros(zt.shape[0], dtype=bool)
+    for k in range(100):
+        denom = 1.0 + lam[:, None] * w
+        pt = (zt - lam[:, None] * bt) / denom
+        val = (w * pt * pt).sum(-1) + 2.0 * (bt * pt).sum(-1) - alph
+        if k == 0 and not np.isfinite(val).all():
+            raise RootNotBracketed("non-finite exterior row")
+        done |= np.abs(val) <= gtol
+        if done.all():
+            return pt
+        s = num / denom
+        phi = val + beta
+        step = phi * val / (beta * (np.sqrt(phi / beta) + 1.0) * (s * s / denom).sum(-1))
+        lam = np.where(done, lam, lam + step)
+    raise RootNotBracketed("projection multiplier iteration did not converge")
+
+
+def rotate_then_root_find(stack, rows, tol):
+    """Every row rotated by its own np.dot, the textbook root-find on the
+    exterior rows, and each of those rotated back by its own np.dot."""
+    members = np.arange(len(rows)) % len(stack.rot)
+    zt = np.stack([np.dot(stack.rot[m].T, row) for m, row in zip(members, rows)])
+    w, bt, alph = stack.eigs, stack.b_rot, stack.alphas
+    g = (w * zt * zt).sum(-1) + 2.0 * (bt * zt).sum(-1) - alph
+    out = np.array(rows, dtype=float)
+    idx = np.flatnonzero(~(g <= 0.0))
+    if len(idx):
+        pt = textbook_root_project(w[idx], bt[idx], alph[idx], zt[idx], 0.5 * tol)
+        for k, j in enumerate(idx):
+            out[j] = np.dot(stack.rot[members[j]], pt[k])
+    return out
+
+
+def spread_ellipsoid(rng, n, log_cond, b_scale, axes):
+    """Eigenvalues from 1 to 10**log_cond, in a random basis or along the
+    axes (where b gets zero entries, so signed zeros reach the root-find)."""
+    u = rng.random(n)
+    u[0], u[-1] = 0.0, 1.0
+    w = 10.0 ** (log_cond * u)
+    b = rng.standard_normal(n) * b_scale
+    if axes:
+        A = np.diag(w)
+        b[rng.random(n) < 0.5] = 0.0
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (q * w) @ q.T
+        A = 0.5 * (A + A.T)
+    return Ellipsoid(A, b, float(rng.uniform(0.5, 2.0)))
+
+
+def ray_point(rng, e, kind, axes):
+    """A point on a ray from the origin (interior to every set): inside,
+    a few ulps past the boundary (it finishes at lam = 0 or one step
+    later) or farther out.  Along the axes some coordinates are +-0."""
+    v = rng.standard_normal(e.dim)
+    if axes:
+        v[rng.random(e.dim) < 0.5] = rng.choice([0.0, -0.0])
+    if not np.any(v):
+        v[0] = 1.0
+    a, h = float(v @ e.A @ v), float(e.b @ v)
+    y = v * ((np.sqrt(h * h + a * e.alpha) - h) / a)   # g(y) = 0, up to rounding
+    if kind == "inside":
+        return y * rng.uniform(0.0, 0.99)
+    if kind == "near":
+        return y * (1.0 + float(rng.integers(0, 9)) * np.finfo(float).eps)
+    return y * (1.0 + 10.0 ** rng.uniform(-8.0, 3.0))
+
+
+def same_outcome(call, reference):
+    """call() returns reference()'s arrays bit for bit, or both raise."""
+    try:
+        want = reference()
+    except RootNotBracketed:
+        with pytest.raises(RootNotBracketed):
+            call()
+        return
+    got = call()
+    if isinstance(want, np.ndarray):
+        got, want = (got,), (want,)
+    for a, b in zip(got, want, strict=True):
+        assert_same_bits(a, b)
+
+
+class TestRootFindReference:
+    """kkt_project_stacked and the splitting projector's set step against
+    the textbook root-find, bit for bit (signs of zero included)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 10, 50]),
+        st.sampled_from(["plain", "tile-one", "tile-many"]),
+        st.integers(1, 20),
+        st.floats(0.0, 6.0),
+        st.sampled_from([0.0, 1.0, 1e3]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_equals_rotating_every_row_then_the_textbook_loop(
+        self, seed, n, layout, count, log_cond, b_scale, axes, all_exterior
+    ):
+        rng = np.random.default_rng(seed)
+        members = {"plain": count, "tile-one": 1, "tile-many": min(3, count)}[layout]
+        count -= count % members
+        es = [spread_ellipsoid(rng, n, log_cond, b_scale, axes) for _ in range(members)]
+        base = EllipsoidStack(es)
+        stack = base if layout == "plain" else base.tile(count // members)
+        kinds = ["near", "far"] if all_exterior else ["inside", "near", "far"]
+        rows = np.stack([ray_point(rng, es[r % members], rng.choice(kinds), axes)
+                         for r in range(count)])
+        tol = 1e-12 * (1.0 + max(beta_of(e) for e in es))
+        # The second call screens against the anchors the first one set.
+        for _ in range(2):
+            same_outcome(lambda: kkt_project_stacked(stack, rows, tol),
+                         lambda: rotate_then_root_find(stack, rows, tol))
+
+        def textbook_admm():
+            with patch.object(ellipsoid_module, "_root_project",
+                              lambda w, bt, alph, beta, zt, g, gtol:
+                              textbook_root_project(w, bt, alph, zt, gtol)):
+                return admm_project_stacked(stack, rows, cfg)
+
+        cfg = AdmmConfig(max_iterations=200)
+        same_outcome(lambda: admm_project_stacked(stack, rows, cfg), textbook_admm)
+
+    def test_betas_are_the_secular_constants(self):
+        rng = np.random.default_rng(41)
+        es = [spread_ellipsoid(rng, 6, 4.0, 10.0, False) for _ in range(3)]
+        stack = EllipsoidStack(es)
+        np.testing.assert_allclose(stack.betas, [beta_of(e) for e in es], rtol=1e-9)
+
+    def test_rows_that_finish_at_lam_zero_keep_the_loops_signs_of_zero(self):
+        # p(0) = z - 0 b~ is +0 where z is -0 and b~ < 0.  The rotations of
+        # this numpy's BLAS never give -0, but the kernel must not rely on it.
+        w = np.array([[1.0, 1.0], [1.0, 4.0]])
+        bt = np.array([[0.0, -1.0], [0.5, -0.5]])
+        alph = np.array([1.0, 2.0])
+        zt = np.array([[np.nextafter(-1.0, -2.0), -0.0], [30.0, -0.0]])
+        g = (w * zt * zt).sum(-1) + 2.0 * (bt * zt).sum(-1) - alph
+        beta = alph + (bt * bt / w).sum(-1)
+        gtol = 0.5 * KKT_TOL
+        assert 0.0 < g[0] <= gtol < g[1]
+        for rows in ([0], [0, 1]):   # done at lam = 0; done at 0 and later
+            want = textbook_root_project(w[rows], bt[rows], alph[rows], zt[rows], gtol)
+            assert np.signbit(want[:, 1]).tolist() == [False] * len(rows)
+            got = ellipsoid_module._root_project(
+                w[rows], bt[rows], alph[rows], beta[rows], zt[rows], g[rows], gtol)
+            assert_same_bits(got, want)

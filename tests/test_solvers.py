@@ -450,8 +450,11 @@ class TestClosedFormCircumcenter:
     @given(closed_form_cases())
     def test_matches_circumcenter3(self, case):
         op, sub, x = case
-        z, tx, ptx = _crm_parts(op, sub, x)
+        z, tx, ptx, fix, step_norm = _crm_parts(op, sub, x)
         np.testing.assert_array_equal(tx, op(x))
+        # The norms have the bits of np.linalg.norm's.
+        assert fix == np.linalg.norm(tx - x)
+        assert step_norm == np.linalg.norm(ptx - x)
         np.testing.assert_array_equal(ptx, sub.project(tx))
         expected = circumcenter_reference(op, sub, x)
         # Relative to the larger of x and z: a nearly collinear step lands
@@ -471,7 +474,7 @@ class TestClosedFormCircumcenter:
         rng, scale, along, across, sub, x = random_problem(data.draw)
         slope = 10.0 ** data.draw(st.floats(-8.0, -2.0))
         op = tilted_halfspace(rng, scale, along, across, x, slope)
-        z, tx, _ = _crm_parts(op, sub, x)
+        z, tx, *_ = _crm_parts(op, sub, x)
         r = 2.0 * tx - x
         w = 2.0 * sub.project(r) - r
         size = 1.0 + np.linalg.norm(z)
@@ -482,9 +485,10 @@ class TestClosedFormCircumcenter:
         # T(x) - x normal to U: P_U T(x) = x, and the step stays at x.
         op = HalfspaceProjection(np.array([0.0, 1.0]), -1.0)
         x = np.array([3.0, 0.0])
-        z, tx, ptx = _crm_parts(op, x_axis_subspace(), x)
+        z, tx, ptx, fix, step_norm = _crm_parts(op, x_axis_subspace(), x)
         np.testing.assert_array_equal(z, x)
         np.testing.assert_array_equal(ptx, x)
+        assert (fix, step_norm) == (1.0, 0.0)
 
     def test_lifted_iterates_are_bitwise_diagonal(self, monkeypatch):
         block, diag, inst = lifted_instance(n=5, p=4, seed=21)

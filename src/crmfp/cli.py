@@ -25,10 +25,6 @@ from .instance_gen import InstanceSpec, gen_instance, initial_point, load_instan
 from .product_space import BlockOperator, DiagonalSubspace, embed, extract
 from .solvers import SolverConfig, run
 
-# Named iteration budgets for the benchmark grid.
-PRESETS = {"max50k": 50000, "max25k": 25000}
-
-
 class UsageError(Exception):
     """An invalid option value or a malformed input file: reported in one
     line, exit status 2, as is a file that cannot be read or written
@@ -74,10 +70,7 @@ def _add_bench(sub):
     p.add_argument("--replicates", type=int, default=10)
     p.add_argument("--master-seed", type=int, default=2024)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--preset", choices=sorted(PRESETS), default="max50k",
-                   help="named iteration budget")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="explicit iteration budget; overrides --preset")
+    p.add_argument("--max-iter", type=int, default=50000, help="iteration budget per run")
     p.add_argument("--no-diagnostics", action="store_true")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True,
@@ -150,7 +143,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    max_iter = args.max_iter if args.max_iter is not None else PRESETS[args.preset]
     if args.workers < 1:
         raise UsageError("workers must be at least 1")
     grid = _config(
@@ -160,7 +152,7 @@ def _cmd_bench(args) -> int:
         replicates=args.replicates,
         master_seed=args.master_seed,
         tolerance=args.tol,
-        max_iterations=max_iter,
+        max_iterations=args.max_iter,
         diagnostics=not args.no_diagnostics,
     )
     results = run_experiment(grid, workers=args.workers)

@@ -16,8 +16,10 @@ step costs its numpy calls more than its arithmetic, so the root-find
 makes as few as it can: it starts from the g of the interior test (at
 lam = 0 nothing is left to evaluate), reads the constant beta of the
 secular form from the stack, and steps in buffers allocated once per
-call.  A call whose rows are all exterior rotates them back in one
-batched product, with no copy of the input and no scatter.
+call.  A row also finishes when a late step moves lam only by rounding,
+since with a large beta g's rounding can exceed the tolerance.  A call
+whose rows are all exterior rotates them back in one batched product,
+with no copy of the input and no scatter.
 
 Most rows of a solver's projector calls are interior and come back
 unchanged, yet the interior test needs the row in the eigenbasis: an
@@ -31,10 +33,14 @@ interior and returned unchanged without being rotated, exactly as the
 exact test would return it.  Every other row takes the same arithmetic as
 without the cache, so the cache never changes an output bit.
 
-Every rotation of some rows of a call (the rows in doubt, the exterior rows
-back, new anchors' gradients back) goes through one routine, _rotate_rows:
-one batched product when the rows are at least half of the call's, else
-one np.dot per row, which gives the same bits as its row of the batch.
+Every stack has one layout (EllipsoidStack): owned C-contiguous per-row
+arrays, and a (period, n, n) array of eigenbases in which row r uses basis
+r mod period, so a tile shares its members' eigenbases and one batched
+product (_rotate) rotates any stack.  Every rotation of some rows of a call
+(the rows in doubt, the exterior rows back, new anchors' gradients back)
+goes through one routine, _rotate_rows: one batched product when the rows
+are at least half of the call's, else one np.dot per row, which gives the
+same bits as its row of the batch.
 
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
@@ -87,7 +93,7 @@ class Ellipsoid:
         self.b = b
         self.alpha = alpha
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._b_rot: np.ndarray | None = None   # b in the eigenbasis, set by a stack
+        self._b_rot: np.ndarray | None = None   # b in the eigenbasis, set by eig()
         self._single: EllipsoidStack | None = None
 
     @property
@@ -107,12 +113,17 @@ class Ellipsoid:
         return float(x @ self.A @ x + 2.0 * (self.b @ x) - self.alpha)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigendecomposition (eigenvalues, eigenvectors) of A."""
+        """Cached eigendecomposition (eigenvalues, eigenvectors) of A.
+
+        b in that eigenbasis, Q'b, is cached beside it (as _b_rot) when the
+        eigendecomposition is computed; one np.dot gives the bits of its row
+        of a batched rotation.
+        """
         if self._eig is None:
             w, q = np.linalg.eigh(self.A)
             if w.min() <= 0.0:
                 raise ValueError("A is not positive definite")
-            self._eig = (w, q)
+            self._eig, self._b_rot = (w, q), np.dot(q.T, self.b)
         return self._eig
 
     def stack(self) -> "EllipsoidStack":
@@ -153,8 +164,6 @@ class Tangents(NamedTuple):
 
 def _rotate(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row r times rot[r mod len(rot)], in one batched product."""
-    if len(rot) == len(rows):
-        return np.matmul(rot, rows[..., None])[..., 0]
     return np.matmul(rot, rows.reshape(-1, len(rot), rows.shape[-1], 1)).reshape(rows.shape)
 
 
@@ -174,31 +183,26 @@ def _rotate_rows(rot: np.ndarray, count: int, idx: np.ndarray, vecs: np.ndarray)
     return out
 
 
-def _repeat_view(a: np.ndarray, k: int) -> np.ndarray:
-    """The one row of a, k times: a read-only stride-0 view of a."""
-    view = np.ndarray((k,) + a.shape[1:], a.dtype, a, 0, (0,) + a.strides[1:])
-    view.flags.writeable = False
-    return view
-
-
 class EllipsoidStack:
     """Eigenbasis data for a fixed list of same-dimension ellipsoids.
 
-    Row j of a batch belongs to ellipsoid j.  Built once and reused.  The
-    first stack to compute a member's eigendecomposition owns its
-    Ellipsoid.eig() cache: the cache becomes a view of that stack's row,
-    so the eigenbasis is not held twice once the stack is built.  A later
-    stack over the same member copies the cached row and leaves the cache
-    as it is, so the cache never keeps a later stack alive after its last
-    user drops it.  b in the eigenbasis is cached on the member the same
-    way, and a stack whose members all have it copies it instead of
-    rotating b again (every row of a batched product is that row's product
-    alone, so the bits are the same either way).  betas holds each row's
-    constant beta = alpha + sum b~^2 / w of the secular form (see
-    _root_project), computed once here rather than per projector call.
-    tile(k) repeats the stack k times over (row r belongs to member r mod
-    J) without copying an eigenbasis, so k points can go through one
-    stacked solve.
+    Row j of a batch belongs to ellipsoid j.  Built once and reused.  Every
+    stack, plain or tiled, has one layout: eigs, b_rot (b in the
+    eigenbasis), alphas and betas are owned C-contiguous arrays with one
+    row per batch row, and rot is a (period, n, n) array of eigenbases, row
+    r using rot[r mod period] (period = J for a plain stack).  betas holds
+    each row's constant beta = alpha + sum b~^2 / w of the secular form
+    (see _root_project), computed once here rather than per projector call.
+
+    The rows are stacked from the members' Ellipsoid.eig() caches, the
+    eigendecomposition and b in its eigenbasis.  The first stack to compute
+    a member's eigendecomposition owns both caches: they become views of
+    that stack's rows, so neither is held twice once the stack is built.
+    A later stack over the same member copies the cached rows and leaves
+    the caches as they are, so they never keep a later stack alive after
+    its last user drops it.  tile(k) repeats the stack k times over (row r
+    belongs to member r mod J) without copying an eigenbasis, so k points
+    can go through one stacked solve.
 
     The stack also caches, in tangents (a Tangents, None before the first
     anchor), one anchor per row: the last point of row j that was in doubt
@@ -220,19 +224,12 @@ class EllipsoidStack:
         computed = [e._eig is None for e in ellipsoids]
         eig = [e.eig() for e in ellipsoids]
         self.dim = n
-        self.eigs = np.stack([w for w, _ in eig])     # (J, n)
-        self.rot = np.stack([q for _, q in eig])      # (J, n, n)
+        self.eigs = np.stack([w for w, _ in eig])                 # (J, n)
+        self.rot = np.stack([q for _, q in eig])                  # (J, n, n)
+        self.b_rot = np.array([e._b_rot for e in ellipsoids])     # (J, n)
         for j, e in enumerate(ellipsoids):
             if computed[j]:
-                e._eig = (self.eigs[j], self.rot[j])
-        if all(e._b_rot is not None for e in ellipsoids):
-            self.b_rot = np.array([e._b_rot for e in ellipsoids])
-        else:
-            b = np.array([e.b for e in ellipsoids])
-            self.b_rot = np.matmul(self.rot.transpose(0, 2, 1), b[..., None])[..., 0]  # (J, n)
-            for j, e in enumerate(ellipsoids):
-                if e._b_rot is None:
-                    e._b_rot = self.b_rot[j]
+                e._eig, e._b_rot = (self.eigs[j], self.rot[j]), self.b_rot[j]
         self.alphas = np.array([e.alpha for e in ellipsoids])
         self.betas = self.alphas + (self.b_rot * self.b_rot / self.eigs).sum(-1)
         self.tangents: Tangents | None = None
@@ -240,7 +237,7 @@ class EllipsoidStack:
     @classmethod
     def concatenate(cls, stacks) -> "EllipsoidStack":
         if any(len(s.rot) != len(s) for s in stacks):
-            raise ValueError("a tile of several members cannot be concatenated")
+            raise ValueError("a tile cannot be concatenated")
         out = cls.__new__(cls)
         out.dim = stacks[0].dim
         out.eigs = np.concatenate([s.eigs for s in stacks])
@@ -255,26 +252,16 @@ class EllipsoidStack:
         """Stack of k * J rows in which row r belongs to member r mod J.
 
         The eigenbases are shared, never copied: rot is this stack's own
-        (J, n, n) array, and for J = 1 all five per-row arrays (eigs, rot,
-        b_rot, alphas, betas) are read-only stride-0 views of this stack's.
-        The tiled stack starts with no anchors, and a call on it never
-        changes this stack's.
+        array.  The per-row arrays (eigs, b_rot, alphas, betas) gather this
+        stack's rows by member index into owned C-contiguous arrays, the
+        same way for every J.  The tiled stack starts with no anchors, and a
+        call on it never changes this stack's.
         """
         out = EllipsoidStack.__new__(EllipsoidStack)
-        out.dim = self.dim
-        if len(self) == 1:
-            out.eigs = _repeat_view(self.eigs, k)
-            out.rot = _repeat_view(self.rot, k)
-            out.b_rot = _repeat_view(self.b_rot, k)
-            out.alphas = _repeat_view(self.alphas, k)
-            out.betas = _repeat_view(self.betas, k)
-        else:
-            out.eigs = np.tile(self.eigs, (k, 1))
-            out.rot = self.rot
-            out.b_rot = np.tile(self.b_rot, (k, 1))
-            out.alphas = np.tile(self.alphas, k)
-            out.betas = np.tile(self.betas, k)
-        out.tangents = None
+        member = np.arange(k * len(self)) % len(self)
+        out.dim, out.rot, out.tangents = self.dim, self.rot, None
+        out.eigs, out.b_rot, out.alphas, out.betas = (
+            a[member] for a in (self.eigs, self.b_rot, self.alphas, self.betas))
         return out
 
     def __len__(self) -> int:
@@ -378,8 +365,12 @@ def _root_project(w, bt, alph, beta, zt, g, gtol) -> np.ndarray:
     beta = alpha + sum b^2 / w > 0 (EllipsoidStack.betas), so h = phi^(-1/2)
     is concave and increasing in lam.  Newton on h(lam) = beta^(-1/2) from
     lam = 0 therefore rises monotonically to the root: no bracket or
-    safeguard is needed.  Stops when |g| <= gtol (rowwise); finished rows
-    keep their multiplier.
+    safeguard is needed.  A row finishes when |g| <= gtol, or, from step 6
+    on, when its last step was below 2^-50 lam or negative: in exact
+    arithmetic the steps stay positive, so the step then moved lam only by
+    rounding, and the row is at the root to working precision.  That stall
+    exit matters when beta is large, since g's rounding (about n eps beta)
+    can then exceed any absolute gtol.  Finished rows keep their multiplier.
 
     g is the rows' value at lam = 0, which the caller's interior test has
     computed: there the denominator is exactly 1 and s = w z + b, so the
@@ -387,14 +378,14 @@ def _root_project(w, bt, alph, beta, zt, g, gtol) -> np.ndarray:
     once per call; 2 b is formed once, and doubling is exact unless b p
     underflows, so the values are those of evaluating each step afresh.
     The buffers are C-contiguous, so each row sum is numpy's pairwise sum
-    of that row, as for a freshly allocated array.  At these sizes numpy's
-    per-call dispatch outweighs the arithmetic: the stride-0 rows of a
-    tile are copied once, and constants are 0-d arrays, because both
-    dispatch faster in every step.
+    of that row, as for a freshly allocated array.  The inputs are used as
+    they come, with no copy: every stack's per-row arrays are C-contiguous
+    (EllipsoidStack), and so are their fancy-indexed rows.  At these sizes
+    numpy's per-call dispatch outweighs the arithmetic, so constants are
+    0-d arrays, which dispatch faster in every step.
     """
     if np.count_nonzero(np.isfinite(g)) < len(g):
         raise RootNotBracketed("non-finite exterior row")
-    w, bt, alph, beta = (np.ascontiguousarray(a) for a in (w, bt, alph, beta))
     gtol, one, bt2 = np.asarray(gtol), np.array(1.0), 2.0 * bt
     num = w * zt + bt
     lam = np.zeros(len(zt))
@@ -405,6 +396,8 @@ def _root_project(w, bt, alph, beta, zt, g, gtol) -> np.ndarray:
     hit, active = np.empty(len(zt), dtype=bool), np.ones(len(zt), dtype=bool)
     for k in range(100):
         np.less_equal(np.abs(val, out=aux), gtol, out=hit)
+        if k >= 6:   # the last step (phi) moved lam back, or only by rounding
+            hit |= phi <= 2.0**-50 * lam
         if not np.count_nonzero(np.greater(active, hit, out=active)):
             return pt if k else zt - 0.0 * bt   # p(0), its signs of zero included
         # h step (beta^-1/2 - phi^-1/2) / h' with -phi' = 2 sum s^2 / denom,
@@ -549,7 +542,9 @@ def project_kkt(ellipsoid: Ellipsoid, x, tol: float = KKT_TOL) -> np.ndarray:
 
     Interior points (g(x) <= 0) return unchanged.  For exterior points the
     unique multiplier lam* > 0 with g(p(lam*)) = 0 is refined until
-    |g| <= tol / 2.  The splitting projector's set step is this root-find.
+    |g| <= tol / 2, or until a step moves it only by rounding
+    (_root_project).  The splitting projector's set step is this
+    root-find, and EllipsoidProjection calls this function.
     """
     x = ellipsoid._point(x)
     return kkt_project_stacked(ellipsoid.stack(), x[None, :], tol)[0]

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked
+from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked, project_kkt
 from .ellipsoid import admm_project_stacked  # noqa: F401  (a perfbench trace site)
 from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
 
@@ -156,7 +156,7 @@ class BallProjection:
 
 class EllipsoidProjection:
     """Projection onto an ellipsoid by the direct root-find, which stops at
-    |g| <= kkt_tol / 2 (kkt_project_stacked)."""
+    |g| <= kkt_tol / 2 (project_kkt)."""
 
     kind = "ellipsoid-projection"
 
@@ -166,8 +166,7 @@ class EllipsoidProjection:
         self.dim = ellipsoid.dim
 
     def __call__(self, x) -> np.ndarray:
-        x = _check_vec(x, self.dim)
-        return kkt_project_stacked(self.ellipsoid.stack(), x[None, :], self.kkt_tol)[0]
+        return project_kkt(self.ellipsoid, x, self.kkt_tol)
 
 
 class ConvexCombination:

@@ -35,7 +35,7 @@ from crmfp import (
     translate,
     translated_projection_deviation,
 )
-from crmfp.ellipsoid import KKT_TOL
+from crmfp.ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack
 from crmfp.operators import EvaluationPlan
 from crmfp.product_space import BlockOperator
 
@@ -593,12 +593,19 @@ class TestEvaluationPlan:
         assert_same_bits(second.stack.rot, first.stack.rot)
         # The second plan copies the cached rotated b: the bits of rotating it.
         b = np.stack([e.b for e in members])
-        assert_same_bits(second.stack.b_rot,
-                         np.matmul(first.stack.rot.transpose(0, 2, 1), b[..., None])[..., 0])
+        batched = np.matmul(first.stack.rot.transpose(0, 2, 1), b[..., None])[..., 0]
+        assert_same_bits(second.stack.b_rot, batched)
         for e in members:
             assert np.shares_memory(e.eig()[1], first.stack.rot)
+            assert np.shares_memory(e._b_rot, first.stack.b_rot)
             assert not np.shares_memory(e.eig()[1], second.stack.rot)
             assert not np.shares_memory(e._b_rot, second.stack.b_rot)
+        # A member whose eig() ran before any stack rotated b alone: the
+        # same bits as its row of the batched rotation.
+        fresh = [Ellipsoid(e.A, e.b, e.alpha) for e in members]
+        for e in fresh:
+            e.eig()
+        assert_same_bits(EllipsoidStack(fresh).b_rot, batched)
         # No cache keeps the second plan's stack alive.
         was_enabled = gc.isenabled()
         gc.disable()

@@ -1,0 +1,132 @@
+"""Check that two checkouts of crmfp give the same output bits.
+
+Usage:
+    python tools/same_bits.py PARENT_DIR CHANGE_DIR
+
+PARENT_DIR and CHANGE_DIR are checkouts with src/.  For each, the script
+runs itself in a child process with that checkout's src/ on PYTHONPATH and
+BLAS on one thread, and the child computes one fixed set of items:
+
+- ppm and the lifted crm (with the fejer and membership checks, as
+  bench.run_cell sets them) at 10x10, 50x50, 100x30 and 200x10, instance
+  seeds 1 and 2, capped at CAP iterations: stop reason, iteration count,
+  residual and distance histories and the final point;
+- images of each combination of those instances, and of its first member,
+  at the initial point and three random points;
+- firm_nonexpansiveness_slack and gradient_check on each instance's first
+  combination and first member.
+
+It prints one sha256 digest per item and side, and exits with status 1
+when an item's digests differ or an item is missing on one side, else 0.
+It checks changes that promise the same bits; a change that means to alter
+them fails it by design.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+CELLS = ((10, 10), (50, 50), (100, 30), (200, 10))
+SEEDS = (1, 2)
+CAP = 200
+
+
+def digest(*parts) -> str:
+    """sha256 over the parts: a string's UTF-8 bytes, anything else as the
+    shape and bytes of its float64 array."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            h.update(part.encode())
+        else:
+            a = np.asarray(part, dtype=float)
+            h.update(repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def emit() -> dict:
+    """Digests of every item, computed with the crmfp on sys.path."""
+    import crmfp
+    from crmfp import (BlockOperator, DiagonalSubspace, InstanceSpec, SolverConfig, embed,
+                       firm_nonexpansiveness_slack, gen_instance, gradient_check, images,
+                       initial_point, run)
+
+    def of_trace(t):
+        return digest(t.stop_reason, [t.iterations], t.residual_history,
+                      t.fixed_point_residuals, t.dist_history or [], t.final_point)
+
+    items = {}
+    for n, p in CELLS:
+        for seed in SEEDS:
+            name = f"n={n} p={p} seed={seed}"
+            inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
+            x0 = initial_point(inst)
+            cfg = SolverConfig(tolerance=1e-6, max_iterations=CAP)
+            items[f"ppm {name}"] = of_trace(run("ppm", inst.operators, x0, cfg))
+            crm_cfg = SolverConfig(tolerance=1e-6, max_iterations=CAP,
+                                   diagnostics=("fejer", "membership"))
+            items[f"crm {name}"] = of_trace(run(
+                "crm", (BlockOperator(inst.operators), DiagonalSubspace(n, p)), embed(x0, p),
+                crm_cfg, solution=embed(inst.fixed_point, p)))
+            rng = np.random.default_rng(seed)
+            points = np.concatenate([x0[None], 3.0 * rng.standard_normal((3, n))])
+            items[f"images {name}"] = digest(
+                *(images(q, points) for op in inst.operators for q in (op, op.operators[0])))
+            first = inst.operators[0]
+            x, y = 3.0 * rng.standard_normal((2, n))
+            items[f"checks {name}"] = digest(
+                [firm_nonexpansiveness_slack(q, x, y) for q in (first, first.operators[0])],
+                [gradient_check(q, x) for q in (first, first.operators[0])])
+    return {"crmfp": str(Path(crmfp.__file__).resolve()), "items": items}
+
+
+def emitted(checkout: Path) -> dict:
+    """The child's digests for one checkout; raises if it imported another crmfp."""
+    src = (checkout / "src").resolve()
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit"],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not Path(out["crmfp"]).is_relative_to(src):
+        raise RuntimeError(f"{checkout}: imported crmfp from {out['crmfp']}")
+    return out["items"]
+
+
+def compare(parent: dict, change: dict) -> list[tuple[str, str | None, str | None, bool]]:
+    """(item, parent digest, change digest, same) for the items of either
+    side, in the parent's order, then the change's extra items."""
+    names = list(parent) + [k for k in change if k not in parent]
+    return [(k, parent.get(k), change.get(k), k in parent and parent.get(k) == change.get(k))
+            for k in names]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path, nargs="?")
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        print(json.dumps(emit()))
+        return 0
+    if args.change is None:
+        parser.error("PARENT_DIR and CHANGE_DIR are required")
+    rows = compare(emitted(args.parent), emitted(args.change))
+    for name, p, c, same in rows:
+        print(f"{'same' if same else 'DIFFERENT':<9} {name:<28} "
+              f"{(p or 'missing')[:16]:<16} {(c or 'missing')[:16]}")
+    differ = sum(not same for *_, same in rows)
+    print(f"{len(rows) - differ} of {len(rows)} items identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,7 +33,7 @@ interior and returned unchanged without being rotated, exactly as the
 exact test would return it.  Every other row takes the same arithmetic as
 without the cache, so the cache never changes an output bit.
 
-Every stack has one layout (EllipsoidStack): owned C-contiguous per-row
+Every stack has one layout (EllipsoidStack): C-contiguous per-row
 arrays, and a (period, n, n) array of eigenbases in which row r uses basis
 r mod period, so a tile shares its members' eigenbases and one batched
 product (_rotate) rotates any stack.  Every rotation of some rows of a call
@@ -117,7 +117,9 @@ class Ellipsoid:
 
         b in that eigenbasis, Q'b, is cached beside it (as _b_rot) when the
         eigendecomposition is computed; one np.dot gives the bits of its row
-        of a batched rotation.
+        of a batched rotation.  The first EllipsoidStack over this
+        ellipsoid writes both into its row and rebinds the caches to views
+        of that row.
         """
         if self._eig is None:
             w, q = np.linalg.eigh(self.A)
@@ -188,21 +190,30 @@ class EllipsoidStack:
 
     Row j of a batch belongs to ellipsoid j.  Built once and reused.  Every
     stack, plain or tiled, has one layout: eigs, b_rot (b in the
-    eigenbasis), alphas and betas are owned C-contiguous arrays with one
-    row per batch row, and rot is a (period, n, n) array of eigenbases, row
-    r using rot[r mod period] (period = J for a plain stack).  betas holds
-    each row's constant beta = alpha + sum b~^2 / w of the secular form
-    (see _root_project), computed once here rather than per projector call.
+    eigenbasis), alphas and betas are C-contiguous arrays with one row per
+    batch row, and rot is a (period, n, n) array of eigenbases, row r using
+    rot[r mod period] (period = J for a plain stack).  betas holds each
+    row's constant beta = alpha + sum b~^2 / w of the secular form (see
+    _root_project), computed once here rather than per projector call.
 
-    The rows are stacked from the members' Ellipsoid.eig() caches, the
-    eigendecomposition and b in its eigenbasis.  The first stack to compute
-    a member's eigendecomposition owns both caches: they become views of
-    that stack's rows, so neither is held twice once the stack is built.
-    A later stack over the same member copies the cached rows and leaves
-    the caches as they are, so they never keep a later stack alive after
-    its last user drops it.  tile(k) repeats the stack k times over (row r
-    belongs to member r mod J) without copying an eigenbasis, so k points
-    can go through one stacked solve.
+    The rows come from the members' Ellipsoid.eig() caches, the
+    eigendecomposition and b in its eigenbasis, by one rule.  When those
+    caches are exactly the rows of one earlier stack, in the same order,
+    this stack shares that stack's eigs, rot and b_rot arrays (a cache a
+    stack owns is a view of its row: .base names the array and the data
+    address the row).  Otherwise it allocates the three arrays and fills
+    them row by row, decomposing members that have no cache yet.  A member
+    whose caches some stack already holds keeps them; any other member's
+    caches become views of its row here, so the first stack over a member
+    owns its caches.  An eigh output is dropped as soon as it is copied
+    into its row, so a build never holds the eigendecompositions it
+    computes twice.  The caches keep only the arrays alive, never a stack,
+    so a stack is freed when its last user drops it, and a plan built
+    after another over the same list shares its rows even once the first
+    plan is gone.  Each stack keeps its own alphas, betas and anchors.
+    tile(k) repeats the stack k times over (row r belongs to member r mod
+    J) without copying an eigenbasis, so k points can go through one
+    stacked solve.
 
     The stack also caches, in tangents (a Tangents, None before the first
     anchor), one anchor per row: the last point of row j that was in doubt
@@ -221,15 +232,18 @@ class EllipsoidStack:
         n = ellipsoids[0].dim
         if any(e.dim != n for e in ellipsoids):
             raise DimensionMismatch("stacked ellipsoids must share one dimension")
-        computed = [e._eig is None for e in ellipsoids]
-        eig = [e.eig() for e in ellipsoids]
-        self.dim = n
-        self.eigs = np.stack([w for w, _ in eig])                 # (J, n)
-        self.rot = np.stack([q for _, q in eig])                  # (J, n, n)
-        self.b_rot = np.array([e._b_rot for e in ellipsoids])     # (J, n)
-        for j, e in enumerate(ellipsoids):
-            if computed[j]:
-                e._eig, e._b_rot = (self.eigs[j], self.rot[j]), self.b_rot[j]
+        self.dim, J, first = n, len(ellipsoids), ellipsoids[0]._eig
+        rot = None if first is None else first[1].base
+        if rot is not None and len(rot) == J and all(
+                e._eig is not None and e._eig[1].ctypes.data == rot[j].ctypes.data
+                for j, e in enumerate(ellipsoids)):
+            self.eigs, self.rot, self.b_rot = first[0].base, rot, ellipsoids[0]._b_rot.base
+        else:
+            self.eigs, self.rot, self.b_rot = map(np.empty, ((J, n), (J, n, n), (J, n)))
+            for j, e in enumerate(ellipsoids):
+                (self.eigs[j], self.rot[j]), self.b_rot[j] = e.eig(), e._b_rot
+                if e._eig[1].base is None:   # no stack holds this member's caches
+                    e._eig, e._b_rot = (self.eigs[j], self.rot[j]), self.b_rot[j]
         self.alphas = np.array([e.alpha for e in ellipsoids])
         self.betas = self.alphas + (self.b_rot * self.b_rot / self.eigs).sum(-1)
         self.tangents: Tangents | None = None

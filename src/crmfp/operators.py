@@ -10,7 +10,10 @@ one projector, the stacked root-find kkt_project_stacked.
 A fixed list of operators is evaluated through an EvaluationPlan, built
 once per list: every ellipsoid projection among the operators (or among
 the members of their convex combinations) is one row of a single stacked
-solve, on one EllipsoidStack built straight from those member ellipsoids.
+solve, on one EllipsoidStack built straight from those member ellipsoids,
+whatever its size.  A second plan over the same list shares the first
+one's eigenbases (see EllipsoidStack), so ppm's plan and the lifted crm's
+plan over one instance hold them once.
 Rows of a batch never interact, and convex combinations sum their
 members the same way in a plan and alone, so a plan returns exactly what
 operator-by-operator evaluation returns, without the per-member loop.
@@ -27,14 +30,6 @@ import numpy as np
 from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked, project_kkt
 from .ellipsoid import admm_project_stacked  # noqa: F401  (a perfbench trace site)
 from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
-
-# A plan that fuses a convex combination into a stack of more than this
-# many eigenbasis floats calls its operators one by one instead; results are
-# identical either way.  The gate bounds memory: bench.run_cell's crm plan
-# copies the eigenbases that its ppm plan computed, so without the gate a
-# 30-iteration 200 x 200 cell peaked at 1028 MB of RSS against 542 MB with
-# it (286 against 167 MB at 100 x 200).
-FUSE_GATE = 1 << 22
 
 
 def _check_vec(x, dim: int) -> np.ndarray:
@@ -256,15 +251,15 @@ class EvaluationPlan:
     EllipsoidStack; each convex combination of ellipsoid projections owns
     a run of consecutive rows (one per member) and its weights.  The stack
     is built straight from those member ellipsoids, and the rows of the
-    first such operator's kkt_tol are fused.  A call projects all rows in
-    one stacked solve and sums the runs in one segmented sum.  Operators of
-    other kinds or tolerances, and every operator when a plan that fuses a
-    combination would stack more than FUSE_GATE floats, are called as they
-    are.  The first stack over a member ellipsoid owns its eig() cache (see
-    EllipsoidStack), so a plan built after another over the same members
-    copies their eigenbases and leaves the caches to the first.  Each image
-    is the same arithmetic on the same values as the operator's own call,
-    so the two agree bit for bit.
+    first such operator's kkt_tol are fused, at any size.  A call projects
+    all rows in one stacked solve and sums the runs in one segmented sum.
+    Operators of other kinds or tolerances are called as they are.  The
+    first stack over a member ellipsoid owns its eig() cache (see
+    EllipsoidStack), so a plan built after another over the same list, in
+    the same order, shares its eigenbases; a plan over other members or
+    another order copies them.  Each plan keeps its own anchors.  Each
+    image is the same arithmetic on the same values as the operator's own
+    call, so the two agree bit for bit.
     """
 
     def __init__(self, operators):
@@ -281,8 +276,6 @@ class EvaluationPlan:
         fused = [i for i, part in parts.items() if part[2] == key]
         members = [e for i in fused for e in parts[i][0]]
         weights = [parts[i][1] for i in fused]
-        if any(w is not None for w in weights) and len(members) * n * n > FUSE_GATE:
-            fused, members, weights = [], [], []
         row_weights = [np.ones(1) if w is None else w for w in weights]
         self.operators = operators
         self.dim = n

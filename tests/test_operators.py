@@ -1,5 +1,6 @@
 """Operator algebra: concrete projections and the structural checks."""
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -540,32 +541,6 @@ class TestEvaluationPlan:
             assert_matches_member_loop(shared[i], op, points[0])
             assert_matches_member_loop(per_row[i], op, points[i])
 
-    def test_gate_falls_back_to_operator_calls(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        members = [EllipsoidProjection(gen_ellipsoid(4, rng)) for _ in range(6)]
-        combos = [ConvexCombination(members[:3], np.full(3, 1 / 3)),
-                  ConvexCombination(members[3:], np.full(3, 1 / 3))]
-        x = rng.standard_normal(4) * 3
-        fused = EvaluationPlan(combos)
-        monkeypatch.setattr(operators_module, "FUSE_GATE", 0)
-        gated = EvaluationPlan(combos)
-        assert fused.stack is not None and gated.stack is None
-        np.testing.assert_array_equal(fused(x), gated(x))
-        for image, combo in zip(fused(x), combos):
-            np.testing.assert_array_equal(image, combo(x))
-            assert_matches_member_loop(image, combo, x)
-
-    def test_gate_leaves_plans_of_projections_fused(self, monkeypatch):
-        # Only a plan that fuses a combination is gated.
-        rng = np.random.default_rng(7)
-        ops = [EllipsoidProjection(gen_ellipsoid(4, rng)) for _ in range(3)]
-        monkeypatch.setattr(operators_module, "FUSE_GATE", 0)
-        plan = EvaluationPlan(ops)
-        assert plan.called == [] and len(plan.stack) == 3
-        x = rng.standard_normal(4) * 3
-        for image, op in zip(plan(x), ops):
-            np.testing.assert_array_equal(image, op(x))
-
     def test_combination_stack_built_once(self, monkeypatch):
         rng = np.random.default_rng(6)
         combo = ConvexCombination(
@@ -588,34 +563,68 @@ class TestEvaluationPlan:
     def test_second_plan_leaves_the_eig_caches(self):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=11))
         members = [m.ellipsoid for op in inst.operators for m in op.operators]
-        first = EvaluationPlan(inst.operators)
-        second = EvaluationPlan(inst.operators)
-        assert_same_bits(second.stack.rot, first.stack.rot)
-        # The second plan copies the cached rotated b: the bits of rotating it.
-        b = np.stack([e.b for e in members])
-        batched = np.matmul(first.stack.rot.transpose(0, 2, 1), b[..., None])[..., 0]
-        assert_same_bits(second.stack.b_rot, batched)
-        for e in members:
-            assert np.shares_memory(e.eig()[1], first.stack.rot)
-            assert np.shares_memory(e._b_rot, first.stack.b_rot)
-            assert not np.shares_memory(e.eig()[1], second.stack.rot)
-            assert not np.shares_memory(e._b_rot, second.stack.b_rot)
-        # A member whose eig() ran before any stack rotated b alone: the
-        # same bits as its row of the batched rotation.
-        fresh = [Ellipsoid(e.A, e.b, e.alpha) for e in members]
-        for e in fresh:
-            e.eig()
-        assert_same_bits(EllipsoidStack(fresh).b_rot, batched)
-        # No cache keeps the second plan's stack alive.
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            alive = weakref.ref(second.stack)
-            del second
-            assert alive() is None
+            first = EvaluationPlan(inst.operators)
+            rot, b_rot = first.stack.rot, first.stack.b_rot
+            stacks = [weakref.ref(first.stack)]
+            del first
+            # The first stack is freed; the member caches keep its rows alive,
+            # and a second plan over the same list shares them.
+            assert stacks[0]() is None
+            second = EvaluationPlan(inst.operators)
+            assert second.stack.rot is rot and second.stack.b_rot is b_rot
+            b = np.stack([e.b for e in members])
+            batched = np.matmul(rot.transpose(0, 2, 1), b[..., None])[..., 0]
+            assert_same_bits(b_rot, batched)
+            # Another order, or a subset, copies the rows and leaves the
+            # caches with their owner.
+            for ops in (inst.operators[::-1], inst.operators[:2]):
+                plan = EvaluationPlan(ops)
+                rows = [m.ellipsoid for op in ops for m in op.operators]
+                assert not np.shares_memory(plan.stack.rot, rot)
+                assert not np.shares_memory(plan.stack.b_rot, b_rot)
+                assert_same_bits(plan.stack.rot, np.stack([e.eig()[1] for e in rows]))
+                assert_same_bits(plan.stack.b_rot, np.stack([e._b_rot for e in rows]))
+                stacks.append(weakref.ref(plan.stack))
+                del plan
+            for e in members:
+                assert e.eig()[1].base is rot and e._b_rot.base is b_rot
+            # Each plan keeps its own screen.
+            third = EvaluationPlan(inst.operators)
+            assert third.stack.rot is rot
+            second(inst.fixed_point)
+            assert second.stack.tangents is not None and third.stack.tangents is None
+            # No cache keeps any plan's stack alive.
+            stacks += [weakref.ref(second.stack), weakref.ref(third.stack)]
+            del second, third
+            assert all(alive() is None for alive in stacks)
         finally:
             if was_enabled:
                 gc.enable()
+        # A member whose eig() ran before any stack rotated b alone: the
+        # same bits as its row of the batched rotation.  The first stack
+        # over such members still becomes the owner of their caches.
+        fresh = [Ellipsoid(e.A, e.b, e.alpha) for e in members]
+        for e in fresh:
+            e.eig()
+        stack = EllipsoidStack(fresh)
+        assert_same_bits(stack.b_rot, batched)
+        assert all(e._b_rot.base is stack.b_rot and e.eig()[1].base is stack.rot for e in fresh)
+
+    def test_building_a_plan_holds_its_rows_once(self):
+        # Each eigendecomposition is written into its row as it is computed,
+        # so the eigh outputs are never held next to their stacked copy.
+        inst = gen_instance(InstanceSpec(n=40, p=10, seed=3))
+        assert all(m.ellipsoid._eig is None for op in inst.operators for m in op.operators)
+        tracemalloc.start()
+        try:
+            plan = EvaluationPlan(inst.operators)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * plan.stack.rot.nbytes
 
     def test_points_shape_checked(self):
         plan = EvaluationPlan([Identity(2), Identity(2)])

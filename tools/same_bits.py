@@ -9,8 +9,9 @@ BLAS on one thread, and the child computes one fixed set of items:
 
 - ppm and the lifted crm (with the fejer and membership checks, as
   bench.run_cell sets them) at 10x10, 50x50, 100x30 and 200x10, instance
-  seeds 1 and 2, capped at CAP iterations: stop reason, iteration count,
-  residual and distance histories and the final point;
+  seeds 1 and 2, capped at CAP iterations, and at 100x200, seed 1, capped
+  at 30 iterations (a plan of 4M eigenbasis floats): stop reason,
+  iteration count, residual and distance histories and the final point;
 - images of each combination of those instances, and of its first member,
   at the initial point and three random points;
 - firm_nonexpansiveness_slack and gradient_check on each instance's first
@@ -63,18 +64,23 @@ def emit() -> dict:
                       t.fixed_point_residuals, t.dist_history or [], t.final_point)
 
     items = {}
+
+    def solve(name, inst, x0, cap):
+        n, p = inst.spec.n, inst.spec.p
+        cfg = SolverConfig(tolerance=1e-6, max_iterations=cap)
+        items[f"ppm {name}"] = of_trace(run("ppm", inst.operators, x0, cfg))
+        crm_cfg = SolverConfig(tolerance=1e-6, max_iterations=cap,
+                               diagnostics=("fejer", "membership"))
+        items[f"crm {name}"] = of_trace(run(
+            "crm", (BlockOperator(inst.operators), DiagonalSubspace(n, p)), embed(x0, p),
+            crm_cfg, solution=embed(inst.fixed_point, p)))
+
     for n, p in CELLS:
         for seed in SEEDS:
             name = f"n={n} p={p} seed={seed}"
             inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
             x0 = initial_point(inst)
-            cfg = SolverConfig(tolerance=1e-6, max_iterations=CAP)
-            items[f"ppm {name}"] = of_trace(run("ppm", inst.operators, x0, cfg))
-            crm_cfg = SolverConfig(tolerance=1e-6, max_iterations=CAP,
-                                   diagnostics=("fejer", "membership"))
-            items[f"crm {name}"] = of_trace(run(
-                "crm", (BlockOperator(inst.operators), DiagonalSubspace(n, p)), embed(x0, p),
-                crm_cfg, solution=embed(inst.fixed_point, p)))
+            solve(name, inst, x0, CAP)
             rng = np.random.default_rng(seed)
             points = np.concatenate([x0[None], 3.0 * rng.standard_normal((3, n))])
             items[f"images {name}"] = digest(
@@ -84,6 +90,8 @@ def emit() -> dict:
             items[f"checks {name}"] = digest(
                 [firm_nonexpansiveness_slack(q, x, y) for q in (first, first.operators[0])],
                 [gradient_check(q, x) for q in (first, first.operators[0])])
+    inst = gen_instance(InstanceSpec(n=100, p=200, seed=1))
+    solve("n=100 p=200 seed=1", inst, initial_point(inst), 30)
     return {"crmfp": str(Path(crmfp.__file__).resolve()), "items": items}
 
 

@@ -97,7 +97,7 @@ def _add_profile(sub):
 def _cmd_gen(args) -> int:
     spec = _config(InstanceSpec, n=args.n, p=args.p, seed=args.seed,
                    gamma=args.gamma, density=args.density)
-    save_instance(gen_instance(spec), args.out)
+    save_instance(gen_instance(spec, decomposed=False), args.out)
     print(f"wrote instance n={args.n} p={args.p} seed={args.seed} to {args.out}")
     return 0
 

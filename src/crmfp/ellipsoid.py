@@ -42,6 +42,13 @@ goes through one routine, _rotate_rows: one batched product when the rows
 are at least half of the call's, else one np.dot per row, which gives the
 same bits as its row of the batch.
 
+Eigendecompositions are computed in one place, decompose(): over many
+ellipsoids at once (an instance's members, in operator order), on a
+thread pool when the work pays for one, into one array of rows, and each
+ellipsoid's cache is a view of its row.  A stack over consecutive rows of
+that array, in order, views the slice; any other stack gathers a copy of
+its rows.
+
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
 with a consensus constraint) whose set step is that same root-find.  The
@@ -51,6 +58,8 @@ no code with either.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,6 +74,8 @@ KKT_TOL = 1e-11
 # Margin of the interior certificate, relative to the size of g's terms at
 # the anchor and the row (see EllipsoidStack.anchor).
 SCREEN_RTOL = 1e-9
+# The settings of the threads one BLAS call may take, in the order BLAS reads them.
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class Ellipsoid:
@@ -93,7 +104,9 @@ class Ellipsoid:
         self.b = b
         self.alpha = alpha
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._b_rot: np.ndarray | None = None   # b in the eigenbasis, set by eig()
+        # b in the eigenbasis; decompose() sets it, and _row, the row of both
+        # caches in its arrays.
+        self._b_rot: np.ndarray | None = None
         self._single: EllipsoidStack | None = None
 
     @property
@@ -115,17 +128,15 @@ class Ellipsoid:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached eigendecomposition (eigenvalues, eigenvectors) of A.
 
-        b in that eigenbasis, Q'b, is cached beside it (as _b_rot) when the
-        eigendecomposition is computed; one np.dot gives the bits of its row
-        of a batched rotation.  The first EllipsoidStack over this
-        ellipsoid writes both into its row and rebinds the caches to views
-        of that row.
+        b in that eigenbasis, Q'b, is cached beside it (as _b_rot); one
+        np.dot gives the bits of its row of a batched rotation.  Only
+        decompose() sets the caches, always as views of one row of its
+        arrays; here it runs over this ellipsoid alone, unless the caches
+        are already set (generation and loading set them for a whole
+        instance).
         """
         if self._eig is None:
-            w, q = np.linalg.eigh(self.A)
-            if w.min() <= 0.0:
-                raise ValueError("A is not positive definite")
-            self._eig, self._b_rot = (w, q), np.dot(q.T, self.b)
+            decompose([self])
         return self._eig
 
     def stack(self) -> "EllipsoidStack":
@@ -146,6 +157,57 @@ class Ellipsoid:
     def from_dict(cls, data: dict, dim: int) -> "Ellipsoid":
         A = np.asarray(data["A"], dtype=float).reshape(dim, dim)
         return cls(A, np.asarray(data["b"], dtype=float), float(data["alpha"]))
+
+
+def _pool_size(members: int, n: int) -> int:
+    """Threads for decompose: the CPUs this process may use over the threads
+    one BLAS call may take, at most one per member, and one (no pool) for
+    fewer than 2^26 units of members * n^3.  BLAS takes every CPU unless
+    the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS
+    that holds a positive count says otherwise; a pool beside a threaded
+    BLAS only oversubscribes the CPUs.  Below that work a pool ran no
+    faster than one thread (40 and 200 members at n = 50), and a pool
+    leaves the process multi-threaded for good, so it must pay for itself."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = next((int(v) for v in map(os.getenv, _BLAS_ENV) if v and v.isdigit() and int(v)), cpus)
+    return max(1, min(members, cpus // blas)) if members * n**3 >= 2**26 else 1
+
+
+def decompose(ellipsoids) -> None:
+    """Set the eig() caches of same-dimension ellipsoids from one set of arrays.
+
+    eigs (M, n), rot (M, n, n) and b_rot (M, n) are allocated once,
+    C-contiguous, with row j for the j-th distinct ellipsoid, and each
+    member's caches become views of its row (_row = j).  This is the only
+    place that computes eigendecompositions.  The rows are computed on a
+    thread pool of W = _pool_size(M, n) threads (LAPACK releases the GIL;
+    one thread means no pool), worker k taking rows k, k + W, ..., so that
+    a call costs W tasks, not M.  The pool is created per call, so no
+    thread outlives it and a later fork inherits none.  A worker writes
+    each row and drops eigh's output at once, so no eigenbasis is ever
+    held twice.  Every row is the same np.linalg.eigh and np.dot(q.T, b)
+    whatever thread runs it, so the bits do not depend on the pool size.
+    When some A is not positive definite, the ValueError is raised once
+    every row is done, and no member's caches are set.
+    """
+    members = list(dict.fromkeys(ellipsoids))   # by identity: one row per ellipsoid
+    M, n = len(members), members[0].dim if members else 0
+    eigs, rot, b_rot = np.empty((M, n)), np.empty((M, n, n)), np.empty((M, n))
+
+    def fill(rows):
+        for j in rows:
+            w, q = np.linalg.eigh(members[j].A)
+            if w.min() <= 0.0:
+                raise ValueError("A is not positive definite")
+            eigs[j], rot[j], b_rot[j] = w, q, np.dot(q.T, members[j].b)
+
+    if (workers := _pool_size(M, n)) > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, (range(k, M, workers) for k in range(workers))))
+    else:
+        fill(range(M))
+    for j, e in enumerate(members):
+        e._eig, e._b_rot, e._row = (eigs[j], rot[j]), b_rot[j], j
 
 
 class Tangents(NamedTuple):
@@ -197,20 +259,17 @@ class EllipsoidStack:
     _root_project), computed once here rather than per projector call.
 
     The rows come from the members' Ellipsoid.eig() caches, the
-    eigendecomposition and b in its eigenbasis, by one rule.  When those
-    caches are exactly the rows of one earlier stack, in the same order,
-    this stack shares that stack's eigs, rot and b_rot arrays (a cache a
-    stack owns is a view of its row: .base names the array and the data
-    address the row).  Otherwise it allocates the three arrays and fills
-    them row by row, decomposing members that have no cache yet.  A member
-    whose caches some stack already holds keeps them; any other member's
-    caches become views of its row here, so the first stack over a member
-    owns its caches.  An eigh output is dropped as soon as it is copied
-    into its row, so a build never holds the eigendecompositions it
-    computes twice.  The caches keep only the arrays alive, never a stack,
-    so a stack is freed when its last user drops it, and a plan built
-    after another over the same list shares its rows even once the first
-    plan is gone.  Each stack keeps its own alphas, betas and anchors.
+    eigendecomposition and b in its eigenbasis, which decompose() sets as
+    views of one row of its arrays (.base names the array, _row the row).
+    The stack first decomposes, in one call, the members that have no cache
+    yet, then follows one rule: when the members' caches are consecutive
+    rows of one array, in order, eigs, rot and b_rot view that slice;
+    otherwise they gather a copy.  No stack rebinds a cache.
+    So every combination's stack and every plan over an instance that
+    generation or loading decomposed, in operator order, views one array
+    and copies nothing; a reversed list or a subset copies.  The caches
+    keep only the arrays alive, never a stack, so a stack is freed when its
+    last user drops it.  Each stack keeps its own alphas, betas and anchors.
     tile(k) repeats the stack k times over (row r belongs to member r mod
     J) without copying an eigenbasis, so k points can go through one
     stacked solve.
@@ -229,21 +288,18 @@ class EllipsoidStack:
         ellipsoids = tuple(ellipsoids)
         if not ellipsoids:
             raise ValueError("need at least one ellipsoid")
-        n = ellipsoids[0].dim
+        self.dim = n = ellipsoids[0].dim
         if any(e.dim != n for e in ellipsoids):
             raise DimensionMismatch("stacked ellipsoids must share one dimension")
-        self.dim, J, first = n, len(ellipsoids), ellipsoids[0]._eig
-        rot = None if first is None else first[1].base
-        if rot is not None and len(rot) == J and all(
-                e._eig is not None and e._eig[1].ctypes.data == rot[j].ctypes.data
-                for j, e in enumerate(ellipsoids)):
-            self.eigs, self.rot, self.b_rot = first[0].base, rot, ellipsoids[0]._b_rot.base
-        else:
-            self.eigs, self.rot, self.b_rot = map(np.empty, ((J, n), (J, n, n), (J, n)))
-            for j, e in enumerate(ellipsoids):
-                (self.eigs[j], self.rot[j]), self.b_rot[j] = e.eig(), e._b_rot
-                if e._eig[1].base is None:   # no stack holds this member's caches
-                    e._eig, e._b_rot = (self.eigs[j], self.rot[j]), self.b_rot[j]
+        decompose([e for e in ellipsoids if e._eig is None])
+        # The slice of the first member's arrays that starts at its row, when
+        # the members' caches are that slice's rows.
+        (w0, q0), b0, J = ellipsoids[0]._eig, ellipsoids[0]._b_rot, len(ellipsoids)
+        base, start = q0.base, ellipsoids[0]._row
+        self.eigs, self.rot, self.b_rot = (a.base[start:start + J] for a in (w0, q0, b0))
+        if any(e._eig[1].base is not base or e._row != start + j for j, e in enumerate(ellipsoids)):
+            self.eigs, self.rot, self.b_rot = map(
+                np.stack, zip(*((*e._eig, e._b_rot) for e in ellipsoids)))
         self.alphas = np.array([e.alpha for e in ellipsoids])
         self.betas = self.alphas + (self.b_rot * self.b_rot / self.eigs).sum(-1)
         self.tangents: Tangents | None = None

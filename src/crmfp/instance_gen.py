@@ -6,6 +6,12 @@ randomness flows through one numpy Generator per instance; the draw order
 is fixed (per operator: member count, raw weights, then each ellipsoid as
 sparsity mask, dense values, linear term), so a spec regenerates the same
 instance bit for bit.
+
+Generation and loading also decompose the instance: one
+ellipsoid.decompose call over every member ellipsoid, in operator order,
+fills their eig() caches from one array, so every combination and every
+operator-list plan over the instance views its rows instead of copying
+them.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid
+from .ellipsoid import Ellipsoid, decompose
 from .errors import CannotExitSets
 from .operators import ConvexCombination, EllipsoidProjection
 
@@ -126,11 +132,19 @@ def gen_operator(n: int, rng: np.random.Generator, spec: InstanceSpec) -> Convex
     return ConvexCombination(members, weights)
 
 
-def gen_instance(spec: InstanceSpec) -> FppInstance:
-    """All p operators of an instance from one seeded stream."""
+def gen_instance(spec: InstanceSpec, decomposed: bool = True) -> FppInstance:
+    """All p operators of an instance from one seeded stream, decomposed
+    unless decomposed is False (for a caller that only writes it out)."""
     rng = np.random.default_rng(spec.seed)
     operators = [gen_operator(spec.n, rng, spec) for _ in range(spec.p)]
-    return FppInstance(spec=spec, operators=operators, fixed_point=np.zeros(spec.n))
+    instance = FppInstance(spec=spec, operators=operators, fixed_point=np.zeros(spec.n))
+    return _decomposed(instance) if decomposed else instance
+
+
+def _decomposed(instance: FppInstance) -> FppInstance:
+    """instance, its member ellipsoids decomposed in one call, in operator order."""
+    decompose(proj.ellipsoid for op in instance.operators for proj in op.operators)
+    return instance
 
 
 def initial_point(instance: FppInstance) -> np.ndarray:
@@ -166,8 +180,9 @@ def instance_to_dict(instance: FppInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> FppInstance:
-    """Inverse of instance_to_dict.  A missing or malformed field raises a
-    ValueError that names it."""
+    """Inverse of instance_to_dict, decomposed.  A missing or malformed field
+    raises a ValueError that names it; a matrix that is not positive
+    definite raises decompose's ValueError."""
     spec = _field(data, "spec", InstanceSpec.from_dict)
 
     def entries(convert):
@@ -181,7 +196,7 @@ def instance_from_dict(data: dict) -> FppInstance:
         return ConvexCombination(members, _field(op_data, "weights", np.asarray))
 
     operators = _field(data, "operators", entries(combination))
-    return FppInstance(spec=spec, operators=operators, fixed_point=np.zeros(spec.n))
+    return _decomposed(FppInstance(spec=spec, operators=operators, fixed_point=np.zeros(spec.n)))
 
 
 def save_instance(instance: FppInstance, path) -> None:

@@ -11,9 +11,10 @@ A fixed list of operators is evaluated through an EvaluationPlan, built
 once per list: every ellipsoid projection among the operators (or among
 the members of their convex combinations) is one row of a single stacked
 solve, on one EllipsoidStack built straight from those member ellipsoids,
-whatever its size.  A second plan over the same list shares the first
-one's eigenbases (see EllipsoidStack), so ppm's plan and the lifted crm's
-plan over one instance hold them once.
+whatever its size.  Over an instance that generation or loading
+decomposed, every plan over its operators in order views the one array of
+eigenbases the instance was decomposed into (see EllipsoidStack), so
+ppm's plan and the lifted crm's plan over one instance hold them once.
 Rows of a batch never interact, and convex combinations sum their
 members the same way in a plan and alone, so a plan returns exactly what
 operator-by-operator evaluation returns, without the per-member loop.
@@ -254,10 +255,10 @@ class EvaluationPlan:
     first such operator's kkt_tol are fused, at any size.  A call projects
     all rows in one stacked solve and sums the runs in one segmented sum.
     Operators of other kinds or tolerances are called as they are.  The
-    first stack over a member ellipsoid owns its eig() cache (see
-    EllipsoidStack), so a plan built after another over the same list, in
-    the same order, shares its eigenbases; a plan over other members or
-    another order copies them.  Each plan keeps its own anchors.  Each
+    stack views its members' eig() caches when they are consecutive rows
+    of one array, in order, as they are for a decomposed instance's
+    operators in order, and copies them otherwise (see EllipsoidStack).
+    Each plan keeps its own anchors.  Each
     image is the same arithmetic on the same values as the operator's own
     call, so the two agree bit for bit.
     """

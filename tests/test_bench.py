@@ -2,11 +2,16 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crmfp
 from crmfp import bench as bench_module
 from crmfp import (
     EmptyGroup,
@@ -99,6 +104,39 @@ class TestRunExperiment:
     def test_workers_do_not_change_results(self, results):
         parallel = run_experiment(tiny_grid(), workers=2)
         assert strip_elapsed(parallel) == strip_elapsed(results)
+
+    def test_workers_fork_after_a_pooled_decomposition(self):
+        # The process decomposes an instance on a thread pool, then forks
+        # the grid's worker processes.  A pool whose threads outlived the
+        # call would be inherited without its threads and could hang them;
+        # the hard timeout turns such a hang into a failure.
+        script = (
+            "import dataclasses\n"
+            "import crmfp.ellipsoid as ellipsoid\n"
+            "from crmfp import GridConfig, InstanceSpec, gen_instance, run_experiment\n"
+            "ellipsoid._pool_size = lambda members, n: min(members, 2)\n"
+            "gen_instance(InstanceSpec(n=10, p=10, seed=1))\n"
+            "grid = GridConfig(n_values=(3,), p_values=(2,), replicates=2, master_seed=7,\n"
+            "                  tolerance=1e-6, max_iterations=2000)\n"
+            "def rows(workers):\n"
+            "    return [dataclasses.replace(r, elapsed_s=0.0)\n"
+            "            for r in run_experiment(grid, workers=workers)]\n"
+            "assert rows(2) == rows(1)\n"
+            "print('same')\n"
+        )
+        src = str(pathlib.Path(crmfp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_experiment(workers=2) hung after a pooled decomposition")
+        assert proc.returncode == 0, err
+        assert out.strip() == "same"
 
     def test_crm_converges_and_beats_ppm_here(self, results):
         by = {(r.solver, r.replicate): r for r in results}

@@ -8,6 +8,8 @@ around it, not the root-find; dense bisection is the independent oracle
 for both.
 """
 import gc
+import os
+import sys
 import weakref
 from unittest.mock import patch
 
@@ -31,12 +33,15 @@ from crmfp import (
     project_kkt,
 )
 from crmfp.ellipsoid import (
+    _BLAS_ENV,
     KKT_TOL,
     EllipsoidStack,
+    _pool_size,
     _g_rows,
     _rotate,
     _rotate_rows,
     admm_project_stacked,
+    decompose,
     kkt_project_stacked,
 )
 from crmfp.operators import EvaluationPlan
@@ -388,6 +393,93 @@ class TestGeneratedMembers:
                 np.testing.assert_array_equal(got, m(x))
                 exterior += e.g(x) > 0.0
         assert exterior > 0
+
+
+def threads(count):
+    """decompose on a pool of min(members, count) threads, whatever the CPUs."""
+    return patch.object(ellipsoid_module, "_pool_size", lambda members, n: min(members, count))
+
+
+class TestDecompose:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([1, 2, 10, 50]),
+           st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_rows_have_the_bits_of_serial_eigh(self, members, n, seed, pool):
+        rng = np.random.default_rng(seed)
+        es = [gen_ellipsoid(n, rng) for _ in range(members)]
+        with threads(pool):
+            decompose(es)
+        w0, q0 = es[0]._eig
+        eigs, rot, b_rot = w0.base, q0.base, es[0]._b_rot.base
+        assert (eigs.shape, rot.shape, b_rot.shape) == ((members, n), (members, n, n), (members, n))
+        assert all(a.flags.c_contiguous for a in (eigs, rot, b_rot))
+        for j, e in enumerate(es):
+            w, q = np.linalg.eigh(e.A)
+            assert_same_bits(e._eig[0], w)
+            assert_same_bits(e._eig[1], q)
+            assert_same_bits(e._b_rot, np.dot(q.T, e.b))
+            assert e._row == j and e._eig[1].ctypes.data == rot[j].ctypes.data
+            assert e._eig[0].base is eigs and e._b_rot.ctypes.data == b_rot[j].ctypes.data
+
+    def test_more_threads_than_cores_with_frequent_switches(self):
+        # Workers write disjoint rows of shared arrays; a lost or misplaced
+        # write would leave some row without its serial bits.
+        rng = np.random.default_rng(8)
+        es = [gen_ellipsoid(6, rng) for _ in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with threads(8):
+                decompose(es)
+        finally:
+            sys.setswitchinterval(interval)
+        for j, e in enumerate(es):
+            w, q = np.linalg.eigh(e.A)
+            assert_same_bits(e._eig[1].base[j], q)
+            assert_same_bits(e._eig[0].base[j], w)
+            assert_same_bits(e._b_rot.base[j], np.dot(q.T, e.b))
+
+    @pytest.mark.parametrize("pool", [1, 3])
+    def test_indefinite_member_raises_and_sets_no_cache(self, pool):
+        rng = np.random.default_rng(9)
+        es = [gen_ellipsoid(3, rng) for _ in range(4)]
+        es.insert(2, Ellipsoid(np.diag([1.0, -1.0, 2.0]), np.zeros(3), 1.0))
+        with threads(pool):
+            with pytest.raises(ValueError, match="A is not positive definite"):
+                decompose(es)
+            with pytest.raises(ValueError, match="A is not positive definite"):
+                EllipsoidStack(es)
+        assert all(e._eig is None and e._b_rot is None for e in es)
+
+    def test_a_repeated_member_gets_one_row(self):
+        rng = np.random.default_rng(2)
+        e, f = gen_ellipsoid(3, rng), gen_ellipsoid(3, rng)
+        decompose([e, f, e])
+        assert len(e._eig[1].base) == 2
+        assert e._eig[1].ctypes.data + e._eig[1].nbytes == f._eig[1].ctypes.data
+
+    def test_pool_leaves_blas_threads_their_cpus(self, monkeypatch):
+        for var in _BLAS_ENV:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert _pool_size(10, 200) == 1      # BLAS takes every CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert _pool_size(10, 200) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _pool_size(10, 200) == 4 and _pool_size(3, 300) == 3 and _pool_size(1, 500) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert _pool_size(10, 200) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")   # not a count: OMP's 2 holds
+        assert _pool_size(10, 200) == 2
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert _pool_size(10, 200) == 1
+
+    def test_small_decompositions_take_no_pool(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+        assert _pool_size(536, 50) == 1 and _pool_size(537, 50) == 2   # 2^26 / 50^3 = 536.9
+        assert _pool_size(67, 100) == 1 and _pool_size(68, 100) == 2
+        assert _pool_size(200, 50) == 1 and _pool_size(40, 200) == 2
 
 
 class TestBatchedEvaluation:

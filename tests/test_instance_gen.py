@@ -129,6 +129,25 @@ class TestGenInstance:
         b = instance_to_dict(gen_instance(InstanceSpec(n=3, p=1, seed=2)))
         assert a != b
 
+    def test_generation_and_loading_decompose_in_operator_order(self):
+        spec = InstanceSpec(n=5, p=4, seed=3)
+        for inst in (gen_instance(spec), instance_from_dict(instance_to_dict(gen_instance(spec)))):
+            members = [m.ellipsoid for op in inst.operators for m in op.operators]
+            rot = members[0]._eig[1].base
+            assert len(rot) == len(members)
+            for j, e in enumerate(members):
+                assert e._eig[1].ctypes.data == rot[j].ctypes.data
+                assert e._eig[1].tobytes() == np.linalg.eigh(e.A)[1].tobytes()
+        bare = gen_instance(spec, decomposed=False)
+        assert all(m.ellipsoid._eig is None for op in bare.operators for m in op.operators)
+        assert instance_to_dict(bare) == instance_to_dict(inst)
+
+    def test_loading_an_indefinite_member_raises(self):
+        data = instance_to_dict(gen_instance(InstanceSpec(n=2, p=2, seed=4)))
+        data["operators"][1]["ellipsoids"][0]["A"] = [1.0, 0.0, 0.0, -1.0]
+        with pytest.raises(ValueError, match="A is not positive definite"):
+            instance_from_dict(data)
+
 
 class TestInitialPoint:
     def test_constant_exterior_start(self):

@@ -563,24 +563,42 @@ class TestEvaluationPlan:
     def test_second_plan_leaves_the_eig_caches(self):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=11))
         members = [m.ellipsoid for op in inst.operators for m in op.operators]
+        caches = [(e._eig[1].ctypes.data, e._b_rot.ctypes.data) for e in members]
+
+        def views_rows_of_the_instance(stack, rows):
+            # The stack's arrays are a slice of the array generation filled:
+            # shared memory, and the data address of each member's row.
+            assert np.shares_memory(stack.rot, members[0]._eig[1].base)
+            assert np.shares_memory(stack.b_rot, members[0]._b_rot.base)
+            assert [q.ctypes.data for q in stack.rot] == [e._eig[1].ctypes.data for e in rows]
+            assert [b.ctypes.data for b in stack.b_rot] == [e._b_rot.ctypes.data for e in rows]
+
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             first = EvaluationPlan(inst.operators)
+            views_rows_of_the_instance(first.stack, members)
             rot, b_rot = first.stack.rot, first.stack.b_rot
             stacks = [weakref.ref(first.stack)]
             del first
-            # The first stack is freed; the member caches keep its rows alive,
-            # and a second plan over the same list shares them.
+            # The first stack is freed; the member caches keep the rows alive,
+            # and a second plan over the same list views them too.
             assert stacks[0]() is None
             second = EvaluationPlan(inst.operators)
-            assert second.stack.rot is rot and second.stack.b_rot is b_rot
+            views_rows_of_the_instance(second.stack, members)
             b = np.stack([e.b for e in members])
             batched = np.matmul(rot.transpose(0, 2, 1), b[..., None])[..., 0]
             assert_same_bits(b_rot, batched)
-            # Another order, or a subset, copies the rows and leaves the
-            # caches with their owner.
-            for ops in (inst.operators[::-1], inst.operators[:2]):
+            # Each combination's stack views its consecutive rows, and so does
+            # a plan over consecutive operators in order.
+            for op in inst.operators:
+                op(inst.fixed_point)
+                views_rows_of_the_instance(op.plan.stack, [m.ellipsoid for m in op.operators])
+            tail = EvaluationPlan(inst.operators[1:])
+            views_rows_of_the_instance(tail.stack, members[len(inst.operators[0].operators):])
+            # Another order, or a subset that skips rows, copies them with the
+            # same bits and leaves the caches as they were.
+            for ops in (inst.operators[::-1], inst.operators[::2]):
                 plan = EvaluationPlan(ops)
                 rows = [m.ellipsoid for op in ops for m in op.operators]
                 assert not np.shares_memory(plan.stack.rot, rot)
@@ -589,42 +607,49 @@ class TestEvaluationPlan:
                 assert_same_bits(plan.stack.b_rot, np.stack([e._b_rot for e in rows]))
                 stacks.append(weakref.ref(plan.stack))
                 del plan
-            for e in members:
-                assert e.eig()[1].base is rot and e._b_rot.base is b_rot
+            assert [(e._eig[1].ctypes.data, e._b_rot.ctypes.data) for e in members] == caches
             # Each plan keeps its own screen.
             third = EvaluationPlan(inst.operators)
-            assert third.stack.rot is rot
+            views_rows_of_the_instance(third.stack, members)
             second(inst.fixed_point)
             assert second.stack.tangents is not None and third.stack.tangents is None
             # No cache keeps any plan's stack alive.
-            stacks += [weakref.ref(second.stack), weakref.ref(third.stack)]
-            del second, third
+            stacks += [weakref.ref(s.stack) for s in (second, third, tail)]
+            del second, third, tail
             assert all(alive() is None for alive in stacks)
         finally:
             if was_enabled:
                 gc.enable()
-        # A member whose eig() ran before any stack rotated b alone: the
-        # same bits as its row of the batched rotation.  The first stack
-        # over such members still becomes the owner of their caches.
+        # Members decomposed one by one (eig() before any stack) hold one
+        # array each, so a stack over them gathers a copy and rebinds no
+        # cache; the rotated b has the bits of the batched rotation.
+        # Members with no cache are decomposed by the stack, into rows it views.
         fresh = [Ellipsoid(e.A, e.b, e.alpha) for e in members]
         for e in fresh:
             e.eig()
         stack = EllipsoidStack(fresh)
         assert_same_bits(stack.b_rot, batched)
-        assert all(e._b_rot.base is stack.b_rot and e.eig()[1].base is stack.rot for e in fresh)
+        assert all(len(e._eig[1].base) == 1 and not np.shares_memory(e._eig[1], stack.rot)
+                   for e in fresh)
+        fresh = [Ellipsoid(e.A, e.b, e.alpha) for e in members]
+        stack = EllipsoidStack(fresh)
+        assert_same_bits(stack.rot, rot)
+        assert all(e._eig[1].base is stack.rot.base for e in fresh)
 
     def test_building_a_plan_holds_its_rows_once(self):
-        # Each eigendecomposition is written into its row as it is computed,
-        # so the eigh outputs are never held next to their stacked copy.
-        inst = gen_instance(InstanceSpec(n=40, p=10, seed=3))
-        assert all(m.ellipsoid._eig is None for op in inst.operators for m in op.operators)
+        # Generation decomposes the instance into one array, each
+        # eigendecomposition written into its row as it is computed, and the
+        # plan views that array: no eigh output is held next to its copy.
+        EvaluationPlan(gen_instance(InstanceSpec(n=3, p=2, seed=1)).operators)   # imports
         tracemalloc.start()
         try:
+            inst = gen_instance(InstanceSpec(n=40, p=10, seed=3))
             plan = EvaluationPlan(inst.operators)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * plan.stack.rot.nbytes
+        a_bytes = sum(m.ellipsoid.A.nbytes for op in inst.operators for m in op.operators)
+        assert peak <= a_bytes + 1.5 * plan.stack.rot.nbytes
 
     def test_points_shape_checked(self):
         plan = EvaluationPlan([Identity(2), Identity(2)])

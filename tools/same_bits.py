@@ -14,6 +14,9 @@ BLAS on one thread, and the child computes one fixed set of items:
   iteration count, residual and distance histories and the final point;
 - images of each combination of those instances, and of its first member,
   at the initial point and three random points;
+- ppm, the lifted crm and images, as above, on the instance that
+  load_instance reads from tests/data/instance_n3_p2_seed7.json, so the
+  load path's decomposition is compared too;
 - firm_nonexpansiveness_slack and gradient_check on each instance's first
   combination and first member.
 
@@ -35,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 CELLS = ((10, 10), (50, 50), (100, 30), (200, 10))
+LOADED = Path(__file__).resolve().parents[1] / "tests" / "data" / "instance_n3_p2_seed7.json"
 SEEDS = (1, 2)
 CAP = 200
 
@@ -57,7 +61,7 @@ def emit() -> dict:
     import crmfp
     from crmfp import (BlockOperator, DiagonalSubspace, InstanceSpec, SolverConfig, embed,
                        firm_nonexpansiveness_slack, gen_instance, gradient_check, images,
-                       initial_point, run)
+                       initial_point, load_instance, run)
 
     def of_trace(t):
         return digest(t.stop_reason, [t.iterations], t.residual_history,
@@ -75,21 +79,28 @@ def emit() -> dict:
             "crm", (BlockOperator(inst.operators), DiagonalSubspace(n, p)), embed(x0, p),
             crm_cfg, solution=embed(inst.fixed_point, p)))
 
+    def solve_and_image(name, inst, seed):
+        x0 = initial_point(inst)
+        solve(name, inst, x0, CAP)
+        rng = np.random.default_rng(seed)
+        points = np.concatenate([x0[None], 3.0 * rng.standard_normal((3, inst.spec.n))])
+        items[f"images {name}"] = digest(
+            *(images(q, points) for op in inst.operators for q in (op, op.operators[0])))
+        return rng
+
     for n, p in CELLS:
         for seed in SEEDS:
             name = f"n={n} p={p} seed={seed}"
             inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
-            x0 = initial_point(inst)
-            solve(name, inst, x0, CAP)
-            rng = np.random.default_rng(seed)
-            points = np.concatenate([x0[None], 3.0 * rng.standard_normal((3, n))])
-            items[f"images {name}"] = digest(
-                *(images(q, points) for op in inst.operators for q in (op, op.operators[0])))
+            rng = solve_and_image(name, inst, seed)
             first = inst.operators[0]
             x, y = 3.0 * rng.standard_normal((2, n))
             items[f"checks {name}"] = digest(
                 [firm_nonexpansiveness_slack(q, x, y) for q in (first, first.operators[0])],
                 [gradient_check(q, x) for q in (first, first.operators[0])])
+    loaded = load_instance(LOADED)
+    spec = loaded.spec
+    solve_and_image(f"loaded n={spec.n} p={spec.p} seed={spec.seed}", loaded, spec.seed)
     inst = gen_instance(InstanceSpec(n=100, p=200, seed=1))
     solve("n=100 p=200 seed=1", inst, initial_point(inst), 30)
     return {"crmfp": str(Path(crmfp.__file__).resolve()), "items": items}

@@ -1,4 +1,4 @@
-"""Benchmark grid, aggregation, performance profiles, and export.
+"""Benchmark grid, aggregation, performance profiles, and csv export.
 
 The grid crosses problem sizes with replicate indices; every cell derives
 its own seed from the master seed, so the whole experiment regenerates bit
@@ -11,7 +11,6 @@ single run are recorded in its stop_reason and never abort the grid.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -69,8 +68,6 @@ class GridConfig:
     master_seed: int = 2024
     tolerance: float = 1e-6
     max_iterations: int = 50000
-    gamma: float = 1.0
-    eta: float = -5.0
     diagnostics: bool = True
 
     def __post_init__(self):
@@ -115,7 +112,7 @@ def run_cell(grid: GridConfig, n: int, p: int, replicate: int) -> list[RunResult
     error:<Type> row (traceback logged); it never aborts the grid."""
     seed = derive_seed(grid.master_seed, n, p, replicate)
     try:
-        spec = InstanceSpec(n=n, p=p, seed=seed, gamma=grid.gamma, eta=grid.eta)
+        spec = InstanceSpec(n=n, p=p, seed=seed)
         instance = gen_instance(spec)
         x0 = initial_point(instance)
     except Exception as exc:
@@ -273,14 +270,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def export(obj, path, format: str = "csv") -> None:
-    """Write results, summaries, or profile curves to csv or json.
+def export(obj, path) -> None:
+    """Write results, summaries, or profile curves to a csv file.
 
     Reals carry six significant digits; integers (seeds included) are full
     precision.  Output bytes are a pure function of the data.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown format {format!r}")
     obj = list(obj)
     if not obj:
         # Nothing to infer a schema from; emit the run-result header.
@@ -309,16 +304,6 @@ def export(obj, path, format: str = "csv") -> None:
     else:
         raise TypeError(f"cannot export items of type {type(obj[0]).__name__}")
 
-    if format == "json":
-        payload = [
-            {c: (row[c] if not isinstance(row[c], float) else float(_fmt(row[c])))
-             for c in columns}
-            for row in rows
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)

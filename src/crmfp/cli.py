@@ -158,14 +158,12 @@ def _cmd_bench(args) -> int:
     results = run_experiment(grid, workers=args.workers)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    export(results, out / "results.csv", format="csv")
+    export(results, out / "results.csv")
     for name, fields in (("summary_overall.csv", ("solver",)),
                          ("summary_by_n.csv", ("solver", "n")),
                          ("summary_by_p.csv", ("solver", "p"))):
-        export(summarize(results, group_by=fields, metric="iterations"),
-               out / name, format="csv")
-    export(performance_profile(results, metric="iterations"),
-           out / "profile_iterations.csv", format="csv")
+        export(summarize(results, group_by=fields, metric="iterations"), out / name)
+    export(performance_profile(results, metric="iterations"), out / "profile_iterations.csv")
     for key, stats in summarize(results, group_by=("solver",), metric="iterations"):
         print(f"{key['solver']}: mean {stats.mean:.1f} iterations over {stats.count} runs "
               f"(max {stats.max:.0f})")
@@ -178,7 +176,7 @@ def _cmd_summarize(args) -> int:
     group_by = tuple(s.strip() for s in args.group_by.split(",") if s.strip())
     stats = _config(summarize, results=results, group_by=group_by, metric=args.metric)
     if args.out:
-        export(stats, args.out, format="csv")
+        export(stats, args.out)
         print(f"wrote {len(stats)} groups to {args.out}")
         return 0
     for key, st in stats:
@@ -191,7 +189,7 @@ def _cmd_summarize(args) -> int:
 def _cmd_profile(args) -> int:
     results = _config(read_results_csv, path=args.results)
     curves = performance_profile(results, metric=args.metric)
-    export(curves, args.out, format="csv")
+    export(curves, args.out)
     print(f"wrote {sum(len(c.breakpoints) for c in curves)} breakpoints to {args.out}")
     return 0
 

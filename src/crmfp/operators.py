@@ -10,11 +10,12 @@ one projector, the stacked root-find kkt_project_stacked.
 A fixed list of operators is evaluated through an EvaluationPlan, built
 once per list: every ellipsoid projection among the operators (or among
 the members of their convex combinations) is one row of a single stacked
-solve, on one EllipsoidStack built straight from those member ellipsoids,
-whatever its size.  Over an instance that generation or loading
-decomposed, every plan over its operators in order views the one array of
-eigenbases the instance was decomposed into (see EllipsoidStack), so
-ppm's plan and the lifted crm's plan over one instance hold them once.
+solve at the one tolerance KKT_TOL, on one EllipsoidStack built straight
+from those member ellipsoids, whatever its size.  Over an instance that
+generation or loading decomposed, every plan over its operators in order
+views the one array of eigenbases the instance was decomposed into (see
+EllipsoidStack), so ppm's plan and the lifted crm's plan over one instance
+hold them once.
 Rows of a batch never interact, and convex combinations sum their
 members the same way in a plan and alone, so a plan returns exactly what
 operator-by-operator evaluation returns, without the per-member loop.
@@ -152,17 +153,16 @@ class BallProjection:
 
 class EllipsoidProjection:
     """Projection onto an ellipsoid by the direct root-find, which stops at
-    |g| <= kkt_tol / 2 (project_kkt)."""
+    |g| <= KKT_TOL / 2 (project_kkt)."""
 
     kind = "ellipsoid-projection"
 
-    def __init__(self, ellipsoid: Ellipsoid, kkt_tol: float = KKT_TOL):
+    def __init__(self, ellipsoid: Ellipsoid):
         self.ellipsoid = ellipsoid
-        self.kkt_tol = float(kkt_tol)
         self.dim = ellipsoid.dim
 
     def __call__(self, x) -> np.ndarray:
-        return project_kkt(self.ellipsoid, x, self.kkt_tol)
+        return project_kkt(self.ellipsoid, x)
 
 
 class ConvexCombination:
@@ -232,16 +232,14 @@ def _segment_sums(row_weights, rows, starts) -> np.ndarray:
 
 
 def _stacked_rows(op):
-    """(member ellipsoids, weights, kkt_tol) of an ellipsoid projection
-    (weights None: one row) or of a convex combination whose members are
-    all ellipsoid projections with one kkt_tol; None for any other operator."""
+    """(member ellipsoids, weights) of an ellipsoid projection (weights
+    None: one row) or of a convex combination whose members are all
+    ellipsoid projections; None for any other operator."""
     if isinstance(op, EllipsoidProjection):
-        return [op.ellipsoid], None, op.kkt_tol
-    if isinstance(op, ConvexCombination):
-        tols = {m.kkt_tol if isinstance(m, EllipsoidProjection) else None
-                for m in op.operators}
-        if None not in tols and len(tols) == 1:
-            return [m.ellipsoid for m in op.operators], op.weights, tols.pop()
+        return [op.ellipsoid], None
+    if isinstance(op, ConvexCombination) and all(
+            isinstance(m, EllipsoidProjection) for m in op.operators):
+        return [m.ellipsoid for m in op.operators], op.weights
     return None
 
 
@@ -251,10 +249,9 @@ class EvaluationPlan:
     Each ellipsoid projection in the list owns one row of the plan's
     EllipsoidStack; each convex combination of ellipsoid projections owns
     a run of consecutive rows (one per member) and its weights.  The stack
-    is built straight from those member ellipsoids, and the rows of the
-    first such operator's kkt_tol are fused, at any size.  A call projects
-    all rows in one stacked solve and sums the runs in one segmented sum.
-    Operators of other kinds or tolerances are called as they are.  The
+    is built straight from those member ellipsoids, at any size.  A call
+    projects all rows in one stacked solve and sums the runs in one
+    segmented sum.  Operators of other kinds are called as they are.  The
     stack views its members' eig() caches when they are consecutive rows
     of one array, in order, as they are for a decomposed instance's
     operators in order, and copies them otherwise (see EllipsoidStack).
@@ -268,27 +265,23 @@ class EvaluationPlan:
         if not operators:
             raise EmptyOperatorList("need at least one operator")
         n = operators[0].dim
-        parts = {}  # operator index -> (member ellipsoids, weights, kkt_tol)
+        parts = {}  # operator index -> (member ellipsoids, weights)
         for i, op in enumerate(operators):
             part = _stacked_rows(op)
             if part is not None:
                 parts[i] = part
-        key = next(iter(parts.values()), (None, None, None))[2]
-        fused = [i for i, part in parts.items() if part[2] == key]
-        members = [e for i in fused for e in parts[i][0]]
-        weights = [parts[i][1] for i in fused]
-        row_weights = [np.ones(1) if w is None else w for w in weights]
+        members = [e for es, _ in parts.values() for e in es]
+        row_weights = [np.ones(1) if w is None else w for _, w in parts.values()]
         self.operators = operators
         self.dim = n
-        self.key = key
         self.stack = EllipsoidStack(members) if members else None
-        self.fused = np.array(fused, dtype=int)
+        self.fused = np.array(list(parts), dtype=int)
         self.counts = np.array([len(w) for w in row_weights], dtype=int)
         self.starts = np.cumsum(self.counts) - self.counts
-        self.row_weights = np.concatenate(row_weights) if fused else None
-        self.called = [i for i in range(len(operators)) if i not in fused]
+        self.row_weights = np.concatenate(row_weights) if parts else None
+        self.called = [i for i in range(len(operators)) if i not in parts]
         # Every operator is one stacked row: the projected rows are the images.
-        self.one_row_each = not self.called and all(w is None for w in weights)
+        self.one_row_each = not self.called and all(w is None for _, w in parts.values())
 
     def __call__(self, points) -> np.ndarray:
         """Images, one row per operator: all at one shared point (a vector),
@@ -304,7 +297,7 @@ class EvaluationPlan:
                 rows = np.broadcast_to(points, (len(self.stack), self.dim))
             else:
                 rows = np.repeat(points[self.fused], self.counts, axis=0)
-            proj = kkt_project_stacked(self.stack, rows, self.key)
+            proj = kkt_project_stacked(self.stack, rows, KKT_TOL)
             if self.one_row_each:
                 return proj
             out[self.fused] = _segment_sums(self.row_weights, proj, self.starts)
@@ -344,10 +337,10 @@ def images(operator, points) -> np.ndarray:
     if points.shape != (k, operator.dim):
         raise DimensionMismatch(f"points have shape {points.shape}, expected (k, {operator.dim})")
     if single:
-        return kkt_project_stacked(operator.ellipsoid.stack().tile(k), points, operator.kkt_tol)
+        return kkt_project_stacked(operator.ellipsoid.stack().tile(k), points, KKT_TOL)
     plan = operator.plan
     size = len(plan.stack)
-    proj = kkt_project_stacked(plan.stack.tile(k), np.repeat(points, size, axis=0), plan.key)
+    proj = kkt_project_stacked(plan.stack.tile(k), np.repeat(points, size, axis=0), KKT_TOL)
     return _segment_sums(np.tile(operator.weights, k), proj, np.arange(0, k * size, size))
 
 
@@ -380,7 +373,7 @@ def translate(op, shift):
         alpha = e.alpha + 2.0 * float(e.b @ shift) - float(shift @ e.A @ shift)
         if alpha <= 0.0:
             raise ValueError("translated ellipsoid would not contain the origin")
-        return EllipsoidProjection(Ellipsoid(e.A, b, alpha), op.kkt_tol)
+        return EllipsoidProjection(Ellipsoid(e.A, b, alpha))
     if isinstance(op, ConvexCombination):
         return ConvexCombination([translate(t, shift) for t in op.operators], op.weights)
     if isinstance(op, Composition):

@@ -5,7 +5,9 @@ Four steps are provided.  map_step alternates one operator with an affine
 by the circumcenter of the current iterate and two successive reflections,
 which stays in the subspace and never does worse than the alternating
 step; it is computed in closed form, with geometry.circumcenter3 as its
-test oracle.  ppm_step averages many operators; spm_step chains them.
+test oracle.  The circumcenter lies on the line through x and the
+alternating step's point, so one routine (_crm_parts) computes both steps.
+ppm_step averages many operators; spm_step chains them.
 run() wraps any of them with a displacement stopping rule, optional
 distance tracking against a known solution, and optional per-iteration
 checks that raise DiagnosticFailure when a structural property is
@@ -26,7 +28,8 @@ from .errors import (
     NotInSubspace,
 )
 from .geometry import circumcenter3  # noqa: F401  (a perfbench trace site)
-from .operators import EvaluationPlan, apply_each
+from .operators import EvaluationPlan
+from .operators import apply_each  # noqa: F401  (a perfbench trace site)
 
 # Degeneracy guard of the circumcentering step: P_U T(x) counts as x.
 EPS_DEG = 1e-12
@@ -98,20 +101,21 @@ def _require_in_subspace(subspace, x) -> None:
 
 def map_step(operator, subspace, z) -> np.ndarray:
     """Alternating step: project the operator image onto the subspace."""
-    z = np.asarray(z, dtype=float)
-    return subspace.project(np.asarray(operator(z), dtype=float))
+    return _crm_parts(operator, subspace, np.asarray(z, dtype=float))[2]
 
 
 def _crm_parts(operator, subspace, x):
-    """(next iterate, T(x), P_U T(x), ||T(x) - x||, ||P_U T(x) - x||) for
-    one step from x in U.
+    """(circumcenter, T(x), P_U T(x), ||T(x) - x||, ||P_U T(x) - x||) for
+    one step from x: the crm step from x in U is the circumcenter, and the
+    alternating (map) step from any x is P_U T(x).
 
     The circumcenter of x, R_T x and R_U R_T x lies on the line through x
     and P_U T(x); as T(x) - P_U T(x) is orthogonal to U, equidistance from
     x and R_T x puts it at x + (||T(x) - x||^2 / ||P_U T(x) - x||^2)
     (P_U T(x) - x).  Where P_U T(x) is x, the step is x.  The norms are
     the square roots of the two differences' inner products, which is how
-    np.linalg.norm computes them too.
+    np.linalg.norm computes them too, so ||P_U T(x) - x|| is the bits of
+    the map step's displacement.
     """
     tx = np.asarray(operator(x), dtype=float)
     ptx = subspace.project(tx)
@@ -145,7 +149,7 @@ def crm_step(operator, subspace, x) -> np.ndarray:
 
 def ppm_step(operators, x) -> np.ndarray:
     """Parallel step: mean of all operator images."""
-    return np.mean(np.stack(apply_each(operators, x)), axis=0)
+    return np.mean(EvaluationPlan(operators)(x), axis=0)
 
 
 def spm_step(operators, x) -> np.ndarray:
@@ -221,15 +225,11 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         plan = EvaluationPlan(operators)   # built once, timed with the loop
     for k in range(cfg.max_iterations):
         fix = None
-        if kind == "crm":
-            # The checks see the raw circumcenter; the iterate continues from
-            # its projection, so drift out of the subspace cannot compound.
-            raw, tx, _, fix, step_norm = _crm_parts(operator, subspace, x)
-            xn = subspace.project(raw)
-        elif kind == "map":
-            tx = np.asarray(operator(x), dtype=float)
-            xn = subspace.project(tx)
-            fix = _norm(tx - x)
+        if kind in ("map", "crm"):
+            # The checks see the raw circumcenter; the crm iterate continues
+            # from its projection, so drift out of the subspace cannot compound.
+            raw, tx, ptx, fix, step_norm = _crm_parts(operator, subspace, x)
+            xn = subspace.project(raw) if kind == "crm" else ptx
         elif kind == "ppm":
             xn = np.mean(plan(x), axis=0)
         else:
@@ -251,9 +251,9 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
                 raise DiagnosticFailure("orthogonality", k, inner)
         if want_fejer:
             slack = dists[-1] ** 2 - new_dist**2
-            if kind == "crm":
+            if kind in ("map", "crm"):
                 slack -= step_norm**2
-            elif kind in ("map", "ppm"):
+            elif kind == "ppm":
                 slack -= res**2
             if slack < -FEJER_SLACK_TOL:
                 raise DiagnosticFailure("fejer", k, slack)

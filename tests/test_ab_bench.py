@@ -67,3 +67,19 @@ def test_higher_is_better_flips_the_sign():
 def test_pairs_must_match():
     with pytest.raises(ValueError):
         verdict([1.0, 2.0], [1.0], 0.1)
+
+
+def test_fresh_copy_takes_what_a_run_reads_and_no_bytecode(tmp_path):
+    checkout = tmp_path / "checkout"
+    for rel in ("src/crmfp/__init__.py", "src/crmfp/__pycache__/x.cpython-311.pyc",
+                "perfbench/run.py", "perfbench/stale.pyc", "BENCHMARK.json",
+                "README.md", ".git/HEAD"):
+        path = checkout / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(rel)
+    dest = ab_bench.fresh_copy(checkout, tmp_path / "copy")
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == ["BENCHMARK.json", "perfbench/run.py", "src/crmfp/__init__.py"]
+    assert (dest / "perfbench" / "run.py").read_text() == "perfbench/run.py"
+    with pytest.raises(FileExistsError):
+        ab_bench.fresh_copy(checkout, dest)

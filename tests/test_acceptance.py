@@ -368,7 +368,7 @@ def test_11_distance_gradient():
                 AffineSubspace.from_span(rng.standard_normal(dim), rng.standard_normal((k, dim)))
             )
         else:
-            op = EllipsoidProjection(gen_ellipsoid(dim, rng), kkt_tol=1e-12)
+            op = EllipsoidProjection(gen_ellipsoid(dim, rng))
         x = rng.standard_normal(dim) * 4
         worst = max(worst, gradient_check(op, x, h=1e-5))
     report(

@@ -1,6 +1,5 @@
-"""Grid runner, aggregation, performance profiles, and export formats."""
+"""Grid runner, aggregation, performance profiles, and csv export."""
 import dataclasses
-import json
 import math
 import os
 import pathlib
@@ -334,17 +333,6 @@ class TestExport:
         path = tmp_path / "profile.csv"
         export(curves, path)
         assert path.read_text() == "solver,tau,fraction\na,1,0.5\na,2,1\n"
-
-    def test_json_format(self, tmp_path):
-        path = tmp_path / "results.json"
-        export([mk(iterations=5)], path, format="json")
-        payload = json.loads(path.read_text())
-        assert payload[0]["solver"] == "ppm"
-        assert payload[0]["iterations"] == 5
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            export([mk()], tmp_path / "x.xml", format="xml")
 
     def test_unknown_items(self, tmp_path):
         with pytest.raises(TypeError):

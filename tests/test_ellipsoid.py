@@ -360,8 +360,7 @@ class TestGeneratedMembers:
     def test_one_kkt_plan_agreeing_with_splitting_and_oracle(self, n, p, seed):
         inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
         members = [m for op in inst.operators for m in op.operators]
-        assert all(m.kkt_tol == KKT_TOL for m in members)
-        assert len({op.plan.key for op in inst.operators}) == 1
+        assert all(op.plan.called == [] for op in inst.operators)
         plan = EvaluationPlan(inst.operators)
         assert plan.called == [] and len(plan.stack) == len(members)
 

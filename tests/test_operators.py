@@ -36,7 +36,7 @@ from crmfp import (
     translate,
     translated_projection_deviation,
 )
-from crmfp.ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack
+from crmfp.ellipsoid import Ellipsoid, EllipsoidStack
 from crmfp.operators import EvaluationPlan
 from crmfp.product_space import BlockOperator
 
@@ -504,8 +504,7 @@ def random_operator(draw, rng, n, depth=0):
     kinds = ["ellipsoid", "ball", "halfspace"] + (["combination"] if depth < 2 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "ellipsoid":
-        kkt_tol = draw(st.sampled_from([KKT_TOL, 1e-12]))
-        return EllipsoidProjection(gen_ellipsoid(n, rng), kkt_tol=kkt_tol)
+        return EllipsoidProjection(gen_ellipsoid(n, rng))
     if kind == "ball":
         return BallProjection(rng.standard_normal(n), float(rng.uniform(0.5, 2.0)))
     if kind == "halfspace":
@@ -526,7 +525,31 @@ def operator_lists(draw):
     return ops, rng.standard_normal((len(ops), n)) * scale
 
 
+def one_stack_rows(op) -> int:
+    """Rows op owns in a plan's stack: one per ellipsoid projection, one per
+    member of a combination of ellipsoid projections, else 0."""
+    if isinstance(op, EllipsoidProjection):
+        return 1
+    if isinstance(op, ConvexCombination) and all(
+            isinstance(m, EllipsoidProjection) for m in op.operators):
+        return len(op.operators)
+    return 0
+
+
 class TestEvaluationPlan:
+    @settings(max_examples=150, deadline=None)
+    @given(operator_lists())
+    def test_every_ellipsoid_row_is_in_the_one_stack(self, case):
+        ops, _ = case
+        lists = [ops]
+        while lists:
+            members = lists.pop()
+            plan = EvaluationPlan(members)
+            rows = [one_stack_rows(op) for op in members]
+            assert sorted(plan.called) == [i for i, r in enumerate(rows) if r == 0]
+            assert (0 if plan.stack is None else len(plan.stack)) == sum(rows)
+            lists += [op.operators for op in members if isinstance(op, ConvexCombination)]
+
     @settings(max_examples=150, deadline=None)
     @given(operator_lists())
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

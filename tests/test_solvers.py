@@ -165,13 +165,24 @@ class TestParallelAndSequentialSteps:
         np.testing.assert_array_equal(ppm_step(ops, x), x)
         np.testing.assert_array_equal(spm_step(ops, x), x)
 
-    def test_ppm_run_matches_ppm_step_bitwise(self):
-        inst = gen_instance(InstanceSpec(n=5, p=4, seed=12))
-        x0 = np.full(5, 4.0)
-        trace = run("ppm", inst.operators, x0, SolverConfig(max_iterations=3))
+    @pytest.mark.parametrize("kind", ["ppm", "map", "crm", "spm"])
+    def test_run_matches_its_step_bitwise(self, kind):
+        steps = 3
+        if kind in ("ppm", "spm"):
+            inst = gen_instance(InstanceSpec(n=5, p=4, seed=12))
+            problem, x0 = inst.operators, np.full(5, 4.0)
+            step, args = (ppm_step if kind == "ppm" else spm_step), (problem,)
+        else:
+            block, diag, inst = lifted_instance(n=5, p=4, seed=12)
+            problem, x0 = (block, diag), embed(initial_point(inst), 4)
+            step, args = (map_step if kind == "map" else crm_step), problem
+        trace = run(kind, problem, x0, SolverConfig(max_iterations=steps))
+        assert trace.iterations == steps
         x = x0
-        for _ in range(3):
-            x = ppm_step(inst.operators, x)
+        for k in range(steps):
+            xn = step(*args, x)
+            assert trace.residual_history[k] == np.linalg.norm(xn - x)
+            x = xn
         np.testing.assert_array_equal(trace.final_point, x)
 
     def test_ppm_from_nan_start_raises_at_once(self, monkeypatch):

@@ -6,13 +6,16 @@ Usage:
         [--out runs.json] [--evidence LABEL]
 
 PARENT_DIR and CHANGE_DIR are checkouts with perfbench/ and src/ (for the
-parent, for example `git worktree add ../parent HEAD~1`).  For each
-workload the script runs PAIRS pairs of `perfbench/run.py --trace 0`, one
-run of each checkout per pair, the parent first in even pairs and the
-change first in odd ones; pair i uses seed SEEDS[i mod len(SEEDS)].  Then,
-per end-to-end metric of CHANGE_DIR's BENCHMARK.json, it prints each
-side's median and quartiles, the change's wins (ties count for neither)
-and a verdict:
+parent, for example `git worktree add ../parent HEAD~1`).  Each side runs
+from a fresh copy of its src/, perfbench/ and BENCHMARK.json in a
+temporary directory, as the benchmark itself runs from a new directory:
+a run from a working checkout can read differently from the same files
+elsewhere.  For each workload the script runs PAIRS pairs of
+`perfbench/run.py --trace 0`, one run of each checkout per pair, the
+parent first in even pairs and the change first in odd ones; pair i uses
+seed SEEDS[i mod len(SEEDS)].  Then, per end-to-end metric of
+CHANGE_DIR's BENCHMARK.json, it prints each side's median and quartiles,
+the change's wins (ties count for neither) and a verdict:
 
 - gain: the change won at least nine tenths of the pairs, and its median
   is better than the parent's by more than the parent's interquartile
@@ -33,12 +36,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("bench-grid", "crm-large", "checks-exterior")
+# What a perfbench run reads from a checkout.
+RUN_FILES = ("src", "perfbench", "BENCHMARK.json")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -73,6 +80,20 @@ def verdict(parent, change, bound: float, lower_is_better: bool = True) -> dict:
             "change": c_q, "parent_iqr": parent_iqr, "spread": spread, "worse_by": worse_by}
 
 
+def fresh_copy(checkout: Path, dest: Path) -> Path:
+    """Copy RUN_FILES of checkout into the new directory dest, without
+    bytecode caches, and return dest."""
+    dest.mkdir()
+    for name in RUN_FILES:
+        source = checkout / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        else:
+            shutil.copy2(source, dest / name)
+    return dest
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run: its result (last line) and record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -101,16 +122,20 @@ def main(argv=None) -> int:
         print("warning: the two checkouts' BENCHMARK.json differ", file=sys.stderr)
 
     runs = []
-    for workload in args.workloads.split(","):
-        for i in range(args.pairs):
-            seed = seeds[i % len(seeds)]
-            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in sides:
-                run = run_bench(getattr(args, side), workload, seed, args.seconds)
-                runs.append({"workload": workload, "pair": i, "seed": seed, "side": side, **run})
-                print(f"{workload} pair {i} seed {seed} {side}: "
-                      + " ".join(f"{k}={v['value']:.4g}"
-                                 for k, v in run["result"]["metrics"].items()), flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        copies = {side: fresh_copy(getattr(args, side), Path(tmp) / side)
+                  for side in ("parent", "change")}
+        for workload in args.workloads.split(","):
+            for i in range(args.pairs):
+                seed = seeds[i % len(seeds)]
+                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in sides:
+                    run = run_bench(copies[side], workload, seed, args.seconds)
+                    runs.append({"workload": workload, "pair": i, "seed": seed, "side": side,
+                                 **run})
+                    print(f"{workload} pair {i} seed {seed} {side}: "
+                          + " ".join(f"{k}={v['value']:.4g}"
+                                     for k, v in run["result"]["metrics"].items()), flush=True)
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1), encoding="utf-8")
 

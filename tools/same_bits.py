@@ -12,6 +12,8 @@ BLAS on one thread, and the child computes one fixed set of items:
   seeds 1 and 2, capped at CAP iterations, and at 100x200, seed 1, capped
   at 30 iterations (a plan of 4M eigenbasis floats): stop reason,
   iteration count, residual and distance histories and the final point;
+- the lifted map (with the fejer check) and spm in R^n, the same way, on
+  the 10x10 and 50x50 instances;
 - images of each combination of those instances, and of its first member,
   at the initial point and three random points;
 - ppm, the lifted crm and images, as above, on the instance that
@@ -38,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 CELLS = ((10, 10), (50, 50), (100, 30), (200, 10))
+MAP_CELLS = ((10, 10), (50, 50))
 LOADED = Path(__file__).resolve().parents[1] / "tests" / "data" / "instance_n3_p2_seed7.json"
 SEEDS = (1, 2)
 CAP = 200
@@ -72,12 +75,16 @@ def emit() -> dict:
     def solve(name, inst, x0, cap):
         n, p = inst.spec.n, inst.spec.p
         cfg = SolverConfig(tolerance=1e-6, max_iterations=cap)
+        lifted = (BlockOperator(inst.operators), DiagonalSubspace(n, p))
+        start, solution = embed(x0, p), embed(inst.fixed_point, p)
         items[f"ppm {name}"] = of_trace(run("ppm", inst.operators, x0, cfg))
         crm_cfg = SolverConfig(tolerance=1e-6, max_iterations=cap,
                                diagnostics=("fejer", "membership"))
-        items[f"crm {name}"] = of_trace(run(
-            "crm", (BlockOperator(inst.operators), DiagonalSubspace(n, p)), embed(x0, p),
-            crm_cfg, solution=embed(inst.fixed_point, p)))
+        items[f"crm {name}"] = of_trace(run("crm", lifted, start, crm_cfg, solution=solution))
+        if (n, p) in MAP_CELLS:
+            map_cfg = SolverConfig(tolerance=1e-6, max_iterations=cap, diagnostics=("fejer",))
+            items[f"map {name}"] = of_trace(run("map", lifted, start, map_cfg, solution=solution))
+            items[f"spm {name}"] = of_trace(run("spm", inst.operators, x0, cfg))
 
     def solve_and_image(name, inst, seed):
         x0 = initial_point(inst)

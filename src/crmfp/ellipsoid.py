@@ -25,13 +25,17 @@ Most rows of a solver's projector calls are interior and come back
 unchanged, yet the interior test needs the row in the eigenbasis: an
 O(n^2) rotation per row.  g is quadratic with Hessian 2A <= 2 w_max I, so
 around any anchor y it is bounded exactly by its tangent plane plus a
-curvature term, g(x) <= g(y) + grad g(y)'(x - y) + w_max |x - y|^2, an
-O(n) test once grad g(y) is known.  Each stack keeps one anchor per row, a
-point the exact test found interior; a row whose bound is below minus a
-margin that covers the float64 rounding of the exact test is certified
-interior and returned unchanged without being rotated, exactly as the
-exact test would return it.  Every other row takes the same arithmetic as
-without the cache, so the cache never changes an output bit.
+curvature term, g(x) <= g(y) + grad g(y)'(x - y) + w_max |x - y|^2.
+Expanded in x, that bound is a constant plus a linear form in
+(x, |x|, |x|^2), so each stack keeps, per row, one anchor (a point the
+exact test found interior) as one constant and one row of n + 2
+coefficients (Tangents).  Certifying one point shared by every row is then
+one GEMV, and one point per row one einsum, over the same arrays.  A row
+whose bound, plus a margin that covers the float64 rounding of the exact
+test and of the expanded form, is below 0 is certified interior and
+returned unchanged without being rotated, exactly as the exact test would
+return it.  Every other row takes the same arithmetic as without the
+cache, so the cache never changes an output bit.
 
 Every stack has one layout (EllipsoidStack): C-contiguous per-row
 arrays, and a (period, n, n) array of eigenbases in which row r uses basis
@@ -211,17 +215,19 @@ def decompose(ellipsoids) -> None:
 
 
 class Tangents(NamedTuple):
-    """The interior certificate of an EllipsoidStack: one anchor per row.
+    """The interior certificate of an EllipsoidStack: one anchor per row,
+    in expanded form.
 
-    Row j is certified at x when level[j] + d'(grad[j] + curv[j] d) < 0,
-    with d = x - anchors[j] (see EllipsoidStack.anchor).  curv, m_const and
-    m_norm2 are fixed per row.
+    Row j is certified at x when const[j] + lin[j] @ (x, |x|, |x|^2) < 0
+    (see EllipsoidStack.anchor).  For an anchor y with gradient G and
+    curvature c, lin[j] is (G - 2 c y, rho |G - 2 c y|, c (1 + rho)).  A row
+    without an anchor has const inf and lin (0, 0, c (1 + rho)).  curv,
+    m_const and m_norm2 are fixed per row.
     """
 
-    anchors: np.ndarray         # (J, n) the anchors y
-    level: np.ndarray           # (J,) g(y) + m_y; inf without an anchor
-    grad: np.ndarray            # (J, n) grad g(y)
-    curv: np.ndarray            # (J, 1) w_max (1 + 6 SCREEN_RTOL)
+    const: np.ndarray           # (J,) g(y) + m_y - G'y + c |y|^2; inf without an anchor
+    lin: np.ndarray             # (J, n + 2) the coefficients of (x, |x|, |x|^2)
+    curv: np.ndarray            # (J,) c = w_max (1 + 6 SCREEN_RTOL)
     m_const: np.ndarray         # (J,) m_y = m_const + m_norm2 |y|^2
     m_norm2: np.ndarray         # (J,)
 
@@ -276,12 +282,12 @@ class EllipsoidStack:
 
     The stack also caches, in tangents (a Tangents, None before the first
     anchor), one anchor per row: the last point of row j that was in doubt
-    and that the exact test found interior, with g and its gradient there.
-    certified() tests rows against the tangent-plane bound at their
-    anchors, and anchor() replaces the cache as a whole, so a concurrent
-    call never pairs one row's anchor with another anchor's gradient;
-    kkt_project_stacked uses both.  The cache only decides which rows are
-    rotated, never what any row's output is.
+    and that the exact test found interior, kept as the constant and the
+    coefficients of its tangent-plane bound.  certified() tests rows
+    against those bounds, and anchor() replaces the cache as a whole, so a
+    concurrent call never pairs one row's constant with another anchor's
+    coefficients; kkt_project_stacked uses both.  The cache only decides
+    which rows are rotated, never what any row's output is.
     """
 
     def __init__(self, ellipsoids):
@@ -341,59 +347,85 @@ class EllipsoidStack:
         return _rotate(self.rot.transpose(0, 2, 1), rows)
 
     def certified(self, rows: np.ndarray) -> np.ndarray | None:
-        """Rows whose tangent-plane bound at their anchor is below minus the
-        margin (a mask), or None when the stack has no anchors.  NaN and
-        inf rows are never certified: their bound is NaN or +inf."""
+        """Rows whose tangent-plane bound at their anchor, with its margin,
+        is below 0 (a mask), or None when the stack has no anchors.  Rows
+        with stride 0 are one shared point x, screened by one GEMV of the
+        coefficients with (x, |x|, |x|^2); other rows by einsums over the
+        same arrays.  NaN and inf rows are never certified: their bound is
+        NaN or +inf."""
         tan = self.tangents
         if tan is None:
             return None
-        d = rows - tan.anchors
-        return tan.level + np.einsum("ij,ij->i", d, tan.grad + tan.curv * d) < 0.0
+        n = self.dim
+        if rows.strides[0] == 0:
+            sq = rows[0] @ rows[0]
+            return tan.const + tan.lin @ np.concatenate((rows[0], (np.sqrt(sq), sq))) < 0.0
+        sq = np.einsum("ij,ij->i", rows, rows)
+        lin = np.einsum("ij,ij->i", tan.lin[:, :n], rows)
+        return tan.const + lin + tan.lin[:, n] * np.sqrt(sq) + tan.lin[:, n + 1] * sq < 0.0
 
     def anchor(self, idx: np.ndarray, rows: np.ndarray, rows_t: np.ndarray, g: np.ndarray) -> None:
         """Make rows, which the exact test found interior, the anchors of
         stack rows idx (rows_t: their eigencoordinates; g: their computed g).
 
         For an anchor y with eigencoordinates t, G = grad g(y) = Q G~ with
-        G~ = 2 (w t + b~), and g is quadratic with Hessian 2A <= 2 w_max I,
-        so for d = x - y exactly g(x) = g(y) + G'd + d'Ad
-        <= g(y) + G'd + w_max |d|^2.  Row j is certified at x when
-            g(y) + m_y + G'd + w_max (1 + 6 rho) |d|^2 < 0,   rho = SCREEN_RTOL,
-            m_y = rho (1 + 2 alpha + 6 |b|^2 / w_max + 10 w_max |y|^2).
-        The rounding of the exact test at x, of g(y) and G as stored, and
-        of the bound itself is at most c n^(3/2) u (u the unit roundoff, c
-        about 10, worst case) times
+        G~ = 2 (w t + b~), and g is quadratic with Hessian 2A <= 2 w I
+        (w = w_max), so for d = x - y exactly g(x) = g(y) + G'd + d'Ad
+        <= g(y) + G'd + w |d|^2.  With rho = SCREEN_RTOL, c = w (1 + 6 rho),
+        a = G - 2 c y and level = g(y) + m_y, the bound level + G'd + c |d|^2
+        is, expanded in x, const + a'x + c |x|^2 with
+        const = level - G'y + c |y|^2.  Row j is certified at x when
+            const + a'x + rho |a| |x| + c (1 + rho) |x|^2 < 0,
+            m_y = rho (1 + 4 alpha + 11 |b|^2 / w + 24 w |y|^2),
+        evaluated as one dot product of (a, rho |a|, c (1 + rho)) with
+        (x, |x|, |x|^2), plus const.  In exact arithmetic that value is
+        g(y) + G'd + w |d|^2 plus the margin
+        m_y + 6 rho w |d|^2 + rho |a| |x| + rho c |x|^2.
+
+        Each dot product of k terms rounds by at most k u times the sum of
+        its terms' magnitudes (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., section 3.1; u the unit roundoff).  So with
+        gamma = c' n^(3/2) u (c' about 10, worst case, the rotation
+        included) the rounding is at most gamma times S1 + S2:
+        - S1, the exact test at x and g(y) and G as stored,
             1 + alpha + |g(y)| + 2 |b| (|x| + |y|) + |G| |d|
-              + w_max (|x|^2 + |y|^2 + |y| |d| + |d|^2).
-        With |x| <= |y| + |d|, |g(y)| <= alpha + 2 |b| |y| + w_max |y|^2,
-        |G|^2 <= 8 (w_max^2 |y|^2 + |b|^2) and 2 |p| |q| <= |p|^2 / s
-        + s |q|^2 for any s > 0, that sum is at most
-        1 + 2 alpha + 6 |b|^2 / w_max + 10 w_max |y|^2 + 6 w_max |d|^2, so
-        the margin m_y + 6 rho w_max |d|^2 covers the rounding while
-        c n^(3/2) u <= rho, for n up to several thousand.  The bound holds
-        about any anchor; anchors are interior points because that is
-        where it certifies most.  G~ is rotated back here, by _rotate_rows.
+              + w (|x|^2 + |y|^2 + |y| |d| + |d|^2);
+        - S2, the expanded form: forming const (|level| + |G| |y|
+          + c |y|^2), forming a and a'x ((|G| + 2 c |y|) |x|), and the sum
+          and the norms (|const| + 2 |a| |x| + 2 c |x|^2).
+        With |g(y)| <= alpha + 2 |b| |y| + w |y|^2, |G| <= 2 w |y| + 2 |b|,
+        c = w up to terms of order rho, and 2 |p| |q| <= |p|^2 / s + s |q|^2
+        for any s > 0,
+            S1 <= 1 + 2 alpha + 6 |b|^2 / w + 10 w |y|^2 + 6 w |d|^2,
+            S2 <= 2 alpha + 5 |b|^2 / w + 14 w |y|^2 + 5 w |x|^2 + 2 |a| |x|.
+        So the margin covers the rounding while 5 gamma <= rho, for n up to
+        about three thousand.  When x is within a few ulps of y, const, a'x
+        and c |x|^2 are each of size w |y|^2 and cancel to about g(y); the
+        24 rho w |y|^2 of m_y covers their rounding.  The bound holds about
+        any anchor; anchors are interior points because that is where it
+        certifies most.  G~ is rotated back here, by _rotate_rows.
         """
-        tan = self.tangents
+        tan, n = self.tangents, self.dim
         if tan is None:
             w_max = self.eigs.max(-1)
             b2 = np.einsum("ij,ij->i", self.b_rot, self.b_rot)
-            zeros = np.zeros((len(self), self.dim))
+            curv = w_max * (1.0 + 6.0 * SCREEN_RTOL)
+            lin = np.zeros((len(self), n + 2))
+            lin[:, n + 1] = curv * (1.0 + SCREEN_RTOL)
             tan = Tangents(
-                zeros, np.full(len(self), np.inf), zeros,
-                (w_max * (1.0 + 6.0 * SCREEN_RTOL))[:, None],
-                SCREEN_RTOL * (1.0 + 2.0 * self.alphas + 6.0 * b2 / w_max),
-                SCREEN_RTOL * 10.0 * w_max,
+                np.full(len(self), np.inf), lin, curv,
+                SCREEN_RTOL * (1.0 + 4.0 * self.alphas + 11.0 * b2 / w_max),
+                SCREEN_RTOL * 24.0 * w_max,
             )
-        level = tan.level.copy()
-        level[idx] = g + tan.m_const[idx] + tan.m_norm2[idx] * np.einsum("ij,ij->i", rows, rows)
-        anchors = tan.anchors.copy()
-        anchors[idx] = rows
-        grad = tan.grad.copy()
-        grad[idx] = _rotate_rows(
-            self.rot, len(self), idx, 2.0 * (self.eigs[idx] * rows_t + self.b_rot[idx])
-        )
-        self.tangents = tan._replace(anchors=anchors, level=level, grad=grad)
+        grad_t = 2.0 * (self.eigs[idx] * rows_t + self.b_rot[idx])
+        grad = _rotate_rows(self.rot, len(self), idx, grad_t)
+        curv, y2 = tan.curv[idx], np.einsum("ij,ij->i", rows, rows)
+        level = g + tan.m_const[idx] + tan.m_norm2[idx] * y2
+        const, lin = tan.const.copy(), tan.lin.copy()
+        const[idx] = level - np.einsum("ij,ij->i", grad, rows) + curv * y2
+        lin[idx, :n] = grad - 2.0 * curv[:, None] * rows
+        lin[idx, n] = SCREEN_RTOL * np.linalg.norm(lin[idx, :n], axis=-1)
+        self.tangents = tan._replace(const=const, lin=lin)
 
 
 @dataclass(frozen=True)
@@ -506,8 +538,18 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     root-find as they are and rotates the results back in one batch.  Row
     j uses basis j mod len(stack.rot), which is j itself unless the stack
     is a tile (EllipsoidStack.tile).
+
+    Rows with stride 0, such as np.broadcast_to(x, (J, n)), are one point
+    x shared by every row: they are used as they are, with no contiguous
+    copy, the screen is one GEMV, and out is filled from x.  Every other
+    rows argument is made C-contiguous first.  The argument stays a 2-D
+    (J, n) array even for one shared point, so that every caller and
+    every wrapper of this function (perfbench's tracer reads rows.shape)
+    sees one signature.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if rows.strides[0] or not rows[0].flags.c_contiguous:
+        rows = np.ascontiguousarray(rows)
     count = len(rows)
     cert = stack.certified(rows)
     full = cert is None or 2 * np.count_nonzero(cert) <= count

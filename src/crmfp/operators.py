@@ -33,6 +33,9 @@ from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked, 
 from .ellipsoid import admm_project_stacked  # noqa: F401  (a perfbench trace site)
 from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
 
+# Runs of at most this many rows are summed slot by slot (_segment_sums).
+SLOT_RUN_MAX = 8
+
 
 def _check_vec(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -226,9 +229,51 @@ class Composition:
         return x
 
 
-def _segment_sums(row_weights, rows, starts) -> np.ndarray:
-    """Weighted sum of each run of rows from its start, bitwise a function of that run."""
-    return np.add.reduceat(row_weights[:, None] * rows, starts, axis=0)
+def _slots(counts, row_weights):
+    """The slot layout of runs of counts[i] consecutive rows with
+    row_weights, for _segment_sums: (index, weights, pad), with index[k, i]
+    the row of run i's k-th member and weights[k, i, 0] its weight, each
+    (r, p) with r the longest run, and pad True past a run's end (where
+    index and weights repeat its last row's); None when r > SLOT_RUN_MAX."""
+    counts = np.asarray(counts)
+    k = np.arange(counts.max())[:, None]
+    if len(k) > SLOT_RUN_MAX:
+        return None
+    index = np.cumsum(counts) - counts + np.minimum(k, counts - 1)
+    return index, row_weights[index][..., None], k >= counts
+
+
+def _segment_sums(row_weights, rows, starts, slots=None) -> np.ndarray:
+    """Weighted sum of each run of consecutive rows from its start, bit for
+    bit np.add.reduceat(row_weights[:, None] * rows, starts, axis=0).
+    slots is the runs' layout: an int r <= SLOT_RUN_MAX for runs of r rows
+    each, the layout from _slots, or None.
+
+    reduceat sums run i as r0 + s, with r the weighted rows and s numpy's
+    pairwise sum of r1, r2, ..., which for fewer than 8 terms is one loop,
+    ((-0.0 + r1) + r2) + ...  Runs of at most SLOT_RUN_MAX rows are summed
+    slot by slot in that order: r[k, i] is run i's k-th weighted row, and
+    the sums are r[0] + np.add.reduce(r[1:], axis=0, initial=-0.0), one
+    vector add per slot over every run rather than one inner loop per
+    column and run.  Past a run's end r holds -0.0, and x + (-0.0) = x for
+    every x, so a pad changes no sum (a +0.0 pad would turn a sum of -0.0
+    into +0.0).  Runs of equal length are a view of the weighted rows,
+    with no gather and no pad.  Longer runs, whose pairwise sum of 8 or
+    more terms uses 8 accumulators, keep reduceat (slots None), and so
+    does a convex combination's own call: its one run has no vector adds
+    to share, and at 3-5 rows of n <= 50 reduceat makes fewer numpy calls.
+    """
+    if slots is None:
+        return np.add.reduceat(row_weights[:, None] * rows, starts, axis=0)
+    if isinstance(slots, int):
+        r = (row_weights[:, None] * rows).reshape(-1, slots, rows.shape[-1]).swapaxes(0, 1)
+    else:
+        index, weights, pad = slots
+        r = rows.take(index, axis=0)
+        r *= weights
+        r[pad] = -0.0
+    tail = np.add.reduce(r[1:], axis=0, initial=-0.0)
+    return np.add(r[0], tail, out=tail)
 
 
 def _stacked_rows(op):
@@ -279,6 +324,7 @@ class EvaluationPlan:
         self.counts = np.array([len(w) for w in row_weights], dtype=int)
         self.starts = np.cumsum(self.counts) - self.counts
         self.row_weights = np.concatenate(row_weights) if parts else None
+        self.slots = _slots(self.counts, self.row_weights) if parts else None
         self.called = [i for i in range(len(operators)) if i not in parts]
         # Every operator is one stacked row: the projected rows are the images.
         self.one_row_each = not self.called and all(w is None for _, w in parts.values())
@@ -300,7 +346,7 @@ class EvaluationPlan:
             proj = kkt_project_stacked(self.stack, rows, KKT_TOL)
             if self.one_row_each:
                 return proj
-            out[self.fused] = _segment_sums(self.row_weights, proj, self.starts)
+            out[self.fused] = _segment_sums(self.row_weights, proj, self.starts, self.slots)
         for i in self.called:
             out[i] = self.operators[i](points if shared else points[i])
         return out
@@ -341,7 +387,8 @@ def images(operator, points) -> np.ndarray:
     plan = operator.plan
     size = len(plan.stack)
     proj = kkt_project_stacked(plan.stack.tile(k), np.repeat(points, size, axis=0), KKT_TOL)
-    return _segment_sums(np.tile(operator.weights, k), proj, np.arange(0, k * size, size))
+    slots = size if size <= SLOT_RUN_MAX else None
+    return _segment_sums(np.tile(operator.weights, k), proj, range(0, k * size, size), slots)
 
 
 def _sample_rows(samples) -> np.ndarray:

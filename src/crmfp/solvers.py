@@ -105,17 +105,20 @@ def map_step(operator, subspace, z) -> np.ndarray:
 
 
 def _crm_parts(operator, subspace, x):
-    """(circumcenter, T(x), P_U T(x), ||T(x) - x||, ||P_U T(x) - x||) for
-    one step from x: the crm step from x in U is the circumcenter, and the
-    alternating (map) step from any x is P_U T(x).
+    """(a, T(x), P_U T(x), ||T(x) - x||, ||P_U T(x) - x||) for one step
+    from x: the alternating (map) step from any x is P_U T(x), and the crm
+    step from x in U is the circumcenter x + a (P_U T(x) - x)
+    (_circumcenter).
 
     The circumcenter of x, R_T x and R_U R_T x lies on the line through x
     and P_U T(x); as T(x) - P_U T(x) is orthogonal to U, equidistance from
-    x and R_T x puts it at x + (||T(x) - x||^2 / ||P_U T(x) - x||^2)
-    (P_U T(x) - x).  Where P_U T(x) is x, the step is x.  The norms are
-    the square roots of the two differences' inner products, which is how
-    np.linalg.norm computes them too, so ||P_U T(x) - x|| is the bits of
-    the map step's displacement.
+    x and R_T x puts it at a = ||T(x) - x||^2 / ||P_U T(x) - x||^2 along
+    P_U T(x) - x.  Where P_U T(x) counts as x (the degeneracy guard), a is
+    0.0 and the step is x; for x in U no other step has a = 0, since there
+    ||P_U T(x) - x|| <= ||T(x) - x||.  Only crm forms the point.  The
+    norms are the square roots of the two differences' inner products,
+    which is how np.linalg.norm computes them too, so ||P_U T(x) - x|| is
+    the bits of the map step's displacement.
     """
     tx = np.asarray(operator(x), dtype=float)
     ptx = subspace.project(tx)
@@ -125,8 +128,15 @@ def _crm_parts(operator, subspace, x):
     num = float(np.vdot(disp, disp))
     norms = math.sqrt(num), math.sqrt(den)
     if 2.0 * norms[1] <= EPS_DEG * (1.0 + _norm(x)):
-        return (x.copy(), tx, ptx) + norms
-    return (x + (num / den) * step, tx, ptx) + norms
+        return (0.0, tx, ptx) + norms
+    return (num / den, tx, ptx) + norms
+
+
+def _circumcenter(x, ptx, a: float) -> np.ndarray:
+    """x + a (P_U T(x) - x), or a copy of x where a is 0.0 (the guard of
+    _crm_parts), so that a step that stands still keeps x's bits
+    (x + 0 (P_U T(x) - x) would turn -0.0 into +0.0)."""
+    return x + a * (ptx - x) if a else x.copy()
 
 
 def crm_step(operator, subspace, x) -> np.ndarray:
@@ -144,7 +154,8 @@ def crm_step(operator, subspace, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     _require_in_subspace(subspace, x)
-    return subspace.project(_crm_parts(operator, subspace, x)[0])
+    a, _, ptx, _, _ = _crm_parts(operator, subspace, x)
+    return subspace.project(_circumcenter(x, ptx, a))
 
 
 def ppm_step(operators, x) -> np.ndarray:
@@ -225,11 +236,14 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         plan = EvaluationPlan(operators)   # built once, timed with the loop
     for k in range(cfg.max_iterations):
         fix = None
-        if kind in ("map", "crm"):
-            # The checks see the raw circumcenter; the crm iterate continues
-            # from its projection, so drift out of the subspace cannot compound.
-            raw, tx, ptx, fix, step_norm = _crm_parts(operator, subspace, x)
-            xn = subspace.project(raw) if kind == "crm" else ptx
+        if kind == "map":
+            _, tx, xn, fix, step_norm = _crm_parts(operator, subspace, x)
+        elif kind == "crm":
+            # The checks see the raw circumcenter; the iterate continues from
+            # its projection, so drift out of the subspace cannot compound.
+            a, tx, ptx, fix, step_norm = _crm_parts(operator, subspace, x)
+            raw = _circumcenter(x, ptx, a)
+            xn = subspace.project(raw)
         elif kind == "ppm":
             xn = np.mean(plan(x), axis=0)
         else:

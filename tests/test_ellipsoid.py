@@ -570,21 +570,83 @@ def screened_call(stack, rows, tol):
     """Project rows through stack and through a copy of it with no anchors.
 
     The two must agree bit for bit (or both raise), and no row the stack
-    certifies interior may be exterior by the exact test.
+    certifies interior may be exterior by the exact test.  Rows with
+    stride 0 (one shared point) reach the stack as they are; the copy gets
+    them C-contiguous (for more than one row), so the shared path is
+    checked against the per-row one too.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    dense = np.ascontiguousarray(rows)
     cert = stack.certified(rows)
     if cert is not None:
-        exact = _g_rows(stack.eigs, stack.b_rot, stack.alphas, stack.to_eigen(rows)) <= 0.0
+        exact = _g_rows(stack.eigs, stack.b_rot, stack.alphas, stack.to_eigen(dense)) <= 0.0
         assert not (cert & ~exact).any()
     try:
-        want = kkt_project_stacked(EllipsoidStack.concatenate([stack]), rows, tol)
+        want = kkt_project_stacked(EllipsoidStack.concatenate([stack]), dense, tol)
     except RootNotBracketed:
         with pytest.raises(RootNotBracketed):
             kkt_project_stacked(stack, rows, tol)
         return cert
     assert_same_bits(kkt_project_stacked(stack, rows, tol), want)
     return cert
+
+
+def anchored(stack):
+    """Mask of the stack's rows that have an anchor."""
+    return np.isfinite(stack.tangents.const)
+
+
+def assert_same_tangents(got, want):
+    assert_same_bits(got.const, want.const)
+    assert_same_bits(got.lin, want.lin)
+
+
+def tangents_at(es, points):
+    """The Tangents of a new stack over es anchored at interior points, one per row."""
+    stack = EllipsoidStack(es)
+    assert_same_bits(kkt_project_stacked(stack, points, KKT_TOL), points)
+    assert anchored(stack).all()
+    return stack.tangents
+
+
+def reanchored(before, after):
+    """Mask of the rows whose anchor a call replaced (before: the Tangents
+    before the call, or None)."""
+    if before is None:
+        return np.isfinite(after.const)
+    return (before.const != after.const) | (before.lin != after.lin).any(-1)
+
+
+def certificate(tan, j, x):
+    """Row j's certificate value at x, as EllipsoidStack.certified forms it."""
+    sq = float(x @ x)
+    return float(tan.const[j] + tan.lin[j] @ np.concatenate((x, (np.sqrt(sq), sq))))
+
+
+def certificate_edge(tan, j, y, v):
+    """The s > 0 where row j's certificate at y + s v reaches 0, for a unit
+    vector v; None when it is not negative at y.
+
+    The value is convex in s.  Newton's method starts from the root of its
+    quadratic part (without the rho |a| |x| term, which is positive), which
+    lies beyond the edge, and then falls monotonically to it.
+    """
+    n = len(y)
+    if not certificate(tan, j, y) < 0.0:
+        return None
+    a, ra, cc = tan.lin[j, :n], tan.lin[j, n], tan.lin[j, n + 1]
+    lead = float(tan.const[j] + a @ y + cc * (y @ y))
+    slope = float(a @ v + 2.0 * cc * (y @ v))
+    s = (np.sqrt(max(slope * slope - 4.0 * cc * lead, 0.0)) - slope) / (2.0 * cc)
+    for _ in range(60):
+        x = y + s * v
+        norm = np.sqrt(x @ x)
+        deriv = float(a @ v + (ra / norm if norm > 0.0 else 0.0) * (x @ v) + 2.0 * cc * (x @ v))
+        step = certificate(tan, j, x) / deriv
+        if not step > 0.0:
+            break
+        s -= step
+    return s
 
 
 def beta_of(e):
@@ -601,6 +663,14 @@ def centre_and_boundary(e, v):
 def gradients(es, points):
     """grad g = 2 (A y + b) of each ellipsoid at its point, from dense data."""
     return np.stack([2.0 * (e.A @ y + e.b) for e, y in zip(es, points)])
+
+
+def assert_slopes(stack, es, anchors):
+    """The stack's linear coefficients are G - 2 c y at the given anchors,
+    G from dense data."""
+    tan, n = stack.tangents, stack.dim
+    want = gradients(es, anchors) - 2.0 * tan.curv[:, None] * anchors
+    np.testing.assert_allclose(tan.lin[:, :n], want, rtol=1e-12, atol=1e-12)
 
 
 moves = st.lists(
@@ -680,9 +750,10 @@ class TestInteriorScreen:
         to_eigen = stack.to_eigen
         monkeypatch.setattr(stack, "to_eigen", lambda rows: rotations.append(1) or to_eigen(rows))
         x = 0.1 * rng.standard_normal((5, 6))
+        first = x.copy()
         screened_call(stack, x, KKT_TOL)
         # Every row has an anchor, and certifies a neighbourhood of it.
-        assert len(rotations) == 1 and (stack.tangents.level < 0.0).all()
+        assert len(rotations) == 1 and anchored(stack).all()
         for _ in range(10):
             x = x + 1e-3 * rng.standard_normal(x.shape)
             assert stack.certified(x).all()
@@ -704,17 +775,17 @@ class TestInteriorScreen:
         ])
         cert = stack.certified(z)
         assert cert.sum() <= 2
-        before = stack.tangents.anchors
         assert_same_bits(kkt_project_stacked(stack, z, KKT_TOL), z)
         assert len(rotations) == 2
-        assert_same_bits(stack.tangents.anchors, np.where(cert[:, None], before, z))
+        assert_same_tangents(stack.tangents, tangents_at(es, np.where(cert[:, None], first, z)))
 
     def test_edges_of_tight_balls_are_interior(self):
         # For a round set the tangent-plane bound is exact: g(x) equals
         # g(y) + G'd + w_max |d|^2.  Points where the certificate's value
-        # level + G'd + curv |d|^2 is within a few ulps of 0 have a bound
-        # within a few ulps of minus the margin, so without the margin they
-        # could be exterior by the rounded exact test.
+        # is within a few ulps of 0 have a bound within a few ulps of minus
+        # the margin, so without the margin they could be exterior by the
+        # rounded exact test.  Each point goes through a per-row call and,
+        # on a second stack, through a stride-0 call (one GEMV).
         rng = np.random.default_rng(24)
         certified = 0
         for _ in range(400):
@@ -728,23 +799,22 @@ class TestInteriorScreen:
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
             for k in range(6):
-                stack = EllipsoidStack([e])
-                screened_call(stack, y[None], KKT_TOL)
-                tan = stack.tangents
-                if tan.level[0] >= 0.0:
-                    break
-                slope, curv = float(tan.grad[0] @ v), float(tan.curv[0, 0])
-                edge = (np.sqrt(slope * slope - 4.0 * curv * tan.level[0]) - slope) / (2.0 * curv)
-                x = y + edge * (1.0 - k * 1e-16) * v
-                certified += bool(screened_call(stack, x[None], KKT_TOL)[0])
-        assert certified > 1000
+                for as_rows in (lambda p: np.stack([p]), lambda p: np.broadcast_to(p, (1, n))):
+                    stack = EllipsoidStack([e])
+                    screened_call(stack, as_rows(y), KKT_TOL)
+                    edge = certificate_edge(stack.tangents, 0, y, v)
+                    if edge is None:
+                        break
+                    x = y + edge * (1.0 - k * 1e-16) * v
+                    certified += bool(screened_call(stack, as_rows(x), KKT_TOL)[0])
+        assert certified > 2000
 
     def test_all_exterior_call_keeps_the_anchors(self):
         rng = np.random.default_rng(22)
         stack = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
         screened_call(stack, np.zeros((3, 4)), KKT_TOL)
         tangents = stack.tangents
-        assert (tangents.level < 0.0).all()
+        assert anchored(stack).all()
         screened_call(stack, np.full((3, 4), 50.0), KKT_TOL)
         assert stack.tangents is tangents
         # Later calls still screen against those anchors, and keep their bits.
@@ -796,7 +866,7 @@ class TestInteriorScreen:
         assert len(rotations) == 1
         # All three rows were anchored at once: one batched back-rotation of
         # the gradients.
-        np.testing.assert_allclose(stack.tangents.grad, gradients(es, y), rtol=1e-12, atol=1e-12)
+        assert_slopes(stack, es, y)
         # A ball around y in the set, with |G| r + w_max r^2 <= -g(y), has
         # r < -g(y) / |G|.  Go ten times as far down the gradient.
         grad = 2.0 * (round_set.A @ y[0] + round_set.b)
@@ -808,7 +878,7 @@ class TestInteriorScreen:
         # No batch and no row was rotated: a rotated interior row in doubt
         # would have become its row's anchor.
         assert len(rotations) == 1
-        assert_same_bits(stack.tangents.anchors, y)
+        assert_same_tangents(stack.tangents, tangents_at(es, y))
         # Row 1 at 0.99 of the way to the boundary along A's longest axis is
         # in doubt yet interior: the partial path rotates it alone and
         # makes it the anchor of its row.
@@ -817,11 +887,10 @@ class TestInteriorScreen:
         assert stack.certified(x).tolist() == [True, False, True]
         assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
         assert len(rotations) == 1
-        assert_same_bits(stack.tangents.anchors, np.stack([y[0], x[1], y[2]]))
+        now = np.stack([y[0], x[1], y[2]])
+        assert_same_tangents(stack.tangents, tangents_at(es, now))
         # One row of three was anchored: one np.dot.
-        np.testing.assert_allclose(
-            stack.tangents.grad, gradients(es, stack.tangents.anchors), rtol=1e-12, atol=1e-12
-        )
+        assert_slopes(stack, es, now)
         assert stack.certified(x).all()
 
     @settings(max_examples=100, deadline=None)
@@ -830,11 +899,12 @@ class TestInteriorScreen:
         st.one_of(st.integers(1, 12), st.sampled_from([50, 200])),
         st.integers(1, 3),
         st.floats(0.0, 8.0),
-        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 8.0),
+        st.booleans(),
         st.lists(
             st.tuples(
                 st.sampled_from(["+G", "-G", "tangent", "random"]),
-                st.sampled_from(["boundary", "edge", "edge"]),
+                st.sampled_from(["boundary", "edge", "edge", "anchor"]),
                 st.integers(-4, 4),
             ),
             min_size=1,
@@ -842,13 +912,17 @@ class TestInteriorScreen:
         ),
     )
     def test_tangent_bound_is_sound_near_the_boundary(
-        self, seed, n, members, log_cond, log_scale, steps
+        self, seed, n, members, log_cond, log_scale, shared, steps
     ):
         # Anchors anywhere inside, some a few ulps inside the boundary; then
         # steps along +-grad g, a tangent or a random direction, to a few
-        # ulps either side of the boundary, or of the certificate's own edge
-        # (where its value crosses 0).  screened_call checks that no
-        # certified row is exterior and that the outputs keep their bits.
+        # ulps either side of the boundary, of the certificate's own edge
+        # (where its value crosses 0), or of the anchor itself (where the
+        # expanded form's terms cancel).  Sets are scaled by up to 1e8, so
+        # |x| reaches 1e8 and beyond.  With shared, each step takes one
+        # member's point and hands it to every row as a stride-0 view (the
+        # GEMV screen).  screened_call checks that no certified row is
+        # exterior and that the outputs keep their bits.
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
         es = []
@@ -867,8 +941,17 @@ class TestInteriorScreen:
             else:
                 y = centre + rng.uniform(0.0, 1.0) * (y - centre)
             x.append(y)
+        anchors = np.full((members, n), np.nan)   # NaN: no anchor
+
+        def call(rows):
+            before = stack.tangents
+            screened_call(stack, rows, tol)
+            if stack.tangents is not None:
+                moved = reanchored(before, stack.tangents)
+                anchors[moved] = rows[moved]
+
         x = np.stack(x)
-        screened_call(stack, x, tol)
+        call(x)
 
         def first_root(c, slope, curv):
             # The positive root of c + slope s + curv s^2 for c <= 0.
@@ -878,9 +961,9 @@ class TestInteriorScreen:
         for direction, target, ulps in steps:
             tan = stack.tangents
             points = []
-            for j, e in enumerate(es):
-                anchored = tan is not None and tan.level[j] < 0.0
-                y = tan.anchors[j] if anchored else x[j]
+            for j in [int(rng.integers(members))] if shared else range(members):
+                e = es[j]
+                y = anchors[j] if np.isfinite(anchors[j]).all() else x[j]
                 grad = 2.0 * (e.A @ y + e.b)
                 u = rng.standard_normal(n)
                 if direction != "random" and np.linalg.norm(grad) > 0.0:
@@ -889,17 +972,21 @@ class TestInteriorScreen:
                 if not np.linalg.norm(u) > 0.0:   # no tangent direction in n = 1
                     u = np.ones(n)
                 u /= np.linalg.norm(u)
-                if target == "edge" and anchored:
-                    s = first_root(tan.level[j], float(tan.grad[j] @ u), float(tan.curv[j, 0]))
-                    p = y + s * (1.0 + ulps * 2.0**-52) * u
+                edge = None if tan is None else certificate_edge(tan, j, y, u)
+                if target == "anchor":
+                    p = y.copy()
+                    for _ in range(abs(ulps)):
+                        p = np.nextafter(p, p + np.sign(ulps) * u)
+                elif target == "edge" and edge is not None:
+                    p = y + edge * (1.0 + ulps * 2.0**-52) * u
                 else:
                     s = first_root(min(e.g(y), 0.0), float(grad @ u), float(u @ e.A @ u))
                     p = y + s * u
                     for _ in range(abs(ulps)):
                         p = np.nextafter(p, p + np.sign(ulps) * (e.A @ p + e.b))
                 points.append(p)
-            x = np.stack(points)
-            screened_call(stack, x, tol)
+            x = np.broadcast_to(points[0], (members, n)) if shared else np.stack(points)
+            call(x)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
     def test_row_products_equal_the_stacked_matmul(self, n):
@@ -947,13 +1034,13 @@ class TestTile:
         base = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
         kkt_project_stacked(base, np.zeros((3, 4)), KKT_TOL)
         tangents = base.tangents
-        saved = [tangents.anchors.copy(), tangents.level.copy(), tangents.grad.copy()]
+        saved = [tangents.const.copy(), tangents.lin.copy()]
         tiled = base.tile(4)
         assert tiled.tangents is None
         kkt_project_stacked(tiled, np.zeros((12, 4)), KKT_TOL)
         assert tiled.tangents is not None
         assert base.tangents is tangents
-        for got, want in zip([tangents.anchors, tangents.level, tangents.grad], saved):
+        for got, want in zip([tangents.const, tangents.lin], saved):
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("members", [1, 3])

@@ -32,12 +32,13 @@ from crmfp import (
     gradient_check,
     idempotence_violation_search,
     images,
+    initial_point,
     project_admm,
     translate,
     translated_projection_deviation,
 )
 from crmfp.ellipsoid import Ellipsoid, EllipsoidStack
-from crmfp.operators import EvaluationPlan
+from crmfp.operators import SLOT_RUN_MAX, EvaluationPlan, _segment_sums, _slots
 from crmfp.product_space import BlockOperator
 
 RT2 = np.sqrt(2.0)
@@ -685,6 +686,82 @@ class TestEvaluationPlan:
         inst = gen_instance(InstanceSpec(n=4, p=2, seed=3))
         with pytest.raises(RootNotBracketed, match="non-finite"):
             inst.operators[0](np.array([np.nan, 0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("r_range", [(3, 4, 5), (1, 9, 12)])
+    def test_shared_calls_along_a_ppm_trajectory_match_the_loop(self, r_range):
+        # ppm's own plan at each iterate of its run, against every operator
+        # called on its own (each a combination with its own plan).  Past
+        # the first steps the anchors certify most rows, so most calls skip
+        # most rotations; the bytes must not notice.  With r_range (3, 4, 5)
+        # the plan sums slot by slot and each operator's own call by
+        # reduceat; with (1, 9, 12) runs reach 12 rows and the plan keeps
+        # reduceat too.
+        inst = gen_instance(InstanceSpec(n=10, p=6, seed=3, r_range=r_range))
+        plan = EvaluationPlan(inst.operators)
+        x = initial_point(inst)
+        certified = rows = 0
+        for _ in range(150):
+            shared = np.broadcast_to(x, (len(plan.stack), len(x)))
+            cert = plan.stack.certified(shared)
+            certified += 0 if cert is None else int(cert.sum())
+            rows += len(plan.stack)
+            got = plan(x)
+            assert_same_bits(got, np.stack([op(x) for op in inst.operators]))
+            x = np.mean(got, axis=0)
+        assert certified > 0.8 * rows
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+# Values from 1e-300 to 1e300 and signed zeros, or values of like
+# magnitudes, whose sums round differently in another order.
+spread_values = st.one_of(
+    signed_zeros,
+    st.builds(lambda m, e, sign: sign * m * 10.0**e,
+              st.floats(1.0, 10.0), st.integers(-300, 299), st.sampled_from([1.0, -1.0])),
+)
+like_values = st.one_of(signed_zeros, st.floats(-10.0, 10.0))
+
+
+@st.composite
+def segment_cases(draw):
+    """(counts, row_weights, rows): runs of 1-12 rows, mixed in one layout
+    or all of one length, of spread or of like values."""
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    else:
+        counts = [draw(st.integers(1, 12))] * draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    total = sum(counts)
+    values = draw(st.sampled_from([spread_values, like_values]))
+    rows = np.array(draw(st.lists(values, min_size=total * n, max_size=total * n)))
+    weights = np.array(draw(st.lists(st.one_of(st.floats(0.0, 1.0), values),
+                                     min_size=total, max_size=total)))
+    return counts, weights, rows.reshape(total, n)
+
+
+class TestSegmentSums:
+    @settings(max_examples=400, deadline=None)
+    @given(segment_cases())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_equals_reduceat_bitwise(self, case):
+        counts, weights, rows = case
+        starts = np.cumsum(counts) - counts
+        want = np.add.reduceat(weights[:, None] * rows, starts, axis=0)
+        slots = _slots(counts, weights)
+        assert (slots is None) == (max(counts) > SLOT_RUN_MAX)
+        # The gathered layout, runs of one length as a view, and reduceat.
+        equal = len(set(counts)) == 1 and counts[0] <= SLOT_RUN_MAX
+        for layout in [slots] + ([counts[0]] if equal else []):
+            assert_same_bits(_segment_sums(weights, rows, starts, layout), want)
+
+    def test_negative_zero_sums_keep_their_sign(self):
+        # Runs of 1 and 3 rows of -0.0: reduceat gives -0.0 for both, and so
+        # must the slot-wise sum, whose run of 1 is padded by two slots.
+        rows = np.full((4, 2), -0.0)
+        weights = np.ones(4)
+        got = _segment_sums(weights, rows, [0, 1], _slots([1, 3], weights))
+        assert_same_bits(got, np.full((2, 2), -0.0))
+        assert_same_bits(got, np.add.reduceat(rows, [0, 1], axis=0))
 
 
 def assert_same_bits(got, want):

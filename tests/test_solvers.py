@@ -37,7 +37,7 @@ from crmfp import (
 )
 from crmfp.ellipsoid import EllipsoidStack
 from crmfp.geometry import circumcenter3
-from crmfp.solvers import EPS_DEG, _crm_parts
+from crmfp.solvers import EPS_DEG, _circumcenter, _crm_parts
 
 
 def x_axis_subspace():
@@ -461,7 +461,8 @@ class TestClosedFormCircumcenter:
     @given(closed_form_cases())
     def test_matches_circumcenter3(self, case):
         op, sub, x = case
-        z, tx, ptx, fix, step_norm = _crm_parts(op, sub, x)
+        a, tx, ptx, fix, step_norm = _crm_parts(op, sub, x)
+        z = _circumcenter(x, ptx, a)
         np.testing.assert_array_equal(tx, op(x))
         # The norms have the bits of np.linalg.norm's.
         assert fix == np.linalg.norm(tx - x)
@@ -485,7 +486,8 @@ class TestClosedFormCircumcenter:
         rng, scale, along, across, sub, x = random_problem(data.draw)
         slope = 10.0 ** data.draw(st.floats(-8.0, -2.0))
         op = tilted_halfspace(rng, scale, along, across, x, slope)
-        z, tx, *_ = _crm_parts(op, sub, x)
+        a, tx, ptx, *_ = _crm_parts(op, sub, x)
+        z = _circumcenter(x, ptx, a)
         r = 2.0 * tx - x
         w = 2.0 * sub.project(r) - r
         size = 1.0 + np.linalg.norm(z)
@@ -496,8 +498,12 @@ class TestClosedFormCircumcenter:
         # T(x) - x normal to U: P_U T(x) = x, and the step stays at x.
         op = HalfspaceProjection(np.array([0.0, 1.0]), -1.0)
         x = np.array([3.0, 0.0])
-        z, tx, ptx, fix, step_norm = _crm_parts(op, x_axis_subspace(), x)
-        np.testing.assert_array_equal(z, x)
+        x[1] = -0.0
+        a, tx, ptx, fix, step_norm = _crm_parts(op, x_axis_subspace(), x)
+        assert a == 0.0
+        z = _circumcenter(x, ptx, a)
+        # x's bits, its -0.0 included, in a new array.
+        assert z.tobytes() == x.tobytes() and z is not x
         np.testing.assert_array_equal(ptx, x)
         assert (fix, step_norm) == (1.0, 0.0)
 

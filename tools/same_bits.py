@@ -19,6 +19,9 @@ BLAS on one thread, and the child computes one fixed set of items:
 - ppm, the lifted crm and images, as above, on the instance that
   load_instance reads from tests/data/instance_n3_p2_seed7.json, so the
   load path's decomposition is compared too;
+- ppm, the lifted crm and images, as above, on a 10x6 instance whose
+  combinations have 1, 9 or 12 members (seed 3), so one-member runs and
+  runs too long for the slot-wise segmented sum are compared too;
 - firm_nonexpansiveness_slack and gradient_check on each instance's first
   combination and first member.
 
@@ -105,6 +108,8 @@ def emit() -> dict:
             items[f"checks {name}"] = digest(
                 [firm_nonexpansiveness_slack(q, x, y) for q in (first, first.operators[0])],
                 [gradient_check(q, x) for q in (first, first.operators[0])])
+    mixed = InstanceSpec(n=10, p=6, seed=3, r_range=(1, 9, 12))
+    solve_and_image("n=10 p=6 seed=3 r=1,9,12", gen_instance(mixed), mixed.seed)
     loaded = load_instance(LOADED)
     spec = loaded.spec
     solve_and_image(f"loaded n={spec.n} p={spec.p} seed={spec.seed}", loaded, spec.seed)

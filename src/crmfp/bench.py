@@ -75,6 +75,8 @@ class GridConfig:
         self.p_values = tuple(int(p) for p in self.p_values)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if any(v < 1 for v in self.n_values + self.p_values):
             raise ValueError("grid sizes n and p must be positive")
         if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
@@ -145,32 +147,26 @@ def run_cell(grid: GridConfig, n: int, p: int, replicate: int) -> list[RunResult
     return out
 
 
-def _run_cell_args(args) -> list[RunResult]:
-    return run_cell(*args)
-
-
 def run_experiment(grid: GridConfig, workers: int = 1) -> list[RunResult]:
     """All runs of the grid, sorted by (n, p, replicate, solver).
 
     Cells are independent; with workers > 1 they are spread over processes.
-    Results (all but wall times) are identical for any worker count.
+    They are handed out in decreasing n * p order, so the most expensive
+    cells start first instead of running alone at the tail.  Results (all
+    but wall times) are identical for any worker count.
     """
-    cells = [
-        (grid, n, p, r)
-        for n in grid.n_values
-        for p in grid.p_values
-        for r in range(grid.replicates)
-    ]
-    results: list[RunResult] = []
+    cells = sorted(
+        ((grid, n, p, r) for n in grid.n_values for p in grid.p_values
+         for r in range(grid.replicates)),
+        key=lambda cell: -cell[1] * cell[2],
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell_results in pool.map(_run_cell_args, cells):
-                results.extend(cell_results)
+            per_cell = list(pool.map(run_cell, *zip(*cells)))
     else:
-        for args in cells:
-            results.extend(_run_cell_args(args))
-    results.sort(key=lambda r: (r.n, r.p, r.replicate, r.solver))
-    return results
+        per_cell = (run_cell(*cell) for cell in cells)
+    return sorted((r for rs in per_cell for r in rs),
+                  key=lambda r: (r.n, r.p, r.replicate, r.solver))
 
 
 _METRICS = ("iterations", "elapsed_s", "final_residual")

@@ -29,13 +29,14 @@ curvature term, g(x) <= g(y) + grad g(y)'(x - y) + w_max |x - y|^2.
 Expanded in x, that bound is a constant plus a linear form in
 (x, |x|, |x|^2), so each stack keeps, per row, one anchor (a point the
 exact test found interior) as one constant and one row of n + 2
-coefficients (Tangents).  Certifying one point shared by every row is then
-one GEMV, and one point per row one einsum, over the same arrays.  A row
-whose bound, plus a margin that covers the float64 rounding of the exact
-test and of the expanded form, is below 0 is certified interior and
-returned unchanged without being rotated, exactly as the exact test would
-return it.  Every other row takes the same arithmetic as without the
-cache, so the cache never changes an output bit.
+coefficients (Tangents).  Only a point shared by every row of a call (rows
+with stride 0), the call every solver makes, is screened and anchors, and
+certifying it is one GEMV.  A row whose bound, plus a margin that covers
+the float64 rounding of the exact test and of the expanded form, is below
+0 is certified interior and returned unchanged without being rotated,
+exactly as the exact test would return it.  Every other row takes the
+same arithmetic as without the cache, so the cache never changes an
+output bit.
 
 Every stack has one layout (EllipsoidStack): C-contiguous per-row
 arrays, and a (period, n, n) array of eigenbases in which row r uses basis
@@ -281,10 +282,11 @@ class EllipsoidStack:
     stacked solve.
 
     The stack also caches, in tangents (a Tangents, None before the first
-    anchor), one anchor per row: the last point of row j that was in doubt
-    and that the exact test found interior, kept as the constant and the
-    coefficients of its tangent-plane bound.  certified() tests rows
-    against those bounds, and anchor() replaces the cache as a whole, so a
+    anchor), one anchor per row: the last shared point of a call that was
+    in doubt at row j and that the exact test found interior there, kept
+    as the constant and the coefficients of its tangent-plane bound.
+    certified() tests a shared point against those bounds, and anchor()
+    replaces the cache as a whole, so a
     concurrent call never pairs one row's constant with another anchor's
     coefficients; kkt_project_stacked uses both.  The cache only decides
     which rows are rotated, never what any row's output is.
@@ -348,25 +350,21 @@ class EllipsoidStack:
 
     def certified(self, rows: np.ndarray) -> np.ndarray | None:
         """Rows whose tangent-plane bound at their anchor, with its margin,
-        is below 0 (a mask), or None when the stack has no anchors.  Rows
-        with stride 0 are one shared point x, screened by one GEMV of the
-        coefficients with (x, |x|, |x|^2); other rows by einsums over the
-        same arrays.  NaN and inf rows are never certified: their bound is
-        NaN or +inf."""
+        is below 0 (a mask), or None when the stack has no anchors or the
+        rows are not one shared point.  Rows with stride 0 are one point x,
+        screened by one GEMV of the coefficients with (x, |x|, |x|^2).  A
+        NaN or inf point is never certified: its bound is NaN or +inf."""
         tan = self.tangents
-        if tan is None:
+        if tan is None or rows.strides[0]:
             return None
-        n = self.dim
-        if rows.strides[0] == 0:
-            sq = rows[0] @ rows[0]
-            return tan.const + tan.lin @ np.concatenate((rows[0], (np.sqrt(sq), sq))) < 0.0
-        sq = np.einsum("ij,ij->i", rows, rows)
-        lin = np.einsum("ij,ij->i", tan.lin[:, :n], rows)
-        return tan.const + lin + tan.lin[:, n] * np.sqrt(sq) + tan.lin[:, n + 1] * sq < 0.0
+        sq = rows[0] @ rows[0]
+        return tan.const + tan.lin @ np.concatenate((rows[0], (np.sqrt(sq), sq))) < 0.0
 
     def anchor(self, idx: np.ndarray, rows: np.ndarray, rows_t: np.ndarray, g: np.ndarray) -> None:
         """Make rows, which the exact test found interior, the anchors of
         stack rows idx (rows_t: their eigencoordinates; g: their computed g).
+        kkt_project_stacked anchors only a shared point, so its rows are
+        equal; the bound below holds for any rows.
 
         For an anchor y with eigencoordinates t, G = grad g(y) = Q G~ with
         G~ = 2 (w t + b~), and g is quadratic with Hessian 2A <= 2 w I
@@ -526,26 +524,28 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     """Rowwise direct projections: row j onto stack ellipsoid j.
 
     Rows the stack certifies interior (EllipsoidStack.certified) return
-    unchanged without being rotated.  When the stack has no anchors, or
-    the rows in doubt are at least as many as the certified ones, the whole
-    stack is rotated in one batch; otherwise only the rows in doubt are
-    rotated, by _rotate_rows.  Either way the rows in doubt that the exact
-    test finds interior become the anchors of their rows, and certified
-    rows keep theirs.  A per-row product equals its row of the batched one
-    bit for bit, and a certified row is interior by the exact test, so
-    every output is what rotating every row would give.  A call whose rows
-    are all exterior (none certified, none interior) hands them to the
-    root-find as they are and rotates the results back in one batch.  Row
-    j uses basis j mod len(stack.rot), which is j itself unless the stack
-    is a tile (EllipsoidStack.tile).
+    unchanged without being rotated.  When nothing is certified (no
+    anchors, or rows that are not one shared point), or the rows in doubt
+    are at least as many as the certified ones, the whole stack is rotated
+    in one batch; otherwise only the rows in doubt are rotated, by
+    _rotate_rows.  At a shared point, either way, the rows in doubt that
+    the exact test finds interior become the anchors of their rows, and
+    certified rows keep theirs.  A per-row product equals its row of the
+    batched one bit for bit, and a certified row is interior by the exact
+    test, so every output is what rotating every row would give.  A call
+    whose rows are all exterior (none certified, none interior) hands them
+    to the root-find as they are and rotates the results back in one
+    batch.  Row j uses basis j mod len(stack.rot), which is j itself
+    unless the stack is a tile (EllipsoidStack.tile).
 
     Rows with stride 0, such as np.broadcast_to(x, (J, n)), are one point
     x shared by every row: they are used as they are, with no contiguous
     copy, the screen is one GEMV, and out is filled from x.  Every other
-    rows argument is made C-contiguous first.  The argument stays a 2-D
-    (J, n) array even for one shared point, so that every caller and
-    every wrapper of this function (perfbench's tracer reads rows.shape)
-    sees one signature.
+    rows argument, such as a tile's in operators.images, is made
+    C-contiguous first, and is neither screened nor anchored: the anchors
+    stay as they are.  The argument stays a 2-D (J, n) array even for one
+    shared point, so that every caller and every wrapper of this function
+    (perfbench's tracer reads rows.shape) sees one signature.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.strides[0] or not rows[0].flags.c_contiguous:
@@ -567,9 +567,10 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     out = rows.copy()
     if full:
         rotated = np.arange(count)
-    # Rows in doubt found interior become anchors; certified rows keep theirs.
+    # At a shared point, rows in doubt found interior become anchors, and
+    # certified rows keep theirs.
     fresh = inside if cert is None or not full else inside & ~cert
-    if fresh.any():
+    if not rows.strides[0] and fresh.any():
         stack.anchor(rotated[fresh], rows[rotated[fresh]], zt[fresh], g[fresh])
     ext = ~inside
     idx = rotated[ext]

@@ -15,7 +15,9 @@ from those member ellipsoids, whatever its size.  Over an instance that
 generation or loading decomposed, every plan over its operators in order
 views the one array of eigenbases the instance was decomposed into (see
 EllipsoidStack), so ppm's plan and the lifted crm's plan over one instance
-hold them once.
+hold them once.  A plan fuses the calls at one point shared by every
+operator, which is every call a solver makes; one point per operator
+goes through the per-operator loop.
 Rows of a batch never interact, and convex combinations sum their
 members the same way in a plan and alone, so a plan returns exactly what
 operator-by-operator evaluation returns, without the per-member loop.
@@ -295,14 +297,17 @@ class EvaluationPlan:
     EllipsoidStack; each convex combination of ellipsoid projections owns
     a run of consecutive rows (one per member) and its weights.  The stack
     is built straight from those member ellipsoids, at any size.  A call
-    projects all rows in one stacked solve and sums the runs in one
-    segmented sum.  Operators of other kinds are called as they are.  The
-    stack views its members' eig() caches when they are consecutive rows
-    of one array, in order, as they are for a decomposed instance's
-    operators in order, and copies them otherwise (see EllipsoidStack).
-    Each plan keeps its own anchors.  Each
-    image is the same arithmetic on the same values as the operator's own
-    call, so the two agree bit for bit.
+    at one point shared by every operator projects all rows in one stacked
+    solve, as one stride-0 view of the point, and sums the runs in one
+    segmented sum; operators of other kinds are called as they are.  Every
+    solver call is such a call: ppm's iterates are points, and the lifted
+    crm's are diagonal (BlockOperator).  A call with one point per
+    operator is the per-operator loop.  The stack views its members' eig()
+    caches when they are consecutive rows of one array, in order, as they
+    are for a decomposed instance's operators in order, and copies them
+    otherwise (see EllipsoidStack).  Each plan keeps its own anchors.
+    Each image is the same arithmetic on the same values as the operator's
+    own call, so the two agree bit for bit.
     """
 
     def __init__(self, operators):
@@ -321,43 +326,42 @@ class EvaluationPlan:
         self.dim = n
         self.stack = EllipsoidStack(members) if members else None
         self.fused = np.array(list(parts), dtype=int)
-        self.counts = np.array([len(w) for w in row_weights], dtype=int)
-        self.starts = np.cumsum(self.counts) - self.counts
+        counts = np.array([len(w) for w in row_weights], dtype=int)
+        self.starts = np.cumsum(counts) - counts
         self.row_weights = np.concatenate(row_weights) if parts else None
-        self.slots = _slots(self.counts, self.row_weights) if parts else None
+        self.slots = _slots(counts, self.row_weights) if parts else None
         self.called = [i for i in range(len(operators)) if i not in parts]
         # Every operator is one stacked row: the projected rows are the images.
         self.one_row_each = not self.called and all(w is None for _, w in parts.values())
 
     def __call__(self, points) -> np.ndarray:
         """Images, one row per operator: all at one shared point (a vector),
-        or operator i at points[i]."""
+        fused as above, or operator i at points[i], by the per-operator
+        loop, which gives the same bits."""
         points = np.asarray(points, dtype=float)
-        shared = points.ndim == 1
-        expected = (self.dim,) if shared else (len(self.operators), self.dim)
-        if points.shape != expected:
-            raise DimensionMismatch(f"points have shape {points.shape}, expected {expected}")
+        if points.shape == (len(self.operators), self.dim):
+            return np.stack([op(x) for op, x in zip(self.operators, points)])
+        if points.shape != (self.dim,):
+            raise DimensionMismatch(f"points have shape {points.shape}, expected ({self.dim},)"
+                                    f" or ({len(self.operators)}, {self.dim})")
         out = np.empty((len(self.operators), self.dim))
         if self.stack is not None:
-            if shared:
-                rows = np.broadcast_to(points, (len(self.stack), self.dim))
-            else:
-                rows = np.repeat(points[self.fused], self.counts, axis=0)
+            rows = np.broadcast_to(points, (len(self.stack), self.dim))
             proj = kkt_project_stacked(self.stack, rows, KKT_TOL)
             if self.one_row_each:
                 return proj
             out[self.fused] = _segment_sums(self.row_weights, proj, self.starts, self.slots)
         for i in self.called:
-            out[i] = self.operators[i](points if shared else points[i])
+            out[i] = self.operators[i](points)
         return out
 
 
 def apply_each(operators, points) -> list[np.ndarray]:
     """Apply operators[i] to its input row through a one-shot EvaluationPlan.
 
-    points is either one vector shared by every operator or an array with
-    one row per operator.  Returns the list of outputs; identical to the
-    plain per-operator loop.
+    points is either one vector shared by every operator (one fused call)
+    or an array with one row per operator (the per-operator loop).
+    Returns the list of outputs; identical to the plain per-operator loop.
     """
     return list(EvaluationPlan(operators)(points))
 
@@ -371,7 +375,9 @@ def images(operator, points) -> np.ndarray:
     one solve on the tiled plan stack and sums each run of J rows the way
     its own call does.  Rows of a batch never interact and each run's sum
     depends only on its rows, so both equal the per-point loop bit for
-    bit.  Every other operator (or callable) is called point by point.
+    bit.  The tile's rows are not one shared point, so kkt_project_stacked
+    neither screens nor anchors them.  Every other operator (or callable)
+    is called point by point.
     """
     points = np.asarray(points, dtype=float)
     if len(points) == 0:

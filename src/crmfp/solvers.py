@@ -1,17 +1,19 @@
 """Fixed-point iterations for common-fixed-point problems.
 
-Four steps are provided.  map_step alternates one operator with an affine
-(or diagonal) subspace projection; crm_step replaces the alternating step
-by the circumcenter of the current iterate and two successive reflections,
-which stays in the subspace and never does worse than the alternating
-step; it is computed in closed form, with geometry.circumcenter3 as its
-test oracle.  The circumcenter lies on the line through x and the
-alternating step's point, so one routine (_crm_parts) computes both steps.
-ppm_step averages many operators; spm_step chains them.
-run() wraps any of them with a displacement stopping rule, optional
-distance tracking against a known solution, and optional per-iteration
-checks that raise DiagnosticFailure when a structural property is
-violated numerically.
+Four steps are provided.  map alternates one operator with an affine (or
+diagonal) subspace projection; crm replaces the alternating step by the
+circumcenter of the current iterate and two successive reflections, which
+stays in the subspace and never does worse than the alternating step; it
+is computed in closed form, with geometry.circumcenter3 as its test
+oracle.  The circumcenter lies on the line through x and the alternating
+step's point, so one routine (_crm_parts) computes both steps.  ppm
+averages many operators through one EvaluationPlan; spm chains them
+through one Composition.
+run() is the one implementation of every step: it iterates one with a
+displacement stopping rule, optional distance tracking against a known
+solution, and optional per-iteration checks that raise DiagnosticFailure
+when a structural property is violated numerically.  map_step, crm_step,
+ppm_step and spm_step are each one iteration of run.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .errors import (
     NotInSubspace,
 )
 from .geometry import circumcenter3  # noqa: F401  (a perfbench trace site)
-from .operators import EvaluationPlan
+from .operators import Composition, EvaluationPlan
 from .operators import apply_each  # noqa: F401  (a perfbench trace site)
 
 # Degeneracy guard of the circumcentering step: P_U T(x) counts as x.
@@ -89,6 +91,10 @@ class RateEstimate:
     geometric_mean_ratio: float
 
 
+# The configuration of the one-step functions: one iteration of run.
+_ONE_STEP = SolverConfig(max_iterations=1)
+
+
 def _norm(a) -> float:
     return float(np.linalg.norm(a))
 
@@ -100,8 +106,9 @@ def _require_in_subspace(subspace, x) -> None:
 
 
 def map_step(operator, subspace, z) -> np.ndarray:
-    """Alternating step: project the operator image onto the subspace."""
-    return _crm_parts(operator, subspace, np.asarray(z, dtype=float))[2]
+    """Alternating step: project the operator image onto the subspace (one
+    iteration of run("map"))."""
+    return run("map", (operator, subspace), z, _ONE_STEP).final_point
 
 
 def _crm_parts(operator, subspace, x):
@@ -145,33 +152,27 @@ def crm_step(operator, subspace, x) -> np.ndarray:
     Returns the point of the subspace equidistant from x, the reflection of
     x through the operator, and the reflection of that through the
     subspace.  Raises NotInSubspace when x is not (numerically) in the
-    subspace.  The point is computed in closed form (see _crm_parts).
+    subspace.  The point is computed in closed form (see _crm_parts), as
+    one iteration of run("crm").
 
     The circumcenter lies in the subspace in exact arithmetic; the result
     is re-projected so rounding drift cannot compound across steps (near
     convergence the circumscribed triangle flattens and a step amplifies
     any out-of-subspace component of its input).
     """
-    x = np.asarray(x, dtype=float)
-    _require_in_subspace(subspace, x)
-    a, _, ptx, _, _ = _crm_parts(operator, subspace, x)
-    return subspace.project(_circumcenter(x, ptx, a))
+    return run("crm", (operator, subspace), x, _ONE_STEP).final_point
 
 
 def ppm_step(operators, x) -> np.ndarray:
-    """Parallel step: mean of all operator images."""
-    return np.mean(EvaluationPlan(operators)(x), axis=0)
+    """Parallel step: mean of all operator images (one iteration of
+    run("ppm"))."""
+    return run("ppm", operators, x, _ONE_STEP).final_point
 
 
 def spm_step(operators, x) -> np.ndarray:
-    """Sequential step: chain all operators, first listed applied first."""
-    operators = list(operators)
-    if not operators:
-        raise EmptyOperatorList("sequential step needs at least one operator")
-    x = np.asarray(x, dtype=float).copy()
-    for op in operators:
-        x = np.asarray(op(x), dtype=float)
-    return x
+    """Sequential step: chain all operators, first listed applied first
+    (one iteration of run("spm"))."""
+    return run("spm", operators, x, _ONE_STEP).final_point
 
 
 def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> IterationTrace:
@@ -188,7 +189,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     ----------
     kind : one of "map", "crm", "ppm", "spm".
     problem : (operator, subspace) for "map" and "crm"; a sequence of
-        operators for "ppm" and "spm".
+        operators of one dimension (each with .dim) for "ppm" and "spm".
     x0 : starting point ("crm" requires it to lie in the subspace).
     cfg : SolverConfig; cfg.diagnostics may request per-iteration checks.
         "fejer" checks that the squared distance to the supplied solution
@@ -232,8 +233,11 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
 
     stop_reason = "max-iterations"
     t0 = time.perf_counter()
+    # ppm's plan and spm's chain are built once, timed with the loop.
     if kind == "ppm":
-        plan = EvaluationPlan(operators)   # built once, timed with the loop
+        plan = EvaluationPlan(operators)
+    elif kind == "spm":
+        chain = Composition(operators)
     for k in range(cfg.max_iterations):
         fix = None
         if kind == "map":
@@ -247,7 +251,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         elif kind == "ppm":
             xn = np.mean(plan(x), axis=0)
         else:
-            xn = spm_step(operators, x)
+            xn = chain(x)
 
         res = _norm(xn - x)
         residuals.append(res)

@@ -104,6 +104,19 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_grid(), workers=2)
         assert strip_elapsed(parallel) == strip_elapsed(results)
 
+    def test_cells_start_in_decreasing_n_times_p(self, monkeypatch):
+        # The most expensive cells start first, and the results are sorted.
+        started = []
+        run_cell = bench_module.run_cell
+        monkeypatch.setattr(bench_module, "run_cell", lambda grid, n, p, r: (
+            started.append((n, p, r)) or run_cell(grid, n, p, r)))
+        grid = tiny_grid(n_values=(3, 5), p_values=(2, 4), replicates=1, max_iterations=5,
+                         diagnostics=False)
+        results = run_experiment(grid)
+        assert started == [(5, 4, 0), (3, 4, 0), (5, 2, 0), (3, 2, 0)]
+        assert [(r.n, r.p) for r in results] == [(n, p) for n in (3, 5) for p in (2, 4)
+                                                 for _ in ("crm", "ppm")]
+
     def test_workers_fork_after_a_pooled_decomposition(self):
         # The process decomposes an instance on a thread pool, then forks
         # the grid's worker processes.  A pool whose threads outlived the
@@ -186,6 +199,12 @@ class TestRunExperiment:
     def test_solver_settings_and_sizes_validated(self, field, value):
         with pytest.raises(ValueError):
             tiny_grid(**{field: value})
+
+    def test_negative_master_seed_rejected(self):
+        # SeedSequence takes nonnegative entropy only; the grid says so first.
+        with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+            tiny_grid(master_seed=-1)
+        assert tiny_grid(master_seed=0).master_seed == 0
 
 
 class TestSummarize:

@@ -184,6 +184,7 @@ class TestInvalidValues:
             "bench --tol -1": ("bench", bench_args(tmp_path / "c", "--tol", "-1")),
             "bench --n 0": ("bench", bench_args(tmp_path / "d", "--n", "0")),
             "bench --workers 0": ("bench", bench_args(tmp_path / "e", "--workers", "0")),
+            "bench --master-seed -1": ("bench", bench_args(tmp_path / "f", "--master-seed", "-1")),
             "gen --n 0": ("gen", ["gen", "--n", "0", "--p", "2", "--seed", "1",
                                   "--out", str(tmp_path / "i.json")]),
             "gen --seed -1": ("gen", ["gen", "--n", "2", "--p", "2", "--seed", "-1",

@@ -573,11 +573,15 @@ def screened_call(stack, rows, tol):
     certifies interior may be exterior by the exact test.  Rows with
     stride 0 (one shared point) reach the stack as they are; the copy gets
     them C-contiguous (for more than one row), so the shared path is
-    checked against the per-row one too.
+    checked against the per-row one too.  Rows without stride 0 are
+    neither screened nor anchored: the stack keeps its Tangents object.
     """
     rows = np.asarray(rows, dtype=float)
     dense = np.ascontiguousarray(rows)
+    before = stack.tangents
     cert = stack.certified(rows)
+    if rows.strides[0]:
+        assert cert is None
     if cert is not None:
         exact = _g_rows(stack.eigs, stack.b_rot, stack.alphas, stack.to_eigen(dense)) <= 0.0
         assert not (cert & ~exact).any()
@@ -588,6 +592,8 @@ def screened_call(stack, rows, tol):
             kkt_project_stacked(stack, rows, tol)
         return cert
     assert_same_bits(kkt_project_stacked(stack, rows, tol), want)
+    if rows.strides[0]:
+        assert stack.tangents is before
     return cert
 
 
@@ -601,11 +607,20 @@ def assert_same_tangents(got, want):
     assert_same_bits(got.lin, want.lin)
 
 
+def shared_rows(x, count):
+    """x shared by count rows: a stride-0 view, as the solvers' calls pass it."""
+    return np.broadcast_to(x, (count, len(x)))
+
+
 def tangents_at(es, points):
-    """The Tangents of a new stack over es anchored at interior points, one per row."""
+    """The Tangents of a new stack over es anchored at interior points, one
+    per row: what shared calls at each row's point leave, with the
+    rotation and the g of the exact test."""
     stack = EllipsoidStack(es)
-    assert_same_bits(kkt_project_stacked(stack, points, KKT_TOL), points)
-    assert anchored(stack).all()
+    zt = stack.to_eigen(points)
+    g = _g_rows(stack.eigs, stack.b_rot, stack.alphas, zt)
+    assert (g <= 0.0).all()
+    stack.anchor(np.arange(len(es)), points, zt, g)
     return stack.tangents
 
 
@@ -716,11 +731,14 @@ class TestInteriorScreen:
         def as_rows(x):
             return np.broadcast_to(x, (members, n)) if shared else x
 
-        # The first anchors lie deep inside: at the centres (the origin,
-        # interior to every set, for a shared point).
+        # The first anchors lie deep inside, at the origin, which is
+        # interior to every set.  Calls with one point per row (shared
+        # False) are then neither screened nor anchored, and must keep the
+        # bits and the anchors of an anchored stack.
+        screened_call(stack, shared_rows(np.zeros(n), members), tol)
+        assert stack.tangents is not None
         x = np.zeros(n) if shared else centres.copy()
         screened_call(stack, as_rows(x), tol)
-        assert stack.tangents is not None
         for move, log_h in walk:
             if move == "step":
                 d = rng.standard_normal(x.shape)
@@ -749,33 +767,47 @@ class TestInteriorScreen:
         rotations = []
         to_eigen = stack.to_eigen
         monkeypatch.setattr(stack, "to_eigen", lambda rows: rotations.append(1) or to_eigen(rows))
-        x = 0.1 * rng.standard_normal((5, 6))
+        x = 0.1 * rng.standard_normal(6)
         first = x.copy()
-        screened_call(stack, x, KKT_TOL)
+        screened_call(stack, shared_rows(x, 5), KKT_TOL)
         # Every row has an anchor, and certifies a neighbourhood of it.
         assert len(rotations) == 1 and anchored(stack).all()
         for _ in range(10):
-            x = x + 1e-3 * rng.standard_normal(x.shape)
-            assert stack.certified(x).all()
-            assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
+            x = x + 1e-3 * rng.standard_normal(6)
+            assert stack.certified(shared_rows(x, 5)).all()
+            assert_same_bits(kkt_project_stacked(stack, shared_rows(x, 5), KKT_TOL),
+                             shared_rows(x, 5))
         assert len(rotations) == 1
-        # One row far outside: only that row is rotated, and projected.
-        x[2] = 100.0
-        assert stack.certified(x).sum() == 4
+
+        def edges(v):
+            return np.array([certificate_edge(stack.tangents, j, x, v) for j in range(5)])
+
+        # Along set 0's stiffest axis its certificate is exact: just past
+        # row 0's edge, and short of every other row's, the point is outside
+        # set 0 alone.  Only row 0 is rotated, and projected.
+        axis = es[0].eig()[1][:, -1]
+        v = min((axis, -axis), key=lambda u: edges(u)[0])
+        near = np.sort(edges(v))
+        out = x + 0.5 * (near[0] + near[1]) * v
+        assert stack.certified(shared_rows(out, 5)).tolist() == [False, True, True, True, True]
+        assert es[0].g(out) > 0.0
         assert_same_bits(
-            kkt_project_stacked(stack, x, KKT_TOL),
-            kkt_project_stacked(EllipsoidStack(es), x, KKT_TOL),
+            kkt_project_stacked(stack, shared_rows(out, 5), KKT_TOL),
+            kkt_project_stacked(EllipsoidStack(es), shared_rows(out, 5), KKT_TOL),
         )
         assert len(rotations) == 1
         # Most rows in doubt: one batched rotation, which re-anchors the
-        # interior ones in doubt; certified rows keep their anchors.
-        z = np.stack([
-            c + 0.9 * (y - c)
-            for c, y in (centre_and_boundary(e, rng.standard_normal(6)) for e in es)
-        ])
-        cert = stack.certified(z)
+        # interior ones in doubt; certified rows keep their anchors.  The
+        # point lies between two rows' edges along a random direction,
+        # inside every set.
+        v = rng.standard_normal(6)
+        v /= np.linalg.norm(v)
+        near = np.sort(edges(v))
+        z = x + 0.5 * (near[2] + near[3]) * v
+        assert all(e.g(z) < 0.0 for e in es)
+        cert = stack.certified(shared_rows(z, 5))
         assert cert.sum() <= 2
-        assert_same_bits(kkt_project_stacked(stack, z, KKT_TOL), z)
+        assert_same_bits(kkt_project_stacked(stack, shared_rows(z, 5), KKT_TOL), shared_rows(z, 5))
         assert len(rotations) == 2
         assert_same_tangents(stack.tangents, tangents_at(es, np.where(cert[:, None], first, z)))
 
@@ -784,8 +816,9 @@ class TestInteriorScreen:
         # g(y) + G'd + w_max |d|^2.  Points where the certificate's value
         # is within a few ulps of 0 have a bound within a few ulps of minus
         # the margin, so without the margin they could be exterior by the
-        # rounded exact test.  Each point goes through a per-row call and,
-        # on a second stack, through a stride-0 call (one GEMV).
+        # rounded exact test.  Each point goes, on two stacks, through both
+        # forms of a one-row shared point (one GEMV): a broadcast view, and
+        # the x[None, :] that project_kkt passes.
         rng = np.random.default_rng(24)
         certified = 0
         for _ in range(400):
@@ -799,7 +832,7 @@ class TestInteriorScreen:
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
             for k in range(6):
-                for as_rows in (lambda p: np.stack([p]), lambda p: np.broadcast_to(p, (1, n))):
+                for as_rows in (lambda p: shared_rows(p, 1), lambda p: p[None, :]):
                     stack = EllipsoidStack([e])
                     screened_call(stack, as_rows(y), KKT_TOL)
                     edge = certificate_edge(stack.tangents, 0, y, v)
@@ -812,18 +845,35 @@ class TestInteriorScreen:
     def test_all_exterior_call_keeps_the_anchors(self):
         rng = np.random.default_rng(22)
         stack = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
-        screened_call(stack, np.zeros((3, 4)), KKT_TOL)
+        screened_call(stack, shared_rows(np.zeros(4), 3), KKT_TOL)
         tangents = stack.tangents
         assert anchored(stack).all()
-        screened_call(stack, np.full((3, 4), 50.0), KKT_TOL)
+        screened_call(stack, shared_rows(np.full(4, 50.0), 3), KKT_TOL)
         assert stack.tangents is tangents
         # Later calls still screen against those anchors, and keep their bits.
-        assert stack.certified(np.zeros((3, 4))).all()
-        x = np.zeros((3, 4))
+        assert stack.certified(shared_rows(np.zeros(4), 3)).all()
+        x = np.zeros(4)
         for _ in range(5):
-            x = x + 0.05 * rng.standard_normal(x.shape)
+            x = x + 0.05 * rng.standard_normal(4)
+            screened_call(stack, shared_rows(x, 3), KKT_TOL)
+            screened_call(stack, shared_rows(np.full(4, 50.0), 3), KKT_TOL)
+
+    def test_rows_without_stride_0_keep_the_anchors(self):
+        # Only a shared point is screened and anchors: a call of other rows
+        # rotates every row and leaves the stack's Tangents object as it is,
+        # also where its rows are interior and in doubt.
+        rng = np.random.default_rng(26)
+        es = [gen_ellipsoid(4, rng) for _ in range(3)]
+        stack = EllipsoidStack(es)
+        rows = 0.05 * rng.standard_normal((3, 4))
+        assert_same_bits(kkt_project_stacked(stack, rows, KKT_TOL), rows)
+        assert stack.tangents is None
+        kkt_project_stacked(stack, shared_rows(np.zeros(4), 3), KKT_TOL)
+        tangents = stack.tangents
+        for x in (rows, rows + 1e-3, np.full((3, 4), 50.0), np.stack([np.zeros(4)] * 3)):
+            assert stack.certified(x) is None
             screened_call(stack, x, KKT_TOL)
-            screened_call(stack, np.full((3, 4), 50.0), KKT_TOL)
+            assert stack.tangents is tangents
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -831,12 +881,14 @@ class TestInteriorScreen:
         rng = np.random.default_rng(23)
         es = [gen_ellipsoid(3, rng) for _ in range(4)]
         stack = EllipsoidStack(es)
-        kkt_project_stacked(stack, np.zeros((4, 3)), KKT_TOL)
-        rows = np.full((4, 3), 1e-6)
-        rows[1, 0] = bad
-        assert stack.certified(rows).tolist() == [True, False, True, True]
+        kkt_project_stacked(stack, shared_rows(np.zeros(3), 4), KKT_TOL)
+        x = np.full(3, 1e-6)
+        assert stack.certified(shared_rows(x, 4)).all()
+        # A non-finite coordinate of the shared point: no row is certified.
+        x[0] = bad
+        assert not stack.certified(shared_rows(x, 4)).any()
         with pytest.raises(RootNotBracketed, match="non-finite"):
-            kkt_project_stacked(stack, rows, KKT_TOL)
+            kkt_project_stacked(stack, shared_rows(x, 4), KKT_TOL)
         with pytest.raises(RootNotBracketed, match="non-finite"):
             kkt_project_stacked(stack, np.full((4, 3), bad), KKT_TOL)
         e = es[0]
@@ -847,51 +899,50 @@ class TestInteriorScreen:
 
     def test_rows_moved_down_the_gradient_skip_the_rotation(self, monkeypatch):
         # Member 0 is round, so its tangent-plane bound is exact; members 1
-        # and 2 are not.
+        # and 2 are not, and are scaled up ten times, so that they certify
+        # every point of member 0 that the test visits.
         rng = np.random.default_rng(25)
         n = 6
         round_set = Ellipsoid(2.0 * np.eye(n), rng.standard_normal(n), 1.5)
-        es = [round_set, gen_ellipsoid(n, rng), gen_ellipsoid(n, rng)]
+        es = [round_set] + [Ellipsoid(e.A / 100.0, e.b / 10.0, e.alpha)
+                            for e in (gen_ellipsoid(n, rng), gen_ellipsoid(n, rng))]
         stack = EllipsoidStack(es)
         rotations = []
         to_eigen = stack.to_eigen
         monkeypatch.setattr(stack, "to_eigen", lambda rows: rotations.append(1) or to_eigen(rows))
-        y = np.stack([
-            centre + f * (edge - centre)
-            for f, (centre, edge) in zip(
-                (0.9, 0.5, 0.5), (centre_and_boundary(e, rng.standard_normal(n)) for e in es)
-            )
-        ])
-        screened_call(stack, y, KKT_TOL)
+        centre, edge = centre_and_boundary(round_set, rng.standard_normal(n))
+        y = centre + 0.9 * (edge - centre)
+        screened_call(stack, shared_rows(y, 3), KKT_TOL)
         assert len(rotations) == 1
         # All three rows were anchored at once: one batched back-rotation of
         # the gradients.
-        assert_slopes(stack, es, y)
+        assert_slopes(stack, es, shared_rows(y, 3))
         # A ball around y in the set, with |G| r + w_max r^2 <= -g(y), has
         # r < -g(y) / |G|.  Go ten times as far down the gradient.
-        grad = 2.0 * (round_set.A @ y[0] + round_set.b)
+        grad = 2.0 * (round_set.A @ y + round_set.b)
         unit = grad / np.linalg.norm(grad)
-        x = y.copy()
-        x[0] = y[0] - 10.0 * (-round_set.g(y[0]) / np.linalg.norm(grad)) * unit
-        assert stack.certified(x).all()
-        assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
+        x = y - 10.0 * (-round_set.g(y) / np.linalg.norm(grad)) * unit
+        assert stack.certified(shared_rows(x, 3)).all()
+        assert_same_bits(kkt_project_stacked(stack, shared_rows(x, 3), KKT_TOL), shared_rows(x, 3))
         # No batch and no row was rotated: a rotated interior row in doubt
         # would have become its row's anchor.
         assert len(rotations) == 1
-        assert_same_tangents(stack.tangents, tangents_at(es, y))
-        # Row 1 at 0.99 of the way to the boundary along A's longest axis is
-        # in doubt yet interior: the partial path rotates it alone and
-        # makes it the anchor of its row.
-        c1, far = centre_and_boundary(es[1], es[1].eig()[1][:, 0])
-        x[1] = c1 + 0.99 * (far - c1)
-        assert stack.certified(x).tolist() == [True, False, True]
-        assert_same_bits(kkt_project_stacked(stack, x, KKT_TOL), x)
+        assert_same_tangents(stack.tangents, tangents_at(es, shared_rows(y, 3)))
+        # A point 1e-12 of the way inside member 0's boundary is in doubt,
+        # for the margin, yet interior: the partial path rotates row 0 alone
+        # and makes the point the anchor of its row.
+        c0, far = centre_and_boundary(round_set, rng.standard_normal(n))
+        x = c0 + (1.0 - 1e-12) * (far - c0)
+        assert stack.certified(shared_rows(x, 3)).tolist() == [False, True, True]
+        assert_same_bits(kkt_project_stacked(stack, shared_rows(x, 3), KKT_TOL), shared_rows(x, 3))
         assert len(rotations) == 1
-        now = np.stack([y[0], x[1], y[2]])
+        now = np.stack([x, y, y])
         assert_same_tangents(stack.tangents, tangents_at(es, now))
         # One row of three was anchored: one np.dot.
         assert_slopes(stack, es, now)
-        assert stack.certified(x).all()
+        # At its own anchor a row's bound is g plus the margin, so x stays
+        # in doubt for row 0.
+        assert stack.certified(shared_rows(x, 3)).tolist() == [False, True, True]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -900,7 +951,6 @@ class TestInteriorScreen:
         st.integers(1, 3),
         st.floats(0.0, 8.0),
         st.floats(-3.0, 8.0),
-        st.booleans(),
         st.lists(
             st.tuples(
                 st.sampled_from(["+G", "-G", "tangent", "random"]),
@@ -912,17 +962,18 @@ class TestInteriorScreen:
         ),
     )
     def test_tangent_bound_is_sound_near_the_boundary(
-        self, seed, n, members, log_cond, log_scale, shared, steps
+        self, seed, n, members, log_cond, log_scale, steps
     ):
         # Anchors anywhere inside, some a few ulps inside the boundary; then
         # steps along +-grad g, a tangent or a random direction, to a few
         # ulps either side of the boundary, of the certificate's own edge
         # (where its value crosses 0), or of the anchor itself (where the
         # expanded form's terms cancel).  Sets are scaled by up to 1e8, so
-        # |x| reaches 1e8 and beyond.  With shared, each step takes one
-        # member's point and hands it to every row as a stride-0 view (the
-        # GEMV screen).  screened_call checks that no certified row is
-        # exterior and that the outputs keep their bits.
+        # |x| reaches 1e8 and beyond.  Each member's first point, and each
+        # step's point of one member, goes to every row as a stride-0 view
+        # (the GEMV screen), and anchors the rows where it is in doubt and
+        # interior.  screened_call checks that no certified row is exterior
+        # and that the outputs keep their bits.
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
         es = []
@@ -950,8 +1001,8 @@ class TestInteriorScreen:
                 moved = reanchored(before, stack.tangents)
                 anchors[moved] = rows[moved]
 
-        x = np.stack(x)
-        call(x)
+        for y in x:
+            call(shared_rows(y, members))
 
         def first_root(c, slope, curv):
             # The positive root of c + slope s + curv s^2 for c <= 0.
@@ -960,33 +1011,30 @@ class TestInteriorScreen:
 
         for direction, target, ulps in steps:
             tan = stack.tangents
-            points = []
-            for j in [int(rng.integers(members))] if shared else range(members):
-                e = es[j]
-                y = anchors[j] if np.isfinite(anchors[j]).all() else x[j]
-                grad = 2.0 * (e.A @ y + e.b)
-                u = rng.standard_normal(n)
-                if direction != "random" and np.linalg.norm(grad) > 0.0:
-                    unit = grad / np.linalg.norm(grad)
-                    u = {"+G": unit, "-G": -unit, "tangent": u - (u @ unit) * unit}[direction]
-                if not np.linalg.norm(u) > 0.0:   # no tangent direction in n = 1
-                    u = np.ones(n)
-                u /= np.linalg.norm(u)
-                edge = None if tan is None else certificate_edge(tan, j, y, u)
-                if target == "anchor":
-                    p = y.copy()
-                    for _ in range(abs(ulps)):
-                        p = np.nextafter(p, p + np.sign(ulps) * u)
-                elif target == "edge" and edge is not None:
-                    p = y + edge * (1.0 + ulps * 2.0**-52) * u
-                else:
-                    s = first_root(min(e.g(y), 0.0), float(grad @ u), float(u @ e.A @ u))
-                    p = y + s * u
-                    for _ in range(abs(ulps)):
-                        p = np.nextafter(p, p + np.sign(ulps) * (e.A @ p + e.b))
-                points.append(p)
-            x = np.broadcast_to(points[0], (members, n)) if shared else np.stack(points)
-            call(x)
+            j = int(rng.integers(members))
+            e = es[j]
+            y = anchors[j] if np.isfinite(anchors[j]).all() else x[j]
+            grad = 2.0 * (e.A @ y + e.b)
+            u = rng.standard_normal(n)
+            if direction != "random" and np.linalg.norm(grad) > 0.0:
+                unit = grad / np.linalg.norm(grad)
+                u = {"+G": unit, "-G": -unit, "tangent": u - (u @ unit) * unit}[direction]
+            if not np.linalg.norm(u) > 0.0:   # no tangent direction in n = 1
+                u = np.ones(n)
+            u /= np.linalg.norm(u)
+            edge = None if tan is None else certificate_edge(tan, j, y, u)
+            if target == "anchor":
+                p = y.copy()
+                for _ in range(abs(ulps)):
+                    p = np.nextafter(p, p + np.sign(ulps) * u)
+            elif target == "edge" and edge is not None:
+                p = y + edge * (1.0 + ulps * 2.0**-52) * u
+            else:
+                s = first_root(min(e.g(y), 0.0), float(grad @ u), float(u @ e.A @ u))
+                p = y + s * u
+                for _ in range(abs(ulps)):
+                    p = np.nextafter(p, p + np.sign(ulps) * (e.A @ p + e.b))
+            call(shared_rows(p, members))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
     def test_row_products_equal_the_stacked_matmul(self, n):
@@ -1032,12 +1080,12 @@ class TestTile:
     def test_base_screen_untouched(self):
         rng = np.random.default_rng(33)
         base = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])
-        kkt_project_stacked(base, np.zeros((3, 4)), KKT_TOL)
+        kkt_project_stacked(base, shared_rows(np.zeros(4), 3), KKT_TOL)
         tangents = base.tangents
         saved = [tangents.const.copy(), tangents.lin.copy()]
         tiled = base.tile(4)
         assert tiled.tangents is None
-        kkt_project_stacked(tiled, np.zeros((12, 4)), KKT_TOL)
+        kkt_project_stacked(tiled, shared_rows(np.zeros(4), 12), KKT_TOL)
         assert tiled.tangents is not None
         assert base.tangents is tangents
         for got, want in zip([tangents.const, tangents.lin], saved):

@@ -879,6 +879,27 @@ class TestImages:
         images(op, 3.0 * rng.standard_normal((6, 4)))
         assert stack.tangents is tangents
 
+    @pytest.mark.parametrize("kind", ["kkt", "fused"])
+    def test_never_anchors(self, kind, monkeypatch):
+        # Each call's tile is thrown away after it, and its rows are not one
+        # shared point, so images builds no anchors, not even for interior
+        # points (the small ones), nor do the checks that go through it.
+        rng = np.random.default_rng(44)
+        op, _ = operator_of_kind(kind, rng, 4)
+        anchors = []
+        anchor = EllipsoidStack.anchor
+        monkeypatch.setattr(EllipsoidStack, "anchor",
+                            lambda stack, *args: anchors.append(len(stack)) or anchor(stack, *args))
+        for scale in (0.01, 1.0, 10.0):
+            images(op, scale * rng.standard_normal((6, 4)))
+        x, y = 0.01 * rng.standard_normal((2, 4))
+        firm_nonexpansiveness_slack(op, x, y)
+        gradient_check(op, x)
+        idempotence_violation_search(op, [x, y])
+        assert anchors == []
+        op(np.zeros(4))   # a shared call at an interior point anchors
+        assert anchors
+
     @pytest.mark.parametrize("kind", ["kkt", "fused", "ball"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_row_raises(self, kind):

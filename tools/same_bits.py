@@ -23,7 +23,12 @@ BLAS on one thread, and the child computes one fixed set of items:
   combinations have 1, 9 or 12 members (seed 3), so one-member runs and
   runs too long for the slot-wise segmented sum are compared too;
 - firm_nonexpansiveness_slack and gradient_check on each instance's first
-  combination and first member.
+  combination and first member;
+- on the 10x10 instance of seed 1, one call of each public step function
+  (crm_step and map_step on the lifted pair from the embedded initial
+  point, ppm_step and spm_step from the initial point), and the calls with
+  one point per operator: BlockOperator at a lifted point that is not
+  diagonal, and apply_each at those points.
 
 It prints one sha256 digest per item and side, and exits with status 1
 when an item's digests differ or an item is missing on one side, else 0.
@@ -65,9 +70,10 @@ def digest(*parts) -> str:
 def emit() -> dict:
     """Digests of every item, computed with the crmfp on sys.path."""
     import crmfp
-    from crmfp import (BlockOperator, DiagonalSubspace, InstanceSpec, SolverConfig, embed,
-                       firm_nonexpansiveness_slack, gen_instance, gradient_check, images,
-                       initial_point, load_instance, run)
+    from crmfp import (BlockOperator, DiagonalSubspace, InstanceSpec, SolverConfig, apply_each,
+                       crm_step, embed, firm_nonexpansiveness_slack, gen_instance,
+                       gradient_check, images, initial_point, load_instance, map_step, ppm_step,
+                       run, spm_step)
 
     def of_trace(t):
         return digest(t.stop_reason, [t.iterations], t.residual_history,
@@ -108,6 +114,16 @@ def emit() -> dict:
             items[f"checks {name}"] = digest(
                 [firm_nonexpansiveness_slack(q, x, y) for q in (first, first.operators[0])],
                 [gradient_check(q, x) for q in (first, first.operators[0])])
+    inst = gen_instance(InstanceSpec(n=10, p=10, seed=1))
+    x0 = initial_point(inst)
+    block, diag, start = BlockOperator(inst.operators), DiagonalSubspace(10, 10), embed(x0, 10)
+    items["crm_step n=10 p=10 seed=1"] = digest(crm_step(block, diag, start))
+    items["map_step n=10 p=10 seed=1"] = digest(map_step(block, diag, start))
+    items["ppm_step n=10 p=10 seed=1"] = digest(ppm_step(inst.operators, x0))
+    items["spm_step n=10 p=10 seed=1"] = digest(spm_step(inst.operators, x0))
+    rows = x0 + 3.0 * np.random.default_rng(1).standard_normal((10, 10))
+    items["block rows n=10 p=10 seed=1"] = digest(block(rows))
+    items["apply_each rows n=10 p=10 seed=1"] = digest(*apply_each(inst.operators, rows))
     mixed = InstanceSpec(n=10, p=6, seed=3, r_range=(1, 9, 12))
     solve_and_image("n=10 p=6 seed=3 r=1,9,12", gen_instance(mixed), mixed.seed)
     loaded = load_instance(LOADED)
@@ -152,7 +168,7 @@ def main(argv=None) -> int:
         parser.error("PARENT_DIR and CHANGE_DIR are required")
     rows = compare(emitted(args.parent), emitted(args.change))
     for name, p, c, same in rows:
-        print(f"{'same' if same else 'DIFFERENT':<9} {name:<28} "
+        print(f"{'same' if same else 'DIFFERENT':<9} {name:<34} "
               f"{(p or 'missing')[:16]:<16} {(c or 'missing')[:16]}")
     differ = sum(not same for *_, same in rows)
     print(f"{len(rows) - differ} of {len(rows)} items identical")

@@ -50,9 +50,11 @@ same bits as its row of the batch.
 Eigendecompositions are computed in one place, decompose(): over many
 ellipsoids at once (an instance's members, in operator order), on a
 thread pool when the work pays for one, into one array of rows, and each
-ellipsoid's cache is a view of its row.  A stack over consecutive rows of
-that array, in order, views the slice; any other stack gathers a copy of
-its rows.
+ellipsoid's cache is a view of its row.  Generation hands decompose each
+member's build as it draws the member, so the same pool builds the
+matrices while the draws go on, then decomposes them.  A stack over
+consecutive rows of that array, in order, views the slice; any other
+stack gathers a copy of its rows.
 
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
@@ -65,7 +67,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -167,52 +171,82 @@ class Ellipsoid:
 def _pool_size(members: int, n: int) -> int:
     """Threads for decompose: the CPUs this process may use over the threads
     one BLAS call may take, at most one per member, and one (no pool) for
-    fewer than 2^26 units of members * n^3.  BLAS takes every CPU unless
-    the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS
-    that holds a positive count says otherwise; a pool beside a threaded
-    BLAS only oversubscribes the CPUs.  Below that work a pool ran no
-    faster than one thread (40 and 200 members at n = 50), and a pool
-    leaves the process multi-threaded for good, so it must pay for itself."""
+    fewer than 2^26 units of members * n^3.  members may be a bound on the
+    count (generation sizes its pool before the draws end).  BLAS takes
+    every CPU unless the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+    OMP_NUM_THREADS that holds a positive count says otherwise; a pool
+    beside a threaded BLAS only oversubscribes the CPUs.  Below that work a
+    pool ran no faster than one thread (40 and 200 members at n = 50), and
+    a pool leaves the process multi-threaded for good, so it must pay for
+    itself."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     blas = next((int(v) for v in map(os.getenv, _BLAS_ENV) if v and v.isdigit() and int(v)), cpus)
     return max(1, min(members, cpus // blas)) if members * n**3 >= 2**26 else 1
 
 
-def decompose(ellipsoids) -> None:
-    """Set the eig() caches of same-dimension ellipsoids from one set of arrays.
+class _Done(NamedTuple):
+    """A future whose task is done: result() is value."""
 
-    eigs (M, n), rot (M, n, n) and b_rot (M, n) are allocated once,
-    C-contiguous, with row j for the j-th distinct ellipsoid, and each
-    member's caches become views of its row (_row = j).  This is the only
-    place that computes eigendecompositions.  The rows are computed on a
-    thread pool of W = _pool_size(M, n) threads (LAPACK releases the GIL;
-    one thread means no pool), worker k taking rows k, k + W, ..., so that
-    a call costs W tasks, not M.  The pool is created per call, so no
-    thread outlives it and a later fork inherits none.  A worker writes
-    each row and drops eigh's output at once, so no eigenbasis is ever
-    held twice.  Every row is the same np.linalg.eigh and np.dot(q.T, b)
-    whatever thread runs it, so the bits do not depend on the pool size.
-    When some A is not positive definite, the ValueError is raised once
-    every row is done, and no member's caches are set.
+    value: object
+
+    def result(self):
+        return self.value
+
+
+# The executor of one thread, the caller's: each task runs when submitted.
+_INLINE = SimpleNamespace(submit=lambda task, *args: _Done(task(*args)))
+
+
+def decompose(members, bound: tuple[int, int] | None = None) -> list[Ellipsoid]:
+    """Set the eig() caches of same-dimension ellipsoids from one set of
+    arrays; return the ellipsoids in row order.
+
+    members yields Ellipsoids or builds: zero-argument callables that each
+    return a new Ellipsoid (generation yields one per member as it draws
+    it).  For builds, bound = (at most how many, n) sizes the pool, which
+    starts before the last member is known; without it, members is read
+    into a list first, one entry per distinct ellipsoid (by identity).
+    decompose runs on an executor of W = _pool_size(most, n) threads: a
+    pool created for this call and shut down before it returns (LAPACK
+    releases the GIL), so no thread outlives it and a later fork inherits
+    none; at W = 1 the same tasks run at once on the calling thread.  Each
+    build is submitted as members yields it.  Once members is exhausted,
+    its count M is known, eigs (M, n), rot (M, n, n) and b_rot (M, n) are
+    allocated once, C-contiguous, with row j for the j-th member, and one
+    task per member writes its row: np.linalg.eigh and np.dot(q.T, b),
+    whatever thread runs it, so the bits do not depend on W.  A task drops
+    eigh's output at once, so no eigenbasis is held twice.  Each member's
+    caches become views of its row (_row = j).  This is the only place
+    that computes eigendecompositions.  When a build fails or some A is
+    not positive definite, the error is raised (on a pool, the first in
+    row order once every task is done), and no member's caches are set.
     """
-    members = list(dict.fromkeys(ellipsoids))   # by identity: one row per ellipsoid
-    M, n = len(members), members[0].dim if members else 0
-    eigs, rot, b_rot = np.empty((M, n)), np.empty((M, n, n)), np.empty((M, n))
+    if bound is None:
+        members = list(dict.fromkeys(members))   # by identity: one row per ellipsoid
+        bound = (len(members), members[0].dim if members else 0)
+    most, n = bound
 
-    def fill(rows):
-        for j in rows:
-            w, q = np.linalg.eigh(members[j].A)
-            if w.min() <= 0.0:
-                raise ValueError("A is not positive definite")
-            eigs[j], rot[j], b_rot[j] = w, q, np.dot(q.T, members[j].b)
+    def fill(j, member):
+        e = member.result()
+        w, q = np.linalg.eigh(e.A)
+        if w.min() <= 0.0:
+            raise ValueError("A is not positive definite")
+        eigs[j], rot[j], b_rot[j] = w, q, np.dot(q.T, e.b)
+        return e
 
-    if (workers := _pool_size(M, n)) > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, (range(k, M, workers) for k in range(workers))))
-    else:
-        fill(range(M))
-    for j, e in enumerate(members):
+    workers = _pool_size(most, n)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext(_INLINE) as pool:
+        # A build is not kept once submitted, so its draws are freed once it has run.
+        built = [pool.submit(item) if callable(item) else _Done(item) for item in members]
+        M = len(built)
+        eigs, rot, b_rot = np.empty((M, n)), np.empty((M, n, n)), np.empty((M, n))
+        # The pool starts tasks in the order they were submitted, so a fill
+        # waits only for a build that is running or done.
+        filled = [pool.submit(fill, j, member) for j, member in enumerate(built)]
+        done = [f.result() for f in filled]
+    for j, e in enumerate(done):
         e._eig, e._b_rot, e._row = (eigs[j], rot[j]), b_rot[j], j
+    return done
 
 
 class Tangents(NamedTuple):
@@ -269,9 +303,10 @@ class EllipsoidStack:
     eigendecomposition and b in its eigenbasis, which decompose() sets as
     views of one row of its arrays (.base names the array, _row the row).
     The stack first decomposes, in one call, the members that have no cache
-    yet, then follows one rule: when the members' caches are consecutive
-    rows of one array, in order, eigs, rot and b_rot view that slice;
-    otherwise they gather a copy.  No stack rebinds a cache.
+    yet (no call when every member has one), then follows one rule: when
+    the members' caches are consecutive rows of one array, in order, eigs,
+    rot and b_rot view that slice; otherwise they gather a copy.  No stack
+    rebinds a cache.
     So every combination's stack and every plan over an instance that
     generation or loading decomposed, in operator order, views one array
     and copies nothing; a reversed list or a subset copies.  The caches
@@ -299,7 +334,8 @@ class EllipsoidStack:
         self.dim = n = ellipsoids[0].dim
         if any(e.dim != n for e in ellipsoids):
             raise DimensionMismatch("stacked ellipsoids must share one dimension")
-        decompose([e for e in ellipsoids if e._eig is None])
+        if fresh := [e for e in ellipsoids if e._eig is None]:
+            decompose(fresh)
         # The slice of the first member's arrays that starts at its row, when
         # the members' caches are that slice's rows.
         (w0, q0), b0, J = ellipsoids[0]._eig, ellipsoids[0]._b_rot, len(ellipsoids)

@@ -11,7 +11,10 @@ Generation and loading also decompose the instance: one
 ellipsoid.decompose call over every member ellipsoid, in operator order,
 fills their eig() caches from one array, so every combination and every
 operator-list plan over the instance views its rows instead of copying
-them.
+them.  Generation draws on the calling thread and hands decompose each
+member's build (A from the member's sparse B) as soon as the member is
+drawn, so on decompose's pool the builds, and then the
+eigendecompositions, overlap the draws; the bits are those of one thread.
 """
 from __future__ import annotations
 
@@ -101,44 +104,94 @@ class FppInstance:
     fixed_point: np.ndarray
 
 
+def _draw_ellipsoid(n: int, rng: np.random.Generator, gamma: float, density: float):
+    """Draw one ellipsoid (sparsity mask, dense values, linear term) and
+    return its build: a zero-argument callable that returns the Ellipsoid.
+
+    Only B's masked entries (about 2n at the default density) are kept
+    until the build.  The build writes A = gamma I + B'B, symmetrised, into
+    an array allocated here, on the drawing thread, and checks it through
+    Ellipsoid.  Per element it takes the operations of the dense form
+    0.5 * ((gamma I + B'B) + (gamma I + B'B)'), in that order, so any thread
+    gives the same bits.  Only the addition of gamma * 0 = +0.0 off the
+    diagonal is skipped; it would change nothing but a -0.0 of B'B, and
+    B'B's sums hold none even where every product is -0.0 (the tests
+    compare the bits with the dense form on such a B).
+    """
+    at = np.flatnonzero(rng.random(n * n) < density)
+    values = rng.standard_normal(n * n)[at]
+    b = rng.random(n)
+    A = np.empty((n, n))
+
+    def build() -> Ellipsoid:
+        B = np.zeros((n, n))
+        B.ravel()[at] = values          # ravel views a C-contiguous array
+        G = B.T @ B
+        G.ravel()[::n + 1] += gamma     # as is matmul's result
+        np.add(G, G.T, out=A)
+        np.multiply(0.5, A, out=A)
+        return Ellipsoid(A, b, float(b @ A @ b) + 1.0)
+
+    return build
+
+
+def _draw_operators(count: int, n: int, rng: np.random.Generator, spec: InstanceSpec,
+                    weights: list):
+    """Draw count operators in the seeded order, yielding each member's
+    build as it is drawn; each operator's weights are appended to weights
+    before its members are drawn."""
+    for _ in range(count):
+        r = int(rng.choice(np.asarray(spec.r_range)))
+        raw = rng.random(r)
+        weights.append(raw / raw.sum())
+        for _ in range(r):
+            yield _draw_ellipsoid(n, rng, spec.gamma, spec.density)
+
+
+def _combinations(ellipsoids, weights) -> list[ConvexCombination]:
+    """ellipsoids, in order, split into one combination per weight vector."""
+    members = iter(ellipsoids)
+    return [ConvexCombination([EllipsoidProjection(next(members)) for _ in w], w) for w in weights]
+
+
 def gen_ellipsoid(n: int, rng: np.random.Generator, gamma: float = 1.0,
                   density: float | None = None) -> Ellipsoid:
     """One random ellipsoid containing the origin in its interior.
 
     A = gamma I + B'B with B sparse (entries standard normal with the given
     density), b uniform on [0, 1]^n, and the level alpha = b'Ab + 1, which
-    keeps g(0) = -alpha strictly negative.
+    keeps g(0) = -alpha strictly negative.  It draws and builds on the
+    calling thread; gen_instance's members take the same draws and builds,
+    the builds on decompose's pool.
     """
-    if density is None:
-        density = min(1.0, 2.0 / n)
-    mask = rng.random((n, n)) < density
-    B = np.where(mask, rng.standard_normal((n, n)), 0.0)
-    A = gamma * np.eye(n) + B.T @ B
-    A = 0.5 * (A + A.T)
-    b = rng.random(n)
-    alpha = float(b @ A @ b) + 1.0
-    return Ellipsoid(A, b, alpha)
+    return _draw_ellipsoid(n, rng, gamma, min(1.0, 2.0 / n) if density is None else density)()
 
 
 def gen_operator(n: int, rng: np.random.Generator, spec: InstanceSpec) -> ConvexCombination:
     """One random convex combination of ellipsoid projections (KKT root-find)."""
-    r = int(rng.choice(np.asarray(spec.r_range)))
-    raw = rng.random(r)
-    weights = raw / raw.sum()
-    members = [
-        EllipsoidProjection(gen_ellipsoid(n, rng, spec.gamma, spec.density))
-        for _ in range(r)
-    ]
-    return ConvexCombination(members, weights)
+    weights = []
+    members = [build() for build in _draw_operators(1, n, rng, spec, weights)]
+    return _combinations(members, weights)[0]
 
 
 def gen_instance(spec: InstanceSpec, decomposed: bool = True) -> FppInstance:
     """All p operators of an instance from one seeded stream, decomposed
-    unless decomposed is False (for a caller that only writes it out)."""
+    unless decomposed is False (for a caller that only writes it out).
+
+    The draws run on the calling thread, in the seeded order.  Decomposed,
+    each member's build goes to decompose as it is drawn, so on decompose's
+    pool (sized on p * max(r_range) members, the most the draws can give)
+    builds overlap the draws that follow, and eigendecompositions follow
+    once the last member is drawn.  Not decomposed, the builds run on the
+    calling thread and no thread is started.
+    """
     rng = np.random.default_rng(spec.seed)
-    operators = [gen_operator(spec.n, rng, spec) for _ in range(spec.p)]
-    instance = FppInstance(spec=spec, operators=operators, fixed_point=np.zeros(spec.n))
-    return _decomposed(instance) if decomposed else instance
+    weights = []
+    builds = _draw_operators(spec.p, spec.n, rng, spec, weights)
+    ellipsoids = (decompose(builds, (spec.p * max(spec.r_range), spec.n)) if decomposed
+                  else [build() for build in builds])
+    return FppInstance(spec=spec, operators=_combinations(ellipsoids, weights),
+                       fixed_point=np.zeros(spec.n))
 
 
 def _decomposed(instance: FppInstance) -> FppInstance:

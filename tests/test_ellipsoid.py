@@ -10,6 +10,7 @@ for both.
 import gc
 import os
 import sys
+import threading
 import weakref
 from unittest.mock import patch
 
@@ -44,6 +45,7 @@ from crmfp.ellipsoid import (
     decompose,
     kkt_project_stacked,
 )
+from crmfp.instance_gen import instance_to_dict
 from crmfp.operators import EvaluationPlan
 
 
@@ -450,6 +452,20 @@ class TestDecompose:
                 EllipsoidStack(es)
         assert all(e._eig is None and e._b_rot is None for e in es)
 
+    @pytest.mark.parametrize("pool", [1, 3])
+    def test_a_failing_build_raises_and_sets_no_cache(self, pool):
+        rng = np.random.default_rng(10)
+        es = [gen_ellipsoid(4, rng) for _ in range(5)]
+
+        def broken():
+            raise ValueError("ellipsoid data must be finite")
+
+        builds = [lambda e=e: e for e in es[:2]] + [broken] + [lambda e=e: e for e in es[2:]]
+        with threads(pool):
+            with pytest.raises(ValueError, match="must be finite"):
+                decompose(iter(builds), (len(builds), 4))
+        assert all(e._eig is None and e._b_rot is None for e in es)
+
     def test_a_repeated_member_gets_one_row(self):
         rng = np.random.default_rng(2)
         e, f = gen_ellipsoid(3, rng), gen_ellipsoid(3, rng)
@@ -479,6 +495,81 @@ class TestDecompose:
         assert _pool_size(536, 50) == 1 and _pool_size(537, 50) == 2   # 2^26 / 50^3 = 536.9
         assert _pool_size(67, 100) == 1 and _pool_size(68, 100) == 2
         assert _pool_size(200, 50) == 1 and _pool_size(40, 200) == 2
+
+
+def assert_same_instance(got, want):
+    """Same data, weights and eig caches, byte for byte, and every member's
+    caches views of row j of one array of exactly M rows, in operator order."""
+    assert instance_to_dict(got) == instance_to_dict(want)
+    for op, ref in zip(got.operators, want.operators, strict=True):
+        assert_same_bits(op.weights, ref.weights)
+    members = [m.ellipsoid for op in got.operators for m in op.operators]
+    refs = [m.ellipsoid for op in want.operators for m in op.operators]
+    rot = members[0]._eig[1].base
+    assert len(rot) == len(members) == len(refs)
+    for j, (e, ref) in enumerate(zip(members, refs)):
+        for a, b in zip((e.A, e.b, *e._eig, e._b_rot), (ref.A, ref.b, *ref._eig, ref._b_rot)):
+            assert_same_bits(a, b)
+        assert e.alpha == ref.alpha
+        assert e._row == j and e._eig[1].ctypes.data == rot[j].ctypes.data
+
+
+def pooled_generation(spec, pool):
+    """gen_instance(spec) on a pool of pool threads; no thread outlives it."""
+    before = threading.active_count()
+    with threads(pool):
+        inst = gen_instance(spec)
+    assert threading.active_count() == before
+    return inst
+
+
+class TestPooledGeneration:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 10, 50]), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([(3, 4, 5), (1, 9, 12), (1,), (2, 7)]), st.integers(1, 4))
+    def test_the_bits_of_one_thread(self, n, p, seed, r_range, pool):
+        spec = InstanceSpec(n=n, p=p, seed=seed, r_range=r_range)
+        with threads(1):
+            serial = gen_instance(spec)
+        assert_same_instance(pooled_generation(spec, pool), serial)
+
+    def test_more_threads_than_cores_with_frequent_switches(self):
+        spec = InstanceSpec(n=10, p=12, seed=5, r_range=(1, 9, 12))
+        with threads(1):
+            serial = gen_instance(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = pooled_generation(spec, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_instance(pooled, serial)
+
+    def test_only_decomposing_starts_threads(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        spec = InstanceSpec(n=5, p=4, seed=6)
+        with threads(4):
+            gen_instance(spec, decomposed=False)
+            assert started == []
+            gen_instance(spec)
+        assert 1 <= len(started) <= 4
+
+
+class TestStackDecomposes:
+    def test_only_members_without_a_cache(self):
+        rng = np.random.default_rng(11)
+        es = [gen_ellipsoid(4, rng) for _ in range(3)]
+        decompose(es)
+        calls = []
+        with patch.object(ellipsoid_module, "decompose", lambda members: calls.append(members)):
+            EllipsoidStack(es)
+        assert calls == []
+        fresh = gen_ellipsoid(4, rng)
+        EllipsoidStack([*es, fresh])
+        assert fresh._eig is not None and len(fresh._eig[1].base) == 1
 
 
 class TestBatchedEvaluation:

@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crmfp import (
     CannotExitSets,
@@ -77,6 +79,55 @@ class TestGenEllipsoid:
         sparse = gen_ellipsoid(60, np.random.default_rng(7), density=0.02)
         off_diag = ~np.eye(60, dtype=bool)
         assert np.count_nonzero(sparse.A[off_diag]) < np.count_nonzero(dense.A[off_diag])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 10, 50]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([None, 0.02, 0.3, 1.0]))
+    def test_bits_of_the_dense_textbook_form(self, n, seed, gamma, density):
+        got = gen_ellipsoid(n, np.random.default_rng(seed), gamma, density)
+        want = textbook_ellipsoid(n, np.random.default_rng(seed), gamma,
+                                  min(1.0, 2.0 / n) if density is None else density)
+        assert got.A.tobytes() == want.A.tobytes()
+        assert got.b.tobytes() == want.b.tobytes() and got.alpha == want.alpha
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 1)], ids=["column", "entry"])
+    def test_signed_zeros_of_the_dense_textbook_form(self, n, rows):
+        # B is zero but for negative entries in column 0 (all rows, or row 0
+        # alone), so every off-diagonal entry of B'B in row and column 0 is
+        # a sum of products 0 * negative = -0.0 (with +0.0 products from the
+        # other rows), where adding gamma I would turn a -0.0 sum into +0.0.
+        # tobytes tells the two zeros apart.
+        mask = np.zeros((n, n), dtype=bool)
+        mask[rows, 0] = True
+        draws = (np.where(mask, 0.0, 0.9), -1.0 - np.arange(n * n), np.linspace(0.1, 0.9, n))
+        got = gen_ellipsoid(n, Draws(*draws), 1.0, 0.5)
+        want = textbook_ellipsoid(n, Draws(*draws), 1.0, 0.5)
+        assert got.A.tobytes() == want.A.tobytes() and got.alpha == want.alpha
+
+
+class Draws:
+    """A stand-in for a Generator that returns given arrays in turn,
+    reshaped to the size asked for."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, size):
+        return np.asarray(self.arrays.pop(0), dtype=float).reshape(size)
+
+    standard_normal = random
+
+
+def textbook_ellipsoid(n, rng, gamma, density):
+    """gen_ellipsoid's formula in dense form: B from np.where, gamma I from
+    np.eye, then symmetrised."""
+    mask = rng.random((n, n)) < density
+    B = np.where(mask, rng.standard_normal((n, n)), 0.0)
+    A = gamma * np.eye(n) + B.T @ B
+    A = 0.5 * (A + A.T)
+    b = rng.random(n)
+    return Ellipsoid(A, b, float(b @ A @ b) + 1.0)
 
 
 class TestGenOperator:

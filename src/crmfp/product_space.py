@@ -6,6 +6,12 @@ turns a many-operator problem into a two-set problem; the diagonal
 projection is the blockwise mean.  Starting any two-set method on the
 diagonal reproduces the parallel (averaged) iteration of the original
 operators row for row.
+
+A lifted point counts as diagonal when every row has row 0's bytes, so
+-0.0 and +0.0 differ.  solvers.run carries a diagonal crm or map iterate
+as its one R^n block (_DiagonalBlocks): one plan call at the block gives
+the m images, and every norm is taken over the (m, n) array the block
+stands for, so the run has the bits of the lifted arrays'.
 """
 from __future__ import annotations
 
@@ -50,7 +56,7 @@ def extract(x, tol: float = 1e-9) -> np.ndarray:
     than tol.
     """
     x = _check_lifted(x)
-    if (x == x[0]).all():
+    if _is_diagonal(x):
         # Bitwise-diagonal input round-trips exactly; the mean of m equal
         # rows can differ by an ulp.
         return x[0].copy()
@@ -61,13 +67,23 @@ def extract(x, tol: float = 1e-9) -> np.ndarray:
     return mean
 
 
+def _is_diagonal(x) -> bool:
+    """Whether every row of x has row 0's bytes.  Most lifted points that
+    are not diagonal differ in their last row, which is compared first."""
+    bits = x.view(np.uint64)
+    return x[-1].tobytes() == x[0].tobytes() and bool((bits == bits[0]).all())
+
+
+def _diagonal_block(x) -> np.ndarray:
+    """The block of diag_project(x): row 0 of a diagonal x (the mean of
+    equal rows can differ by an ulp), else the mean of the rows."""
+    return x[0] if _is_diagonal(x) else x.mean(axis=0)
+
+
 def diag_project(x) -> np.ndarray:
     """Projection onto the diagonal subspace: every block becomes the mean."""
     x = _check_lifted(x)
-    if (x == x[0]).all():
-        return x.copy()
-    mean = x.mean(axis=0)
-    return np.repeat(mean[None, :], x.shape[0], axis=0)
+    return np.repeat(_diagonal_block(x)[None, :], x.shape[0], axis=0)
 
 
 class DiagonalSubspace:
@@ -112,8 +128,42 @@ class BlockOperator:
 
     def __call__(self, x) -> np.ndarray:
         x = _check_lifted(x, self.m, self.n)
-        # A bitwise-diagonal input (every crm iterate) is one shared point.
-        return self.plan(x[0] if (x == x[0]).all() else x)
+        # A diagonal input is one shared point.
+        return self.plan(x[0] if _is_diagonal(x) else x)
+
+
+class _DiagonalBlocks:
+    """A (BlockOperator, DiagonalSubspace) pair whose diagonal points are
+    their one R^n block, for solvers.run.
+
+    It stands in for both members of the pair, on lifted points and on
+    blocks: called, it gives the m images (one plan call at a block);
+    project gives the block of diag_project (a block is its own), so a
+    step from a lifted point lands on a block.  block reduces a diagonal
+    lifted point (the solution) to its block.  lifted gives the (m, n)
+    array an argument stands for, broadcasting anything else into one
+    buffer, so norms taken of it have the bits of the lifted array's.
+    """
+
+    def __init__(self, operator: BlockOperator):
+        self.operator = operator
+        self.buffer = np.empty(operator.dim)
+
+    def __call__(self, x) -> np.ndarray:
+        return self.operator.plan(x) if x.ndim == 1 else self.operator(x)
+
+    def project(self, y) -> np.ndarray:
+        return y if y.ndim == 1 else _diagonal_block(y)
+
+    def block(self, y) -> np.ndarray:
+        """The block of a diagonal lifted point; any other y as it is."""
+        return y[0] if y.shape == self.buffer.shape and _is_diagonal(y) else y
+
+    def lifted(self, a) -> np.ndarray:
+        if a.shape == self.buffer.shape:
+            return a
+        np.copyto(self.buffer, a)
+        return self.buffer
 
 
 def lift_apply(operators, x) -> np.ndarray:

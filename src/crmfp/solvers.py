@@ -14,6 +14,11 @@ displacement stopping rule, optional distance tracking against a known
 solution, and optional per-iteration checks that raise DiagnosticFailure
 when a structural property is violated numerically.  map_step, crm_step,
 ppm_step and spm_step are each one iteration of run.
+On the product-space pair (BlockOperator, DiagonalSubspace), run carries a
+diagonal crm or map iterate as its one R^n block: one plan call gives the
+p images, and every norm is the lifted one, formed in one (p, n) buffer,
+so the trace has the lifted arrays' bits.  Norms are the one dot
+np.linalg.norm takes, without its overhead.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .errors import (
 from .geometry import circumcenter3  # noqa: F401  (a perfbench trace site)
 from .operators import Composition, EvaluationPlan
 from .operators import apply_each  # noqa: F401  (a perfbench trace site)
+from .product_space import BlockOperator, DiagonalSubspace, _DiagonalBlocks, embed
 
 # Degeneracy guard of the circumcentering step: P_U T(x) counts as x.
 EPS_DEG = 1e-12
@@ -95,13 +101,15 @@ class RateEstimate:
 _ONE_STEP = SolverConfig(max_iterations=1)
 
 
-def _norm(a) -> float:
-    return float(np.linalg.norm(a))
+def _sq(a) -> float:
+    """||a||^2 as np.linalg.norm forms it: one dot over a.ravel(order="K")."""
+    v = a.ravel(order="K")
+    return float(v.dot(v))
 
 
-def _require_in_subspace(subspace, x) -> None:
-    gap = _norm(subspace.project(x) - x)
-    if gap > MEMBERSHIP_RTOL * (1.0 + _norm(x)):
+def _require_in_subspace(subspace, x, norm) -> None:
+    gap = norm(subspace.project(x) - x)
+    if gap > MEMBERSHIP_RTOL * (1.0 + norm(x)):
         raise NotInSubspace(f"point is {gap:.3e} away from the subspace")
 
 
@@ -111,7 +119,7 @@ def map_step(operator, subspace, z) -> np.ndarray:
     return run("map", (operator, subspace), z, _ONE_STEP).final_point
 
 
-def _crm_parts(operator, subspace, x):
+def _crm_parts(operator, subspace, x, sq=_sq):
     """(a, T(x), P_U T(x), ||T(x) - x||, ||P_U T(x) - x||) for one step
     from x: the alternating (map) step from any x is P_U T(x), and the crm
     step from x in U is the circumcenter x + a (P_U T(x) - x)
@@ -123,18 +131,17 @@ def _crm_parts(operator, subspace, x):
     P_U T(x) - x.  Where P_U T(x) counts as x (the degeneracy guard), a is
     0.0 and the step is x; for x in U no other step has a = 0, since there
     ||P_U T(x) - x|| <= ||T(x) - x||.  Only crm forms the point.  The
-    norms are the square roots of the two differences' inner products,
-    which is how np.linalg.norm computes them too, so ||P_U T(x) - x|| is
-    the bits of the map step's displacement.
+    norms are the square roots of sq, the squared norm np.linalg.norm
+    takes, so ||P_U T(x) - x|| is the bits of the map step's displacement.
     """
     tx = np.asarray(operator(x), dtype=float)
     ptx = subspace.project(tx)
     step = ptx - x
     disp = tx - x
-    den = float(np.vdot(step, step))
-    num = float(np.vdot(disp, disp))
+    den = sq(step)
+    num = sq(disp)
     norms = math.sqrt(num), math.sqrt(den)
-    if 2.0 * norms[1] <= EPS_DEG * (1.0 + _norm(x)):
+    if 2.0 * norms[1] <= EPS_DEG * (1.0 + math.sqrt(sq(x))):
         return (0.0, tx, ptx) + norms
     return (num / den, tx, ptx) + norms
 
@@ -190,7 +197,11 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     kind : one of "map", "crm", "ppm", "spm".
     problem : (operator, subspace) for "map" and "crm"; a sequence of
         operators of one dimension (each with .dim) for "ppm" and "spm".
-    x0 : starting point ("crm" requires it to lie in the subspace).
+    x0 : starting point ("crm" requires it to lie in the subspace).  On
+        the pair (BlockOperator, DiagonalSubspace) the first step lands on
+        the diagonal, and every later one steps on its R^n block; the
+        final point is embedded, and the membership gap of a block's step
+        is exactly 0 and not formed.
     cfg : SolverConfig; cfg.diagnostics may request per-iteration checks.
         "fejer" checks that the squared distance to the supplied solution
         decreases by at least the squared step of the alternating operator
@@ -221,15 +232,30 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
             raise EmptyOperatorList(f"{kind} needs at least one operator")
 
     x = np.asarray(x0, dtype=float).copy()
+    blocks = None
+    if (kind in ("map", "crm") and isinstance(operator, BlockOperator)
+            and isinstance(subspace, DiagonalSubspace) and operator.dim == subspace.dim == x.shape):
+        # The lifted pair's first step lands on a block, and every later
+        # one steps on the block; its norms stay lifted.
+        operator = subspace = blocks = _DiagonalBlocks(operator)
+
+    def sq(a) -> float:
+        return _sq(a if blocks is None else blocks.lifted(a))
+
+    def norm(a) -> float:
+        return math.sqrt(sq(a))
+
     if kind == "crm":
-        _require_in_subspace(subspace, x)
+        _require_in_subspace(subspace, x, norm)
 
     sol = None if solution is None else np.asarray(solution, dtype=float)
+    if sol is not None and blocks is not None:
+        sol = blocks.block(sol)
     residuals: list[float] = []
     fix_residuals: list[float] = []
     dists: list[float] | None = None
     if sol is not None:
-        dists = [_norm(x - sol)]
+        dists = [norm(x - sol)]
 
     stop_reason = "max-iterations"
     t0 = time.perf_counter()
@@ -241,11 +267,11 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     for k in range(cfg.max_iterations):
         fix = None
         if kind == "map":
-            _, tx, xn, fix, step_norm = _crm_parts(operator, subspace, x)
+            _, tx, xn, fix, step_norm = _crm_parts(operator, subspace, x, sq)
         elif kind == "crm":
             # The checks see the raw circumcenter; the iterate continues from
             # its projection, so drift out of the subspace cannot compound.
-            a, tx, ptx, fix, step_norm = _crm_parts(operator, subspace, x)
+            a, tx, ptx, fix, step_norm = _crm_parts(operator, subspace, x, sq)
             raw = _circumcenter(x, ptx, a)
             xn = subspace.project(raw)
         elif kind == "ppm":
@@ -253,18 +279,19 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         else:
             xn = chain(x)
 
-        res = _norm(xn - x)
+        res = norm(xn - x)
         residuals.append(res)
         fix_residuals.append(res if fix is None else fix)
 
-        new_dist = None if sol is None else _norm(xn - sol)
-        if want_member:
-            gap = _norm(xn - raw)
-            if gap > MEMBERSHIP_RTOL * (1.0 + _norm(raw)):
+        new_dist = None if sol is None else norm(xn - sol)
+        # Where xn is raw (a block's step), the gap is exactly 0.
+        if want_member and xn is not raw:
+            gap = norm(xn - raw)
+            if gap > MEMBERSHIP_RTOL * (1.0 + norm(raw)):
                 raise DiagnosticFailure("membership", k, gap)
         if want_orth:
             inner = float(np.vdot(x - tx, raw - tx))
-            bound = ORTHOGONALITY_RTOL * (1.0 + _norm(x - tx) * _norm(raw - tx))
+            bound = ORTHOGONALITY_RTOL * (1.0 + norm(x - tx) * norm(raw - tx))
             if abs(inner) > bound:
                 raise DiagnosticFailure("orthogonality", k, inner)
         if want_fejer:
@@ -293,7 +320,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         stop_reason=stop_reason,
         residual_history=residuals,
         fixed_point_residuals=fix_residuals,
-        final_point=x,
+        final_point=x if blocks is None else embed(x, blocks.operator.m),
         dist_history=dists,
         elapsed_s=elapsed,
     )

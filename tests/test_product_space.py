@@ -219,3 +219,28 @@ class TestBlockOperator:
         monkeypatch.setattr(type(block.plan), "__call__", spy)
         np.testing.assert_array_equal(block(x), expected)
         assert seen == [1]
+
+
+class TestSignOfZero:
+    """A lifted point is diagonal when its rows have the same bytes, so
+    -0.0 and +0.0 differ."""
+
+    def test_block_operator_keeps_each_rows_bytes(self):
+        rng = np.random.default_rng(3)
+        ops = [EllipsoidProjection(gen_ellipsoid(2, rng)) for _ in range(2)]
+        x = np.array([[0.0, 1.0], [-0.0, 1.0]])
+        loop = np.stack([op(row) for op, row in zip(ops, x)])
+        assert np.signbit(loop[1, 0])   # row 1 is interior and keeps its -0.0
+        assert BlockOperator(ops)(x).tobytes() == loop.tobytes()
+
+    def test_diag_project_is_diagonal(self):
+        out = diag_project(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        assert out.tobytes() == embed(np.array([0.0, 1.0]), 2).tobytes()
+
+    def test_extract(self):
+        # Not diagonal: the mean, where -0.0 + 0.0 is +0.0.
+        out = extract(np.array([[-0.0, 1.0], [0.0, 1.0]]))
+        assert out.tobytes() == np.array([0.0, 1.0]).tobytes()
+        # Diagonal: row 0's bytes, -0.0 included.
+        out = extract(embed(np.array([-0.0, 1.0]), 3))
+        assert out.tobytes() == np.array([-0.0, 1.0]).tobytes()

@@ -1,4 +1,6 @@
 """Iteration engines: step functions, the run loop, and rate estimation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,14 @@ from crmfp import (
 )
 from crmfp.ellipsoid import EllipsoidStack
 from crmfp.geometry import circumcenter3
-from crmfp.solvers import EPS_DEG, _circumcenter, _crm_parts
+from crmfp.solvers import (
+    EPS_DEG,
+    FEJER_SLACK_TOL,
+    MEMBERSHIP_RTOL,
+    ORTHOGONALITY_RTOL,
+    _circumcenter,
+    _crm_parts,
+)
 
 
 def x_axis_subspace():
@@ -605,3 +614,177 @@ class TestProjectorAnchorCache:
             assert a.final_point.tobytes() == b.final_point.tobytes()
             for history in ("residual_history", "fixed_point_residuals", "dist_history"):
                 assert np.array(getattr(a, history)).tobytes() == np.array(getattr(b, history)).tobytes()
+
+
+def lifted_loop(kind, block, diag, x0, cfg, solution=None):
+    """The lifted map or crm run written out on (p, n) arrays: BlockOperator,
+    diag_project and np.linalg.norm at every step.  Returns what run's
+    trace holds, or the exception the loop raised."""
+    norm = np.linalg.norm
+    try:
+        x = np.asarray(x0, dtype=float).copy()
+        if kind == "crm":
+            gap = norm(diag.project(x) - x)
+            if gap > MEMBERSHIP_RTOL * (1.0 + norm(x)):
+                raise NotInSubspace(gap)
+        sol = None if solution is None else np.asarray(solution, dtype=float)
+        dists = None if sol is None else [float(norm(x - sol))]
+        residuals, fixes, stop = [], [], "max-iterations"
+        for k in range(cfg.max_iterations):
+            tx = block(x)
+            ptx = diag.project(tx)
+            den = float(np.vdot(ptx - x, ptx - x))
+            num = float(np.vdot(tx - x, tx - x))
+            fix, step_norm = math.sqrt(num), math.sqrt(den)
+            a = 0.0 if 2.0 * step_norm <= EPS_DEG * (1.0 + norm(x)) else num / den
+            raw = xn = ptx
+            if kind == "crm":
+                raw = x + a * (ptx - x) if a else x.copy()
+                xn = diag.project(raw)
+                gap = norm(xn - raw)
+                if "membership" in cfg.diagnostics and gap > MEMBERSHIP_RTOL * (1.0 + norm(raw)):
+                    raise DiagnosticFailure("membership", k, gap)
+            if "orthogonality" in cfg.diagnostics:
+                inner = float(np.vdot(x - tx, raw - tx))
+                if abs(inner) > ORTHOGONALITY_RTOL * (1.0 + norm(x - tx) * norm(raw - tx)):
+                    raise DiagnosticFailure("orthogonality", k, inner)
+            res = float(norm(xn - x))
+            residuals.append(res)
+            fixes.append(fix)
+            if sol is not None:
+                new_dist = float(norm(xn - sol))
+                slack = dists[-1] ** 2 - new_dist**2 - step_norm**2
+                if "fejer" in cfg.diagnostics and slack < -FEJER_SLACK_TOL:
+                    raise DiagnosticFailure("fejer", k, slack)
+                dists.append(new_dist)
+            x = xn
+            if res < cfg.tolerance:
+                stop = "inconsistent" if kind == "crm" and fix >= cfg.tolerance else "converged"
+                break
+            if not math.isfinite(res):
+                stop = "non-finite"
+                break
+    except Exception as exc:   # compared with what run raises
+        return exc
+    return len(residuals), stop, residuals, fixes, dists, x
+
+
+def assert_run_is_lifted_loop(kind, block, diag, x0, cfg, solution=None):
+    expected = lifted_loop(kind, block, diag, x0, cfg, solution)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc_info:
+            run(kind, (block, diag), x0, cfg, solution=solution)
+        if isinstance(expected, DiagnosticFailure):
+            got = exc_info.value
+            assert (got.check, got.iteration) == (expected.check, expected.iteration)
+            assert np.float64(got.value).tobytes() == np.float64(expected.value).tobytes()
+        return None
+    trace = run(kind, (block, diag), x0, cfg, solution=solution)
+    iterations, stop, residuals, fixes, dists, x = expected
+    assert (trace.iterations, trace.stop_reason) == (iterations, stop)
+    for got, want in ((trace.residual_history, residuals), (trace.fixed_point_residuals, fixes),
+                      (trace.dist_history or [], dists or [])):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert trace.final_point.shape == x.shape
+    assert trace.final_point.tobytes() == x.tobytes()
+    return trace
+
+
+@st.composite
+def lifted_runs(draw):
+    """(kind, BlockOperator, DiagonalSubspace, start, cfg, lifted solution):
+    a generated instance of n in {1, 2, 10} and 1 to 6 operators, started
+    on the diagonal or a little off it.  The solution is sometimes the
+    fixed point's mirror image through the start, which the fejer check
+    rejects."""
+    kind = draw(st.sampled_from(["crm", "map"]))
+    n = draw(st.sampled_from([1, 2, 10]))
+    p = draw(st.integers(1, 6))
+    r_range = draw(st.sampled_from([(3, 4, 5), (1, 9, 12), (1,)]))
+    inst = gen_instance(InstanceSpec(n=n, p=p, seed=draw(st.integers(0, 2**16)), r_range=r_range))
+    diagnostics = draw(st.sampled_from(
+        [(), ("fejer", "membership"), ("fejer", "orthogonality", "membership")]))
+    if kind == "map":
+        diagnostics = tuple(d for d in diagnostics if d == "fejer")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = draw(st.sampled_from([initial_point(inst), 4.0 * rng.standard_normal(n)]))
+    start = embed(x0, p)
+    start[-1] += draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-3]))
+    cfg = SolverConfig(max_iterations=draw(st.integers(1, 40)), diagnostics=diagnostics)
+    solution = None
+    if diagnostics or draw(st.booleans()):
+        mirror = 2.0 * x0 - inst.fixed_point
+        solution = embed(draw(st.sampled_from([inst.fixed_point, mirror])), p)
+    return kind, BlockOperator(inst.operators), DiagonalSubspace(n, p), start, cfg, solution
+
+
+def two_balls(centers):
+    return BlockOperator([BallProjection(np.asarray(c, dtype=float), 1.0) for c in centers])
+
+
+class TestLiftedBlockPath:
+    """run steps a diagonal lifted crm or map iterate as its R^n block; it
+    must give the lifted loop's bits: iterations, stop reason, every
+    history and the final point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifted_runs())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_the_lifted_loop(self, case):
+        assert_run_is_lifted_loop(*case)
+
+    @pytest.mark.parametrize("kind,stop", [("crm", "inconsistent"), ("map", "converged")])
+    def test_disjoint_balls_from_their_midpoint(self, kind, stop):
+        # crm's guard holds at once: P_U T(x) is x while T(x) is not.
+        trace = assert_run_is_lifted_loop(
+            kind, two_balls([[0, 0, 0], [5, 0, 0]]), DiagonalSubspace(3, 2),
+            embed(np.array([2.5, 0.0, 0.0]), 2), SolverConfig())
+        assert (trace.stop_reason, trace.iterations) == (stop, 1)
+
+    def test_degeneracy_guard_at_a_common_fixed_point(self):
+        block, diag, inst = lifted_instance(n=5, p=4, seed=3)
+        start = embed(np.zeros(5), 4)
+        start[0, 1] = -0.0
+        cfg = SolverConfig(diagnostics=("fejer", "orthogonality", "membership"))
+        for x0 in (start, embed(np.zeros(5), 4)):
+            trace = assert_run_is_lifted_loop("crm", block, diag, x0, cfg,
+                                              solution=embed(inst.fixed_point, 4))
+            assert trace.stop_reason == "converged" and trace.residual_history == [0.0]
+
+    @pytest.mark.parametrize("kind", ["crm", "map"])
+    def test_start_off_the_diagonal(self, kind):
+        block, diag, inst = lifted_instance(n=6, p=5, seed=4)
+        start = embed(initial_point(inst), 5)
+        start[2, 3] += 1e-12
+        cfg = SolverConfig(max_iterations=200,
+                           diagnostics=("fejer", "membership") if kind == "crm" else ("fejer",))
+        trace = assert_run_is_lifted_loop(kind, block, diag, start, cfg,
+                                          solution=embed(inst.fixed_point, 5))
+        assert trace.iterations > 1
+
+    @pytest.mark.parametrize("kind", ["crm", "map"])
+    def test_start_with_mixed_signs_of_zero(self, kind):
+        block = two_balls([[0, 3, 0], [0, 0, 3]])
+        start = embed(np.array([0.0, -2.0, 5.0]), 2)
+        start[1, 0] = -0.0
+        cfg = SolverConfig(max_iterations=50)
+        assert_run_is_lifted_loop(kind, block, DiagonalSubspace(3, 2), start, cfg,
+                                  solution=embed(np.array([0.0, 2.5, 2.5]), 2))
+
+    @pytest.mark.parametrize("kind", ["crm", "map"])
+    @pytest.mark.parametrize("dims,shape", [((3, 2), (3, 3)), ((2, 4), (2, 3)),
+                                            ((2, 3), (3, 3)), ((2, 3), (3,))])
+    def test_mismatches_raise_as_the_lifted_loop(self, kind, dims, shape):
+        block = two_balls([[0, 0, 0], [5, 0, 0]])
+        assert isinstance(lifted_loop(kind, block, DiagonalSubspace(*dims), np.zeros(shape),
+                                      SolverConfig()), Exception)
+        assert_run_is_lifted_loop(kind, block, DiagonalSubspace(*dims), np.zeros(shape),
+                                  SolverConfig())
+
+    def test_solution_given_as_a_block(self):
+        block, diag, inst = lifted_instance(n=4, p=3, seed=5)
+        start = embed(initial_point(inst), 3)
+        cfg = SolverConfig(diagnostics=("fejer",))
+        lifted = run("crm", (block, diag), start, cfg, solution=embed(inst.fixed_point, 3))
+        as_block = run("crm", (block, diag), start, cfg, solution=inst.fixed_point)
+        assert lifted.dist_history == as_block.dist_history

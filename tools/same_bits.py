@@ -28,7 +28,13 @@ BLAS on one thread, and the child computes one fixed set of items:
   (crm_step and map_step on the lifted pair from the embedded initial
   point, ppm_step and spm_step from the initial point), and the calls with
   one point per operator: BlockOperator at a lifted point that is not
-  diagonal, and apply_each at those points.
+  diagonal, and apply_each at those points;
+- the lifted crm with all three checks (fejer, orthogonality and
+  membership) on the README's 10x10 instance of seed 2024, from its
+  embedded initial point;
+- the lifted crm (fejer and membership) and map (fejer) on the 10x10
+  instance of seed 1, started 1e-12 off the diagonal, so a first step on
+  the lifted array is compared too.
 
 It prints one sha256 digest per item and side, and exits with status 1
 when an item's digests differ or an item is missing on one side, else 0.
@@ -124,6 +130,18 @@ def emit() -> dict:
     rows = x0 + 3.0 * np.random.default_rng(1).standard_normal((10, 10))
     items["block rows n=10 p=10 seed=1"] = digest(block(rows))
     items["apply_each rows n=10 p=10 seed=1"] = digest(*apply_each(inst.operators, rows))
+    solution = embed(inst.fixed_point, 10)
+    off = start.copy()
+    off[3, 4] += 1e-12
+    for kind, checks in (("crm", ("fejer", "membership")), ("map", ("fejer",))):
+        cfg = SolverConfig(tolerance=1e-6, max_iterations=CAP, diagnostics=checks)
+        items[f"{kind} off-diagonal n=10 p=10 seed=1"] = of_trace(
+            run(kind, (block, diag), off, cfg, solution=solution))
+    readme = gen_instance(InstanceSpec(n=10, p=10, seed=2024))
+    cfg = SolverConfig(diagnostics=("fejer", "orthogonality", "membership"))
+    items["crm all checks n=10 p=10 seed=2024"] = of_trace(
+        run("crm", (BlockOperator(readme.operators), diag), embed(initial_point(readme), 10),
+            cfg, solution=embed(readme.fixed_point, 10)))
     mixed = InstanceSpec(n=10, p=6, seed=3, r_range=(1, 9, 12))
     solve_and_image("n=10 p=6 seed=3 r=1,9,12", gen_instance(mixed), mixed.seed)
     loaded = load_instance(LOADED)

@@ -15,6 +15,9 @@ them.  Generation draws on the calling thread and hands decompose each
 member's build (A from the member's sparse B) as soon as the member is
 drawn, so on decompose's pool the builds, and then the
 eigendecompositions, overlap the draws; the bits are those of one thread.
+A build writes a dense A, but the member keeps only A's nonzero entries
+(Ellipsoid), 2-10 % of them at n >= 50, so once the member is built the
+dense A is garbage.
 """
 from __future__ import annotations
 
@@ -116,7 +119,8 @@ def _draw_ellipsoid(n: int, rng: np.random.Generator, gamma: float, density: flo
     gives the same bits.  Only the addition of gamma * 0 = +0.0 off the
     diagonal is skipped; it would change nothing but a -0.0 of B'B, and
     B'B's sums hold none even where every product is -0.0 (the tests
-    compare the bits with the dense form on such a B).
+    compare the bits with the dense form on such a B).  The Ellipsoid keeps
+    A's nonzero entries, not the array, so A is freed with the build.
     """
     at = np.flatnonzero(rng.random(n * n) < density)
     values = rng.standard_normal(n * n)[at]

@@ -3,9 +3,11 @@
 The closed set of operator kinds is: identity, halfspace-projection,
 affine-subspace-projection, ball-projection, ellipsoid-projection,
 convex-combination, composition, and the blockwise "lifted" kind defined in
-product_space.  Operators are immutable, validate their input dimension on
-every call, and return new arrays.  Every ellipsoid projection goes through
-one projector, the stacked root-find kkt_project_stacked.
+product_space.  Operators are immutable (each copies the arrays it is
+built from, so a caller's later writes into them change nothing), validate
+their input dimension on every call, and return new arrays.  Every
+ellipsoid projection goes through one projector, the stacked root-find
+kkt_project_stacked.
 
 A fixed list of operators is evaluated through an EvaluationPlan, built
 once per list: every ellipsoid projection among the operators (or among
@@ -64,7 +66,7 @@ class HalfspaceProjection:
     kind = "halfspace-projection"
 
     def __init__(self, normal, offset: float):
-        normal = np.asarray(normal, dtype=float)
+        normal = np.array(normal, dtype=float)
         if normal.ndim != 1 or not np.isfinite(normal).all():
             raise ValueError("normal must be a finite vector")
         sq = float(normal @ normal)
@@ -87,8 +89,8 @@ class AffineSubspace:
     """Affine subspace anchor + span(basis rows); basis rows are orthonormal."""
 
     def __init__(self, anchor, basis):
-        anchor = np.asarray(anchor, dtype=float)
-        basis = np.asarray(basis, dtype=float)
+        anchor = np.array(anchor, dtype=float)
+        basis = np.array(basis, dtype=float)
         if anchor.ndim != 1:
             raise ValueError("anchor must be a vector")
         if basis.ndim != 2 or basis.shape[1] != anchor.shape[0]:
@@ -137,7 +139,7 @@ class BallProjection:
     kind = "ball-projection"
 
     def __init__(self, center, radius: float):
-        center = np.asarray(center, dtype=float)
+        center = np.array(center, dtype=float)
         radius = float(radius)
         if center.ndim != 1 or not np.isfinite(center).all():
             raise ValueError("center must be a finite vector")
@@ -183,7 +185,7 @@ class ConvexCombination:
         operators = tuple(operators)
         if not operators:
             raise EmptyOperatorList("convex combination needs at least one operator")
-        weights = np.asarray(weights, dtype=float)
+        weights = np.array(weights, dtype=float)
         if weights.shape != (len(operators),):
             raise InvalidWeight(
                 f"{len(operators)} operators but weight shape {weights.shape}"

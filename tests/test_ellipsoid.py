@@ -130,6 +130,56 @@ class TestEllipsoidType:
         assert back.alpha == e.alpha
 
 
+def drawn_symmetric(n, seed, density, layout):
+    """A symmetric n x n array whose entries are +0.0, -0.0, subnormals of
+    either sign or standard normals (density is the share of the last two),
+    laid out C-ordered, F-ordered, as a strided view or as a view with
+    negative strides."""
+    rng = np.random.default_rng(seed)
+    subnormal = rng.choice([-1.0, 1.0], (n, n)) * rng.integers(1, 2**52, (n, n)) * 5e-324
+    values = np.where(rng.random((n, n)) < 0.5, rng.standard_normal((n, n)), subnormal)
+    zeros = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+    m = np.where(rng.random((n, n)) < density, values, zeros)
+    A = np.where(np.triu(np.ones((n, n), dtype=bool)), m, m.T)   # mirrored, so exactly symmetric
+    if layout == "F":
+        return np.asfortranarray(A)
+    if layout == "strided":
+        wide = np.full((n, 2 * n), np.nan)
+        wide[:, ::2] = A
+        return wide[:, ::2]
+    if layout == "reversed":
+        return A[::-1, ::-1].copy()[::-1, ::-1]
+    return A
+
+
+class TestStoredA:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+           layout=st.sampled_from(["C", "F", "strided", "reversed"]))
+    def test_a_is_rebuilt_bit_for_bit(self, n, seed, density, layout):
+        A = drawn_symmetric(n, seed, density, layout)
+        e = Ellipsoid(A, np.zeros(n), 1.0)
+        assert e.A.tobytes() == A.tobytes()
+        assert e.A.shape == (n, n) and e.A.flags.c_contiguous and e.dim == n
+
+    def test_writing_into_a_returned_a_changes_nothing(self):
+        e = gen_ellipsoid(5, np.random.default_rng(4))
+        A, x = e.A, np.arange(5.0)
+        before = e.g(x)
+        A[:] = 7.0
+        assert e.g(x) == before
+        assert e.A.tobytes() != A.tobytes() and e.A is not e.A
+
+    def test_a_generated_member_keeps_no_dense_a(self):
+        n = 100
+        inst = gen_instance(InstanceSpec(n=n, p=3, seed=1))
+        for e in (m.ellipsoid for op in inst.operators for m in op.operators):
+            assert e._values.size < n * n / 4
+            dense = [k for k, v in vars(e).items() if isinstance(v, np.ndarray) and v.shape == (n, n)]
+            assert dense == []
+
+
 class TestKktProjection:
     def test_interior_point_unchanged(self):
         x = np.array([0.3, -0.2])

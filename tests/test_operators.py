@@ -428,6 +428,33 @@ class TestContainers:
         with pytest.raises(ValueError):
             BallProjection(np.zeros(2), 0.0)
 
+    def test_writes_into_constructor_inputs_change_nothing(self):
+        # Each operator copies the arrays it is built from, so it stays what
+        # it was built as; an aliased input would change its outputs, or mix
+        # the new data with what it cached (an eigenbasis, a squared norm).
+        A, b = np.eye(2), np.zeros(2)
+        normal, center = np.array([1.0, 0.0]), np.zeros(2)
+        anchor, basis = np.zeros(2), np.array([[1.0, 0.0]])
+        weights = np.array([0.25, 0.75])
+        e = Ellipsoid(A, b, 1.0)
+        ops = [EllipsoidProjection(e), HalfspaceProjection(normal, 0.0),
+               BallProjection(center, 1.0), AffineSubspaceProjection(AffineSubspace(anchor, basis)),
+               ConvexCombination([EllipsoidProjection(e), lower_halfplane()], weights)]
+        x = np.array([3.0, 1.0])
+
+        def outputs():
+            return [e.g(x), e.A.tobytes(), e.b.tobytes(), *(op(x).tobytes() for op in ops)]
+
+        before = outputs()
+        A[:] = 4.0 * np.eye(2)
+        b[:] = (1.0, 0.0)
+        normal[:] = (2.0, 0.0)
+        center[:] = (5.0, 5.0)
+        anchor[:] = (0.0, 7.0)
+        basis[:] = (0.0, 1.0)
+        weights[:] = (2.0, 2.0)
+        assert outputs() == before
+
 
 class TestApplyEach:
     def stack_ops(self, rng, count=5, dim=6):

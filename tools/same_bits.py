@@ -24,6 +24,10 @@ BLAS on one thread, and the child computes one fixed set of items:
   runs too long for the slot-wise segmented sum are compared too;
 - firm_nonexpansiveness_slack and gradient_check on each instance's first
   combination and first member;
+- the bytes of every member's A on the 10x10 and 100x30 instances of seed
+  1, and the instance_to_dict JSON text of the 10x10 one, so an A that an
+  Ellipsoid stores in another form is compared with the dense A it was
+  built from;
 - on the 10x10 instance of seed 1, one call of each public step function
   (crm_step and map_step on the lifted pair from the embedded initial
   point, ppm_step and spm_step from the initial point), and the calls with
@@ -80,6 +84,7 @@ def emit() -> dict:
                        crm_step, embed, firm_nonexpansiveness_slack, gen_instance,
                        gradient_check, images, initial_point, load_instance, map_step, ppm_step,
                        run, spm_step)
+    from crmfp.instance_gen import instance_to_dict
 
     def of_trace(t):
         return digest(t.stop_reason, [t.iterations], t.residual_history,
@@ -120,6 +125,11 @@ def emit() -> dict:
             items[f"checks {name}"] = digest(
                 [firm_nonexpansiveness_slack(q, x, y) for q in (first, first.operators[0])],
                 [gradient_check(q, x) for q in (first, first.operators[0])])
+            if seed == 1 and (n, p) in ((10, 10), (100, 30)):
+                items[f"A {name}"] = digest(
+                    *(m.ellipsoid.A for op in inst.operators for m in op.operators))
+            if seed == 1 and (n, p) == (10, 10):
+                items[f"instance_to_dict {name}"] = digest(json.dumps(instance_to_dict(inst)))
     inst = gen_instance(InstanceSpec(n=10, p=10, seed=1))
     x0 = initial_point(inst)
     block, diag, start = BlockOperator(inst.operators), DiagonalSubspace(10, 10), embed(x0, 10)

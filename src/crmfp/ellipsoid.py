@@ -494,12 +494,12 @@ class AdmmConfig:
     penalty: float = 1.0
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.penalty <= 0.0:
-            raise ValueError("penalty must be positive")
+        if not 0.0 < self.penalty < np.inf:
+            raise ValueError("penalty must be positive and finite")
 
 
 @dataclass

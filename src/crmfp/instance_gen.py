@@ -53,8 +53,8 @@ class InstanceSpec:
             raise ValueError("n and p must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.density is None:
             self.density = min(1.0, 2.0 / self.n)
         if not 0.0 < self.density <= 1.0:
@@ -62,8 +62,8 @@ class InstanceSpec:
         self.r_range = tuple(int(r) for r in self.r_range)
         if not self.r_range or any(r < 1 for r in self.r_range):
             raise ValueError("r_range must hold positive member counts")
-        if self.eta >= 0.0:
-            raise ValueError("eta must be negative")
+        if not -np.inf < self.eta < 0.0:
+            raise ValueError("eta must be negative and finite")
 
     def to_dict(self) -> dict:
         return {

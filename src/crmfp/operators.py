@@ -72,8 +72,11 @@ class HalfspaceProjection:
         sq = float(normal @ normal)
         if sq == 0.0:
             raise ValueError("normal must be nonzero")
+        offset = float(offset)
+        if not np.isfinite(offset):
+            raise ValueError("offset must be finite")
         self.normal = normal
-        self.offset = float(offset)
+        self.offset = offset
         self.dim = normal.shape[0]
         self._sq = sq
 
@@ -91,14 +94,15 @@ class AffineSubspace:
     def __init__(self, anchor, basis):
         anchor = np.array(anchor, dtype=float)
         basis = np.array(basis, dtype=float)
-        if anchor.ndim != 1:
-            raise ValueError("anchor must be a vector")
+        if anchor.ndim != 1 or not np.isfinite(anchor).all():
+            raise ValueError("anchor must be a finite vector")
         if basis.ndim != 2 or basis.shape[1] != anchor.shape[0]:
             raise DimensionMismatch(
                 f"basis shape {basis.shape} does not match anchor dimension {anchor.shape[0]}"
             )
         gram = basis @ basis.T
-        if basis.shape[0] and np.abs(gram - np.eye(basis.shape[0])).max() > 1e-12:
+        # A NaN in the basis fails the <= test, as a non-orthonormal row does.
+        if basis.shape[0] and not np.abs(gram - np.eye(basis.shape[0])).max() <= 1e-12:
             raise ValueError("basis rows must be orthonormal")
         self.anchor = anchor
         self.basis = basis
@@ -143,8 +147,8 @@ class BallProjection:
         radius = float(radius)
         if center.ndim != 1 or not np.isfinite(center).all():
             raise ValueError("center must be a finite vector")
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.center = center
         self.radius = radius
         self.dim = center.shape[0]
@@ -190,7 +194,7 @@ class ConvexCombination:
             raise InvalidWeight(
                 f"{len(operators)} operators but weight shape {weights.shape}"
             )
-        if (weights < 0.0).any():
+        if not (weights >= 0.0).all():   # NaN fails too
             raise InvalidWeight("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise InvalidWeight("weights must sum to one within 1e-12")
@@ -339,20 +343,28 @@ class EvaluationPlan:
     def __call__(self, points) -> np.ndarray:
         """Images, one row per operator: all at one shared point (a vector),
         fused as above, or operator i at points[i], by the per-operator
-        loop, which gives the same bits."""
+        loop, which gives the same bits.  The result is a fresh array the
+        plan keeps no reference to: where every operator is fused, the
+        stacked solve's or the segmented sum's own, with no scatter."""
         points = np.asarray(points, dtype=float)
         if points.shape == (len(self.operators), self.dim):
             return np.stack([op(x) for op, x in zip(self.operators, points)])
         if points.shape != (self.dim,):
             raise DimensionMismatch(f"points have shape {points.shape}, expected ({self.dim},)"
                                     f" or ({len(self.operators)}, {self.dim})")
-        out = np.empty((len(self.operators), self.dim))
+        sums = None
         if self.stack is not None:
             rows = np.broadcast_to(points, (len(self.stack), self.dim))
             proj = kkt_project_stacked(self.stack, rows, KKT_TOL)
             if self.one_row_each:
                 return proj
-            out[self.fused] = _segment_sums(self.row_weights, proj, self.starts, self.slots)
+            sums = _segment_sums(self.row_weights, proj, self.starts, self.slots)
+            if not self.called:
+                # The fused operators are every operator, in order.
+                return sums
+        out = np.empty((len(self.operators), self.dim))
+        if sums is not None:
+            out[self.fused] = sums
         for i in self.called:
             out[i] = self.operators[i](points)
         return out
@@ -503,8 +515,8 @@ def idempotence_violation_search(operator, samples) -> float:
 def gradient_check(projection, x, h: float = 1e-5) -> float:
     """Relative gap between the finite-difference gradient of the squared
     distance to the set and its closed form 2 (x - P(x))."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     steps = h * np.eye(n)

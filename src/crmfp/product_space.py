@@ -10,8 +10,8 @@ operators row for row.
 A lifted point counts as diagonal when every row has row 0's bytes, so
 -0.0 and +0.0 differ.  solvers.run carries a diagonal crm or map iterate
 as its one R^n block (_DiagonalBlocks): one plan call at the block gives
-the m images, and every norm is taken over the (m, n) array the block
-stands for, so the run has the bits of the lifted arrays'.
+the m images, and the norm of a block v is the lifted array's by the R^n
+rule, sqrt(m ||v||^2), with no (m, n) array formed (solvers._lifted_sq).
 """
 from __future__ import annotations
 
@@ -53,8 +53,10 @@ def extract(x, tol: float = 1e-9) -> np.ndarray:
     """Common block of a (numerically) diagonal lifted point.
 
     Raises NotDiagonal when some block deviates from the block mean by more
-    than tol.
+    than tol, which may be inf but not NaN.
     """
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
     x = _check_lifted(x)
     if _is_diagonal(x):
         # Bitwise-diagonal input round-trips exactly; the mean of m equal
@@ -76,8 +78,9 @@ def _is_diagonal(x) -> bool:
 
 def _diagonal_block(x) -> np.ndarray:
     """The block of diag_project(x): row 0 of a diagonal x (the mean of
-    equal rows can differ by an ulp), else the mean of the rows."""
-    return x[0] if _is_diagonal(x) else x.mean(axis=0)
+    equal rows can differ by an ulp), else the mean of the rows, formed as
+    np.mean forms it (its sum, then one divide) without its Python layers."""
+    return x[0] if _is_diagonal(x) else np.add.reduce(x, axis=0) / len(x)
 
 
 def diag_project(x) -> np.ndarray:
@@ -137,17 +140,16 @@ class _DiagonalBlocks:
     their one R^n block, for solvers.run.
 
     It stands in for both members of the pair, on lifted points and on
-    blocks: called, it gives the m images (one plan call at a block);
-    project gives the block of diag_project (a block is its own), so a
-    step from a lifted point lands on a block.  block reduces a diagonal
-    lifted point (the solution) to its block.  lifted gives the (m, n)
-    array an argument stands for, broadcasting anything else into one
-    buffer, so norms taken of it have the bits of the lifted array's.
+    blocks: called, it gives the m images (one plan call at a block, a
+    fresh (m, n) array); project gives the block of diag_project (a block
+    is its own), so a step from a lifted point lands on a block.  block
+    reduces a diagonal lifted point (the start or the solution) to its
+    block.  It keeps no (m, n) array: run takes a block's lifted norm by
+    the R^n rule, sqrt(m ||v||^2).
     """
 
     def __init__(self, operator: BlockOperator):
         self.operator = operator
-        self.buffer = np.empty(operator.dim)
 
     def __call__(self, x) -> np.ndarray:
         return self.operator.plan(x) if x.ndim == 1 else self.operator(x)
@@ -157,13 +159,7 @@ class _DiagonalBlocks:
 
     def block(self, y) -> np.ndarray:
         """The block of a diagonal lifted point; any other y as it is."""
-        return y[0] if y.shape == self.buffer.shape and _is_diagonal(y) else y
-
-    def lifted(self, a) -> np.ndarray:
-        if a.shape == self.buffer.shape:
-            return a
-        np.copyto(self.buffer, a)
-        return self.buffer
+        return y[0] if y.shape == self.operator.dim and _is_diagonal(y) else y
 
 
 def lift_apply(operators, x) -> np.ndarray:

@@ -15,9 +15,11 @@ solution, and optional per-iteration checks that raise DiagnosticFailure
 when a structural property is violated numerically.  map_step, crm_step,
 ppm_step and spm_step are each one iteration of run.
 On the product-space pair (BlockOperator, DiagonalSubspace), run carries a
-diagonal crm or map iterate as its one R^n block: one plan call gives the
-p images, and every norm is the lifted one, formed in one (p, n) buffer,
-so the trace has the lifted arrays' bits.  Norms are the one dot
+diagonal crm or map iterate, and a diagonal start, as its one R^n block:
+one plan call gives the p images.  Every norm is the lifted array's by the
+R^n rule (_lifted_sq): a (p, n) array's own, and a block v's as
+p ||v||^2, with no (p, n) array formed, which agrees with np.linalg.norm
+of (v, ..., v) up to float64 rounding.  Norms are the one dot
 np.linalg.norm takes, without its overhead.
 """
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,6 +108,15 @@ def _sq(a) -> float:
     """||a||^2 as np.linalg.norm forms it: one dot over a.ravel(order="K")."""
     v = a.ravel(order="K")
     return float(v.dot(v))
+
+
+def _lifted_sq(a, p: int) -> float:
+    """||.||^2 of the lifted array that a stands for on the product space of
+    p blocks: a's own for a (p, n) array; a block v stands for (v, ..., v)
+    and counts p ||v||^2, which agrees with np.linalg.norm of (v, ..., v)
+    squared up to float64 rounding, not bit for bit."""
+    s = _sq(a)
+    return p * s if a.ndim == 1 else s
 
 
 def _require_in_subspace(subspace, x, norm) -> None:
@@ -198,10 +210,11 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     problem : (operator, subspace) for "map" and "crm"; a sequence of
         operators of one dimension (each with .dim) for "ppm" and "spm".
     x0 : starting point ("crm" requires it to lie in the subspace).  On
-        the pair (BlockOperator, DiagonalSubspace) the first step lands on
-        the diagonal, and every later one steps on its R^n block; the
-        final point is embedded, and the membership gap of a block's step
-        is exactly 0 and not formed.
+        the pair (BlockOperator, DiagonalSubspace) a diagonal x0 is its R^n
+        block, the first step from any other x0 lands on the diagonal, and
+        every step from a block stays on it; the final point is embedded,
+        and the membership gap of a block's step is exactly 0 and not
+        formed.
     cfg : SolverConfig; cfg.diagnostics may request per-iteration checks.
         "fejer" checks that the squared distance to the supplied solution
         decreases by at least the squared step of the alternating operator
@@ -235,12 +248,12 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     blocks = None
     if (kind in ("map", "crm") and isinstance(operator, BlockOperator)
             and isinstance(subspace, DiagonalSubspace) and operator.dim == subspace.dim == x.shape):
-        # The lifted pair's first step lands on a block, and every later
-        # one steps on the block; its norms stay lifted.
+        # A diagonal start is its block, and a start off the diagonal
+        # steps onto one; every norm is the lifted array's (_lifted_sq).
         operator = subspace = blocks = _DiagonalBlocks(operator)
+        x = blocks.block(x)
 
-    def sq(a) -> float:
-        return _sq(a if blocks is None else blocks.lifted(a))
+    sq = _sq if blocks is None else partial(_lifted_sq, p=blocks.operator.m)
 
     def norm(a) -> float:
         return math.sqrt(sq(a))
@@ -336,11 +349,15 @@ def estimate_rate(dist_history) -> RateEstimate:
     Pairs whose denominator is at or below 100 machine epsilons are dropped
     (they carry no rate information); if no pair survives, the history is
     insufficient.  The geometric mean is zero when any surviving ratio is
-    zero (an exact hit).
+    zero (an exact hit).  A NaN or infinite distance, as a run that stops
+    "non-finite" leaves, raises ValueError naming its index.
     """
     h = np.asarray(dist_history, dtype=float)
     if h.ndim != 1 or h.size < 2:
         raise InsufficientHistory("need at least two distances")
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        raise ValueError(f"distance {bad[0]} is {h[bad[0]]}, not finite")
     ratios = [float(h[k + 1] / h[k]) for k in range(h.size - 1) if h[k] > RATE_FLOOR]
     if not ratios:
         raise InsufficientHistory("all denominators at or below the floor")

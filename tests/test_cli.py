@@ -202,6 +202,15 @@ class TestInvalidValues:
         # Nothing was written for a rejected command.
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_gen_with_a_non_finite_gamma(self, gamma, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--n", "3", "--p", "2", "--seed", "1", "--gamma", gamma, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "crmfp gen: error: gamma must be positive and finite\n")
+        assert not out.exists()
+
     def test_diagnostics_error_uses_the_same_form(self, instance_path, capsys):
         argv = ["run", "--instance", str(instance_path), "--solver", "map", "--diagnostics"]
         assert main(argv) == 2

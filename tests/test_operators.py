@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import crmfp.operators as operators_module
 from crmfp import (
+    AdmmConfig,
     AffineSubspace,
     AffineSubspaceProjection,
     BallProjection,
@@ -24,6 +25,7 @@ from crmfp import (
     InstanceSpec,
     RootNotBracketed,
     apply_each,
+    extract,
     firm_nonexpansiveness_slack,
     fixed_point_residual,
     fixed_set_witness_check,
@@ -428,6 +430,33 @@ class TestContainers:
         with pytest.raises(ValueError):
             BallProjection(np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: HalfspaceProjection([1.0, 0.0], np.nan),
+        lambda: HalfspaceProjection([1.0, 0.0], np.inf),
+        lambda: BallProjection([0.0, 0.0], np.nan),
+        lambda: BallProjection([0.0, 0.0], np.inf),
+        lambda: AffineSubspace([np.nan, 0.0], [[1.0, 0.0]]),
+        lambda: AffineSubspace([0.0, 0.0], [[np.nan, 0.0]]),
+        lambda: ConvexCombination([Identity(2), Identity(2)], [np.nan, 1.0]),
+        lambda: InstanceSpec(n=3, p=2, seed=1, gamma=np.nan),
+        lambda: InstanceSpec(n=3, p=2, seed=1, gamma=np.inf),
+        lambda: InstanceSpec(n=3, p=2, seed=1, eta=np.nan),
+        lambda: InstanceSpec(n=3, p=2, seed=1, eta=-np.inf),
+        lambda: gradient_check(lower_halfplane(), np.array([1.0, 3.0]), h=np.nan),
+        lambda: gradient_check(lower_halfplane(), np.array([1.0, 3.0]), h=np.inf),
+        lambda: AdmmConfig(tolerance=np.nan),
+        lambda: AdmmConfig(penalty=np.nan),
+        lambda: extract(np.array([[0.0, 0.0], [1.0, 1.0]]), tol=np.nan),
+    ], ids=["halfspace offset nan", "halfspace offset inf", "ball radius nan",
+            "ball radius inf", "subspace anchor nan", "subspace basis nan",
+            "combination weight nan", "gamma nan", "gamma inf", "eta nan", "eta -inf",
+            "gradient_check h nan", "gradient_check h inf", "admm tolerance nan",
+            "admm penalty nan", "extract tol nan"])
+    def test_non_finite_parameters_rejected(self, build):
+        # Each guard is a comparison that NaN fails, as an out-of-range value does.
+        with pytest.raises(ValueError):
+            build()
+
     def test_writes_into_constructor_inputs_change_nothing(self):
         # Each operator copies the arrays it is built from, so it stays what
         # it was built as; an aliased input would change its outputs, or mix
@@ -591,6 +620,22 @@ class TestEvaluationPlan:
             np.testing.assert_array_equal(per_row[i], op(points[i]))
             assert_matches_member_loop(shared[i], op, points[0])
             assert_matches_member_loop(per_row[i], op, points[i])
+
+    @pytest.mark.parametrize("which", ["combinations", "projections", "with a ball"])
+    def test_writing_into_a_result_changes_no_later_call(self, which):
+        # A call returns a fresh array: the segmented sum's own, the stacked
+        # solve's or the per-operator fill, never one the plan keeps.
+        inst = gen_instance(InstanceSpec(n=6, p=5, seed=9))
+        ops = {"combinations": inst.operators,
+               "projections": inst.operators[0].operators,
+               "with a ball": [*inst.operators, BallProjection(np.zeros(6), 1.0)]}[which]
+        plan, untouched = EvaluationPlan(ops), EvaluationPlan(ops)
+        x, y = initial_point(inst), inst.fixed_point
+        for point in (x, y, x):
+            got = plan(point)
+            want = untouched(point)
+            assert got.tobytes() == want.tobytes()
+            got[:] = np.nan
 
     def test_combination_stack_built_once(self, monkeypatch):
         rng = np.random.default_rng(6)

@@ -46,6 +46,7 @@ from crmfp.solvers import (
     ORTHOGONALITY_RTOL,
     _circumcenter,
     _crm_parts,
+    _lifted_sq,
 )
 
 
@@ -187,10 +188,12 @@ class TestParallelAndSequentialSteps:
             step, args = (map_step if kind == "map" else crm_step), problem
         trace = run(kind, problem, x0, SolverConfig(max_iterations=steps))
         assert trace.iterations == steps
+        # The lifted steps are on blocks, so their norms follow the R^n rule.
+        norm = np.linalg.norm if kind in ("ppm", "spm") else block_norm
         x = x0
         for k in range(steps):
             xn = step(*args, x)
-            assert trace.residual_history[k] == np.linalg.norm(xn - x)
+            assert trace.residual_history[k] == norm(xn - x)
             x = xn
         np.testing.assert_array_equal(trace.final_point, x)
 
@@ -564,6 +567,13 @@ class TestEstimateRate:
         with pytest.raises(InsufficientHistory):
             estimate_rate([1.0])
 
+    @pytest.mark.parametrize("history,index", [([1.0, 0.5, np.nan, 0.1], 2),
+                                               ([1.0, np.inf, 0.5], 1),
+                                               ([np.nan, 1.0], 0)])
+    def test_non_finite_distance_rejected(self, history, index):
+        with pytest.raises(ValueError, match=f"distance {index} is"):
+            estimate_rate(history)
+
     def test_plain_geometric_history(self):
         est = estimate_rate([8.0, 4.0, 2.0, 1.0])
         assert est.per_step_ratios == [0.5, 0.5, 0.5]
@@ -616,48 +626,74 @@ class TestProjectorAnchorCache:
                 assert np.array(getattr(a, history)).tobytes() == np.array(getattr(b, history)).tobytes()
 
 
+def is_bitwise_diagonal(a) -> bool:
+    return all(row.tobytes() == a[0].tobytes() for row in a)
+
+
+def block_sq(a) -> float:
+    """The R^n rule for a diagonal (p, n) array: p ||a[0]||^2."""
+    assert is_bitwise_diagonal(a)
+    return len(a) * float(np.vdot(a[0], a[0]))
+
+
+def block_norm(a) -> float:
+    return math.sqrt(block_sq(a))
+
+
 def lifted_loop(kind, block, diag, x0, cfg, solution=None):
     """The lifted map or crm run written out on (p, n) arrays: BlockOperator,
-    diag_project and np.linalg.norm at every step.  Returns what run's
-    trace holds, or the exception the loop raised."""
-    norm = np.linalg.norm
+    diag_project and a norm at every step.  run carries a bitwise-diagonal
+    start or solution, and every iterate after the first step, as its R^n
+    block, so a difference of such points has the norm of the R^n rule
+    (block_norm); every other array has np.linalg.norm's.  Returns what
+    run's trace holds, or the exception the loop raised."""
+    def sq(a, on_blocks) -> float:
+        return block_sq(a) if on_blocks else float(np.vdot(a, a))
+
+    def norm(a, on_blocks) -> float:
+        return block_norm(a) if on_blocks else float(np.linalg.norm(a))
+
     try:
         x = np.asarray(x0, dtype=float).copy()
+        on_blocks = x.shape == block.dim and is_bitwise_diagonal(x)
         if kind == "crm":
-            gap = norm(diag.project(x) - x)
-            if gap > MEMBERSHIP_RTOL * (1.0 + norm(x)):
+            gap = norm(diag.project(x) - x, on_blocks)
+            if gap > MEMBERSHIP_RTOL * (1.0 + norm(x, on_blocks)):
                 raise NotInSubspace(gap)
         sol = None if solution is None else np.asarray(solution, dtype=float)
-        dists = None if sol is None else [float(norm(x - sol))]
+        sol_block = sol is not None and sol.shape == block.dim and is_bitwise_diagonal(sol)
+        dists = None if sol is None else [norm(x - sol, on_blocks and sol_block)]
         residuals, fixes, stop = [], [], "max-iterations"
         for k in range(cfg.max_iterations):
             tx = block(x)
             ptx = diag.project(tx)
-            den = float(np.vdot(ptx - x, ptx - x))
-            num = float(np.vdot(tx - x, tx - x))
+            den = sq(ptx - x, on_blocks)
+            num = sq(tx - x, False)
             fix, step_norm = math.sqrt(num), math.sqrt(den)
-            a = 0.0 if 2.0 * step_norm <= EPS_DEG * (1.0 + norm(x)) else num / den
+            a = 0.0 if 2.0 * step_norm <= EPS_DEG * (1.0 + norm(x, on_blocks)) else num / den
             raw = xn = ptx
             if kind == "crm":
                 raw = x + a * (ptx - x) if a else x.copy()
                 xn = diag.project(raw)
-                gap = norm(xn - raw)
-                if "membership" in cfg.diagnostics and gap > MEMBERSHIP_RTOL * (1.0 + norm(raw)):
+                gap = norm(xn - raw, on_blocks)
+                if ("membership" in cfg.diagnostics
+                        and gap > MEMBERSHIP_RTOL * (1.0 + norm(raw, on_blocks))):
                     raise DiagnosticFailure("membership", k, gap)
             if "orthogonality" in cfg.diagnostics:
                 inner = float(np.vdot(x - tx, raw - tx))
-                if abs(inner) > ORTHOGONALITY_RTOL * (1.0 + norm(x - tx) * norm(raw - tx)):
+                bound = ORTHOGONALITY_RTOL * (1.0 + norm(x - tx, False) * norm(raw - tx, False))
+                if abs(inner) > bound:
                     raise DiagnosticFailure("orthogonality", k, inner)
-            res = float(norm(xn - x))
+            res = norm(xn - x, on_blocks)
             residuals.append(res)
             fixes.append(fix)
             if sol is not None:
-                new_dist = float(norm(xn - sol))
+                new_dist = norm(xn - sol, sol_block)
                 slack = dists[-1] ** 2 - new_dist**2 - step_norm**2
                 if "fejer" in cfg.diagnostics and slack < -FEJER_SLACK_TOL:
                     raise DiagnosticFailure("fejer", k, slack)
                 dists.append(new_dist)
-            x = xn
+            x, on_blocks = xn, True
             if res < cfg.tolerance:
                 stop = "inconsistent" if kind == "crm" and fix >= cfg.tolerance else "converged"
                 break
@@ -716,6 +752,36 @@ def lifted_runs(draw):
         mirror = 2.0 * x0 - inst.fixed_point
         solution = embed(draw(st.sampled_from([inst.fixed_point, mirror])), p)
     return kind, BlockOperator(inst.operators), DiagonalSubspace(n, p), start, cfg, solution
+
+
+EPS = np.finfo(float).eps
+# Entries whose squares are normal floats, so each rounding is relative,
+# and whose lifted squared norm (at most 300 * 60 * 1e300) is finite.
+norm_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-150, 1e150),
+                         st.floats(-1e150, -1e-150))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.lists(norm_entries, min_size=1, max_size=60))
+def test_block_rule_is_within_rounding_of_the_lifted_norm(p, entries):
+    """The R^n rule, sqrt(p ||v||^2), against np.linalg.norm of the (p, n)
+    array (v, ..., v).
+
+    The bound is fixed from float64 before measuring.  Both sum squares,
+    all nonnegative, so with N = p n and exact value S each rounds by at
+    most gamma_k S, gamma_k = k u / (1 - k u) and u = eps / 2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1):
+    the lifted sum by gamma_N, the rule's n-term dot and its product with p
+    by gamma_(n+1).  A square root halves a relative error and adds u, so
+    the norms differ by at most about ((N + n + 1) / 4 + 1) eps sqrt(S);
+    the bound, (N + n + 5) eps / 2 times the larger norm, has a factor 2 to
+    spare.  A lifted (p, n) array keeps np.linalg.norm's own bits."""
+    v = np.array(entries)
+    lifted = embed(v, p)
+    got = math.sqrt(_lifted_sq(v, p))
+    want = float(np.linalg.norm(lifted))
+    assert abs(got - want) <= (p * v.size + v.size + 5) * EPS / 2 * max(got, want)
+    assert math.sqrt(_lifted_sq(lifted, p)) == want
 
 
 def two_balls(centers):

@@ -78,7 +78,6 @@ from .product_space import (
     diag_project,
     embed,
     extract,
-    lift_apply,
 )
 from .solvers import (
     IterationTrace,
@@ -109,7 +108,7 @@ __all__ = [
     "extract", "firm_nonexpansiveness_slack", "fixed_point_residual",
     "fixed_set_witness_check", "gen_ellipsoid", "gen_instance", "gen_operator",
     "gradient_check", "idempotence_violation_search", "images", "initial_point",
-    "lift_apply", "load_instance", "map_step", "performance_profile", "ppm_step",
+    "load_instance", "map_step", "performance_profile", "ppm_step",
     "project_admm", "project_kkt", "read_results_csv", "reflect",
     "run", "run_experiment", "save_instance",
     "spm_step", "summarize", "translate", "translated_projection_deviation",

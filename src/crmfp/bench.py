@@ -14,7 +14,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -79,10 +79,7 @@ class GridConfig:
             raise ValueError("master_seed must be nonnegative")
         if any(v < 1 for v in self.n_values + self.p_values):
             raise ValueError("grid sizes n and p must be positive")
-        if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
 
 def derive_seed(master_seed: int, n: int, p: int, replicate: int) -> int:
@@ -121,11 +118,7 @@ def run_cell(grid: GridConfig, n: int, p: int, replicate: int) -> list[RunResult
         return [_failure_result(solver, n, p, replicate, seed, exc) for solver in ("ppm", "crm")]
 
     cfg = SolverConfig(tolerance=grid.tolerance, max_iterations=grid.max_iterations)
-    crm_cfg = SolverConfig(
-        tolerance=grid.tolerance,
-        max_iterations=grid.max_iterations,
-        diagnostics=("fejer", "membership") if grid.diagnostics else (),
-    )
+    crm_cfg = replace(cfg, diagnostics=("fejer", "membership") if grid.diagnostics else ())
     runs = {
         "ppm": lambda: run("ppm", instance.operators, x0, cfg),
         "crm": lambda: run(
@@ -254,10 +247,7 @@ def performance_profile(results, metric: str = "iterations") -> list[ProfileCurv
     return curves
 
 
-_RESULT_COLUMNS = (
-    "solver", "n", "p", "replicate", "seed",
-    "iterations", "elapsed_s", "final_residual", "stop_reason",
-)
+_RESULT_COLUMNS = tuple(f.name for f in fields(RunResult))
 
 
 def _fmt(value) -> str:

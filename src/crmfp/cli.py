@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .bench import (
+    _METRICS,
     GridConfig,
     export,
     performance_profile,
@@ -45,8 +46,8 @@ def _add_gen(sub):
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--p", type=int, required=True, help="number of operators")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=1.0, help="curvature floor of each ellipsoid")
-    p.add_argument("--density", type=float, default=None, help="fill ratio of the random factor")
+    p.add_argument("--gamma", type=float, default=InstanceSpec.gamma, help="curvature floor of A")
+    p.add_argument("--density", type=float, default=InstanceSpec.density, help="fill ratio of B")
     p.add_argument("--out", required=True, help="output json path")
 
 
@@ -54,8 +55,8 @@ def _add_run(sub):
     p = sub.add_parser("run", help="solve one stored instance")
     p.add_argument("--instance", required=True, help="instance json path")
     p.add_argument("--solver", choices=("crm", "map", "ppm", "spm"), required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=50000)
+    p.add_argument("--tol", type=float, default=SolverConfig.tolerance)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     p.add_argument("--diagnostics", action="store_true",
                    help="check membership and distance monotonicity each step (crm only)")
     p.add_argument("--out", default=None, help="optional json report path")
@@ -63,15 +64,15 @@ def _add_run(sub):
 
 def _add_bench(sub):
     p = sub.add_parser("bench", help="run the benchmark grid and write a results csv")
-    p.add_argument("--n", type=int, nargs="+", default=[10, 30, 50, 100, 200],
+    p.add_argument("--n", type=int, nargs="+", default=GridConfig.n_values,
                    help="ambient dimensions of the grid")
-    p.add_argument("--p", type=int, nargs="+", default=[10, 30, 50, 100, 200],
+    p.add_argument("--p", type=int, nargs="+", default=GridConfig.p_values,
                    help="operator counts of the grid")
-    p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--master-seed", type=int, default=2024)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=50000, help="iteration budget per run")
-    p.add_argument("--no-diagnostics", action="store_true")
+    p.add_argument("--replicates", type=int, default=GridConfig.replicates)
+    p.add_argument("--master-seed", type=int, default=GridConfig.master_seed)
+    p.add_argument("--tol", type=float, default=GridConfig.tolerance)
+    p.add_argument("--max-iter", type=int, default=GridConfig.max_iterations, help="budget per run")
+    p.add_argument("--no-diagnostics", dest="diagnostics", action="store_false")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True,
                    help="directory for results.csv, summary csvs, and the profile csv")
@@ -82,8 +83,7 @@ def _add_summarize(sub):
     p.add_argument("--results", required=True, help="results csv path")
     p.add_argument("--group-by", default="solver",
                    help="comma separated result fields, e.g. solver,n")
-    p.add_argument("--metric", choices=("iterations", "elapsed_s", "final_residual"),
-                   default="iterations")
+    p.add_argument("--metric", choices=_METRICS, default="iterations")
     p.add_argument("--out", default=None, help="optional csv path; default prints")
 
 
@@ -153,7 +153,7 @@ def _cmd_bench(args) -> int:
         master_seed=args.master_seed,
         tolerance=args.tol,
         max_iterations=args.max_iter,
-        diagnostics=not args.no_diagnostics,
+        diagnostics=args.diagnostics,
     )
     results = run_experiment(grid, workers=args.workers)
     out = pathlib.Path(args.out_dir)
@@ -203,19 +203,20 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crmfp",
         description="Circumcentered and averaged projection methods for "
                     "common fixed point problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_gen(sub)
-    _add_run(sub)
-    _add_bench(sub)
-    _add_summarize(sub)
-    _add_profile(sub)
-    args = parser.parse_args(argv)
+    for add in (_add_gen, _add_run, _add_bench, _add_summarize, _add_profile):
+        add(sub)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

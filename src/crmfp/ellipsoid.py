@@ -58,10 +58,13 @@ stack gathers a copy of its rows.
 
 Two projectors are provided: project_kkt solves the root-find directly;
 project_admm runs a splitting iteration (quadratic term / indicator term
-with a consensus constraint) whose set step is that same root-find.  The
-operators of crmfp.operators project through the direct one only.  The
-tests check both against dense bisection on the multiplier, which shares
-no code with either.
+with a consensus constraint) whose set step is that same root-find.  Both
+build a one-row stack per call and keep no state, and an Ellipsoid holds
+no stack: an operator that projects onto it (operators.EllipsoidProjection)
+keeps its own one-row stack, and every plan its own stack, so each caller's
+anchors live as long as that caller.  The operators of crmfp.operators
+project through the direct root-find only.  The tests check both projectors
+against dense bisection on the multiplier, which shares no code with either.
 """
 from __future__ import annotations
 
@@ -128,10 +131,12 @@ class Ellipsoid:
         self.b = b
         self.alpha = alpha
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        # b in the eigenbasis; decompose() sets it, and _row, the row of both
-        # caches in its arrays.
+        # b in the eigenbasis, and the row of both caches in decompose()'s
+        # arrays; decompose() sets them.  Every attribute is bound here, so
+        # instances keep one layout: binding _row first in decompose() made
+        # the operator checks, which read none of these, 3-4 % slower.
         self._b_rot: np.ndarray | None = None
-        self._single: EllipsoidStack | None = None
+        self._row: int | None = None
 
     @property
     def A(self) -> np.ndarray:
@@ -170,12 +175,6 @@ class Ellipsoid:
         if self._eig is None:
             decompose([self])
         return self._eig
-
-    def stack(self) -> "EllipsoidStack":
-        """Cached one-row batch view of this ellipsoid."""
-        if self._single is None:
-            self._single = EllipsoidStack([self])
-        return self._single
 
     def to_dict(self) -> dict:
         """Plain-data form: dense row-major A, dense b, scalar alpha."""
@@ -715,11 +714,12 @@ def project_kkt(ellipsoid: Ellipsoid, x, tol: float = KKT_TOL) -> np.ndarray:
     Interior points (g(x) <= 0) return unchanged.  For exterior points the
     unique multiplier lam* > 0 with g(p(lam*)) = 0 is refined until
     |g| <= tol / 2, or until a step moves it only by rounding
-    (_root_project).  The splitting projector's set step is this
-    root-find, and EllipsoidProjection calls this function.
+    (_root_project).  Each call projects through a one-row stack of its
+    own, so nothing is kept between calls; EllipsoidProjection keeps one
+    such stack, and takes the same root-find, with the same bits.
     """
     x = ellipsoid._point(x)
-    return kkt_project_stacked(ellipsoid.stack(), x[None, :], tol)[0]
+    return kkt_project_stacked(EllipsoidStack([ellipsoid]), x[None, :], tol)[0]
 
 
 def project_admm(ellipsoid: Ellipsoid, x, cfg: AdmmConfig | None = None) -> AdmmResult:
@@ -735,5 +735,5 @@ def project_admm(ellipsoid: Ellipsoid, x, cfg: AdmmConfig | None = None) -> Admm
     if cfg is None:
         cfg = AdmmConfig()
     x = ellipsoid._point(x)
-    pts, iters, conv = admm_project_stacked(ellipsoid.stack(), x[None, :], cfg)
+    pts, iters, conv = admm_project_stacked(EllipsoidStack([ellipsoid]), x[None, :], cfg)
     return AdmmResult(point=pts[0], iterations=int(iters[0]), converged=bool(conv[0]))

@@ -22,13 +22,23 @@ dense A is garbage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .ellipsoid import Ellipsoid, decompose
 from .errors import CannotExitSets
 from .operators import ConvexCombination, EllipsoidProjection
+
+
+def _check_gamma_and_density(gamma: float, density: float) -> None:
+    """The rules on an ellipsoid's curvature floor gamma and fill ratio
+    density, which InstanceSpec and gen_ellipsoid both apply before any
+    draw; NaN fails both comparisons."""
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must lie in (0, 1]")
 
 
 @dataclass
@@ -53,12 +63,9 @@ class InstanceSpec:
             raise ValueError("n and p must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
         if self.density is None:
             self.density = min(1.0, 2.0 / self.n)
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError("density must lie in (0, 1]")
+        _check_gamma_and_density(self.gamma, self.density)
         self.r_range = tuple(int(r) for r in self.r_range)
         if not self.r_range or any(r < 1 for r in self.r_range):
             raise ValueError("r_range must hold positive member counts")
@@ -66,15 +73,7 @@ class InstanceSpec:
             raise ValueError("eta must be negative and finite")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "seed": self.seed,
-            "gamma": self.gamma,
-            "density": self.density,
-            "r_range": list(self.r_range),
-            "eta": self.eta,
-        }
+        return {**asdict(self), "r_range": list(self.r_range)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "InstanceSpec":
@@ -166,9 +165,13 @@ def gen_ellipsoid(n: int, rng: np.random.Generator, gamma: float = 1.0,
     density), b uniform on [0, 1]^n, and the level alpha = b'Ab + 1, which
     keeps g(0) = -alpha strictly negative.  It draws and builds on the
     calling thread; gen_instance's members take the same draws and builds,
-    the builds on decompose's pool.
+    the builds on decompose's pool.  gamma and density follow InstanceSpec's
+    rules, checked before anything is drawn, so a rejected call leaves rng
+    as it was.
     """
-    return _draw_ellipsoid(n, rng, gamma, min(1.0, 2.0 / n) if density is None else density)()
+    density = min(1.0, 2.0 / n) if density is None else density
+    _check_gamma_and_density(gamma, density)
+    return _draw_ellipsoid(n, rng, gamma, density)()
 
 
 def gen_operator(n: int, rng: np.random.Generator, spec: InstanceSpec) -> ConvexCombination:

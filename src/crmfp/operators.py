@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked, project_kkt
+from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked
 from .ellipsoid import admm_project_stacked  # noqa: F401  (a perfbench trace site)
 from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
 
@@ -117,10 +117,7 @@ class AffineSubspace:
         return cls(anchor, vt[keep])
 
     def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
-        d = x - self.anchor
+        d = _check_vec(x, self.dim) - self.anchor
         return self.anchor + (d @ self.basis.T) @ self.basis
 
 
@@ -164,7 +161,14 @@ class BallProjection:
 
 class EllipsoidProjection:
     """Projection onto an ellipsoid by the direct root-find, which stops at
-    |g| <= KKT_TOL / 2 (project_kkt)."""
+    |g| <= KKT_TOL / 2, with project_kkt's bits.
+
+    The operator keeps the one-row EllipsoidStack of its ellipsoid, built
+    on first use: its calls project through it, and so keep its anchors,
+    and images() projects through a tile of it.  The stack holds no
+    reference to the operator, so the two are freed by reference counting
+    alone, and the ellipsoid gains no attribute.
+    """
 
     kind = "ellipsoid-projection"
 
@@ -172,8 +176,13 @@ class EllipsoidProjection:
         self.ellipsoid = ellipsoid
         self.dim = ellipsoid.dim
 
+    @cached_property
+    def stack(self) -> EllipsoidStack:
+        """One-row stack of the ellipsoid, built on first use."""
+        return EllipsoidStack([self.ellipsoid])
+
     def __call__(self, x) -> np.ndarray:
-        return project_kkt(self.ellipsoid, x)
+        return kkt_project_stacked(self.stack, _check_vec(x, self.dim)[None, :], KKT_TOL)[0]
 
 
 class ConvexCombination:
@@ -253,9 +262,9 @@ def _slots(counts, row_weights):
 
 def _segment_sums(row_weights, rows, starts, slots=None) -> np.ndarray:
     """Weighted sum of each run of consecutive rows from its start, bit for
-    bit np.add.reduceat(row_weights[:, None] * rows, starts, axis=0).
-    slots is the runs' layout: an int r <= SLOT_RUN_MAX for runs of r rows
-    each, the layout from _slots, or None.
+    bit np.add.reduceat(row_weights[:, None] * rows, starts, axis=0), in
+    one of two forms: slot by slot when slots is the runs' layout from
+    _slots, else (slots None) reduceat itself.
 
     reduceat sums run i as r0 + s, with r the weighted rows and s numpy's
     pairwise sum of r1, r2, ..., which for fewer than 8 terms is one loop,
@@ -265,21 +274,17 @@ def _segment_sums(row_weights, rows, starts, slots=None) -> np.ndarray:
     vector add per slot over every run rather than one inner loop per
     column and run.  Past a run's end r holds -0.0, and x + (-0.0) = x for
     every x, so a pad changes no sum (a +0.0 pad would turn a sum of -0.0
-    into +0.0).  Runs of equal length are a view of the weighted rows,
-    with no gather and no pad.  Longer runs, whose pairwise sum of 8 or
-    more terms uses 8 accumulators, keep reduceat (slots None), and so
-    does a convex combination's own call: its one run has no vector adds
-    to share, and at 3-5 rows of n <= 50 reduceat makes fewer numpy calls.
+    into +0.0).  Longer runs, whose pairwise sum of 8 or more terms uses
+    8 accumulators, keep reduceat (slots None), and so do a convex
+    combination's own call and images(): at their few short runs of
+    n <= 50 reduceat makes fewer numpy calls than the slots would.
     """
     if slots is None:
         return np.add.reduceat(row_weights[:, None] * rows, starts, axis=0)
-    if isinstance(slots, int):
-        r = (row_weights[:, None] * rows).reshape(-1, slots, rows.shape[-1]).swapaxes(0, 1)
-    else:
-        index, weights, pad = slots
-        r = rows.take(index, axis=0)
-        r *= weights
-        r[pad] = -0.0
+    index, weights, pad = slots
+    r = rows.take(index, axis=0)
+    r *= weights
+    r[pad] = -0.0
     tail = np.add.reduce(r[1:], axis=0, initial=-0.0)
     return np.add(r[0], tail, out=tail)
 
@@ -383,32 +388,32 @@ def apply_each(operators, points) -> list[np.ndarray]:
 def images(operator, points) -> np.ndarray:
     """operator at every row of points, exactly np.stack([operator(x) for x in points]).
 
-    An ellipsoid projection projects its k rows in one stacked solve on a
-    k-fold tile of its stack; a convex combination whose plan is one stack
-    of J members projects the k * J rows np.repeat(points, J, axis=0) in
-    one solve on the tiled plan stack and sums each run of J rows the way
-    its own call does.  Rows of a batch never interact and each run's sum
-    depends only on its rows, so both equal the per-point loop bit for
-    bit.  The tile's rows are not one shared point, so kkt_project_stacked
-    neither screens nor anchors them.  Every other operator (or callable)
-    is called point by point.
+    A fused operator, an ellipsoid projection (its own one-row stack) or a
+    convex combination whose plan is one stack of J members, projects the
+    k * J rows np.repeat(points, J, axis=0) in one stacked solve on a
+    k-fold tile of that stack; a combination then sums each run of J rows
+    with reduceat, as its own call does.  Rows of a batch never interact
+    and each run's sum depends only on its rows, so both equal the
+    per-point loop bit for bit.  The tile's rows are not one shared point,
+    so kkt_project_stacked neither screens nor anchors them.  Every other
+    operator (or callable) is called point by point.
     """
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         raise ValueError("need at least one point")
-    single = isinstance(operator, EllipsoidProjection)
-    if not (single or isinstance(operator, ConvexCombination) and operator.plan.one_row_each):
+    if isinstance(operator, EllipsoidProjection):
+        stack, weights = operator.stack, None
+    elif isinstance(operator, ConvexCombination) and operator.plan.one_row_each:
+        stack, weights = operator.plan.stack, operator.weights
+    else:
         return np.stack([operator(x) for x in points])
-    k = len(points)
+    k, size = len(points), len(stack)
     if points.shape != (k, operator.dim):
         raise DimensionMismatch(f"points have shape {points.shape}, expected (k, {operator.dim})")
-    if single:
-        return kkt_project_stacked(operator.ellipsoid.stack().tile(k), points, KKT_TOL)
-    plan = operator.plan
-    size = len(plan.stack)
-    proj = kkt_project_stacked(plan.stack.tile(k), np.repeat(points, size, axis=0), KKT_TOL)
-    slots = size if size <= SLOT_RUN_MAX else None
-    return _segment_sums(np.tile(operator.weights, k), proj, range(0, k * size, size), slots)
+    proj = kkt_project_stacked(stack.tile(k), np.repeat(points, size, axis=0), KKT_TOL)
+    if weights is None:
+        return proj
+    return _segment_sums(np.tile(weights, k), proj, range(0, k * size, size))
 
 
 def _sample_rows(samples) -> np.ndarray:

@@ -50,19 +50,19 @@ def embed(x, m: int) -> np.ndarray:
 
 
 def extract(x, tol: float = 1e-9) -> np.ndarray:
-    """Common block of a (numerically) diagonal lifted point.
+    """Common block of a (numerically) diagonal lifted point: the block of
+    diag_project (_diagonal_block), as a new array.
 
     Raises NotDiagonal when some block deviates from the block mean by more
-    than tol, which may be inf but not NaN.
+    than tol, which may be inf but not NaN.  A bitwise-diagonal point
+    round-trips exactly, infinite entries included.
     """
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
     x = _check_lifted(x)
     if _is_diagonal(x):
-        # Bitwise-diagonal input round-trips exactly; the mean of m equal
-        # rows can differ by an ulp.
         return x[0].copy()
-    mean = x.mean(axis=0)
+    mean = _diagonal_block(x)
     deviation = float(np.linalg.norm(x - mean, axis=1).max())
     if deviation > tol:
         raise NotDiagonal(f"blocks deviate from their mean by {deviation:.3e} > {tol:.1e}")
@@ -160,8 +160,3 @@ class _DiagonalBlocks:
     def block(self, y) -> np.ndarray:
         """The block of a diagonal lifted point; any other y as it is."""
         return y[0] if y.shape == self.operator.dim and _is_diagonal(y) else y
-
-
-def lift_apply(operators, x) -> np.ndarray:
-    """Rowwise application: block i goes through operators[i]."""
-    return BlockOperator(operators)(x)

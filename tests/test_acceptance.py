@@ -35,7 +35,6 @@ from crmfp import (
     gradient_check,
     idempotence_violation_search,
     initial_point,
-    lift_apply,
     ppm_step,
     project_admm,
     project_kkt,
@@ -206,7 +205,7 @@ def test_05_product_space_equivalence():
         inst = gen_instance(InstanceSpec(n=n, p=p, seed=20000 + case))
         x = rng.standard_normal(n) * 4
         lifted = extract(
-            diag_project(lift_apply(inst.operators, embed(x, p))), tol=np.inf
+            diag_project(BlockOperator(inst.operators)(embed(x, p))), tol=np.inf
         )
         direct = ppm_step(inst.operators, x)
         worst = max(worst, float(np.linalg.norm(lifted - direct)))

@@ -1,12 +1,14 @@
 """End-to-end runs of the command line interface, in process."""
 import dataclasses
+import inspect
 import json
 import pathlib
 
 import pytest
 
-from crmfp import read_results_csv
-from crmfp.cli import main
+from crmfp import GridConfig, InstanceSpec, SolverConfig, read_results_csv, summarize
+from crmfp.bench import _METRICS
+from crmfp.cli import _parser, main
 
 
 def bench_args(out_dir, *extra):
@@ -167,6 +169,34 @@ class TestSummarizeAndProfile:
         lines = out.read_text().splitlines()
         assert lines[0] == "solver,tau,fraction"
         assert len(lines) > 2
+
+
+class TestDefaults:
+    """Every default of the parser is the default of the object it builds."""
+
+    def test_parser_defaults_are_the_dataclasses_defaults(self):
+        parser = _parser()
+        run = parser.parse_args(["run", "--instance", "i.json", "--solver", "ppm"])
+        cfg = SolverConfig()
+        assert (run.tol, run.max_iter) == (cfg.tolerance, cfg.max_iterations)
+        bench = parser.parse_args(["bench", "--out-dir", "d"])
+        grid = GridConfig()
+        assert (tuple(bench.n), tuple(bench.p), bench.replicates, bench.master_seed,
+                bench.tol, bench.max_iter, bench.diagnostics) == (
+            grid.n_values, grid.p_values, grid.replicates, grid.master_seed,
+            grid.tolerance, grid.max_iterations, grid.diagnostics)
+        gen = parser.parse_args(["gen", "--n", "3", "--p", "2", "--seed", "1", "--out", "o"])
+        assert InstanceSpec(n=3, p=2, seed=1, gamma=gen.gamma, density=gen.density) == (
+            InstanceSpec(n=3, p=2, seed=1))
+
+    def test_summarize_metrics_are_the_bench_metrics(self):
+        parser = _parser()
+        for metric in _METRICS:
+            assert parser.parse_args(["summarize", "--results", "r", "--metric", metric]).metric
+        with pytest.raises(SystemExit):
+            parser.parse_args(["summarize", "--results", "r", "--metric", "wall_s"])
+        default = parser.parse_args(["summarize", "--results", "r"]).metric
+        assert default == inspect.signature(summarize).parameters["metric"].default
 
 
 class TestInvalidValues:

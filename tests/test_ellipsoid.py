@@ -29,6 +29,7 @@ from crmfp import (
     RootNotBracketed,
     gen_ellipsoid,
     gen_instance,
+    images,
     initial_point,
     project_admm,
     project_kkt,
@@ -309,13 +310,28 @@ class TestKktProjection:
             e = gen_ellipsoid(4, np.random.default_rng(3))
             op = EllipsoidProjection(e)
             op(np.full(4, 10.0))
-            assert e._single is not None
-            alive = weakref.ref(e)
+            images(op, np.stack([np.full(4, 10.0), np.full(4, -3.0)]))
+            assert isinstance(vars(op).get("stack"), EllipsoidStack)
+            alive, alive_op = weakref.ref(e), weakref.ref(op)
             del e, op
-            assert alive() is None
+            assert alive() is None and alive_op() is None
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_evaluating_a_projection_adds_nothing_to_its_ellipsoid(self):
+        # The one-row stack and its anchors belong to the operator; the
+        # ellipsoid keeps exactly the attributes it had, bound as they were.
+        e = gen_ellipsoid(4, np.random.default_rng(3))
+        e.eig()   # decompose sets the eigenbasis caches first
+        before = dict(vars(e))
+        op = EllipsoidProjection(e)
+        for x in (np.zeros(4), np.full(4, 10.0)):
+            op(x)
+            project_kkt(e, x)
+        images(op, np.stack([np.zeros(4), np.full(4, 10.0)]))
+        assert vars(e).keys() == before.keys()
+        assert all(vars(e)[k] is v for k, v in before.items())
 
 
 class TestAdmmProjection:
@@ -1032,11 +1048,13 @@ class TestInteriorScreen:
             kkt_project_stacked(stack, shared_rows(x, 4), KKT_TOL)
         with pytest.raises(RootNotBracketed, match="non-finite"):
             kkt_project_stacked(stack, np.full((4, 3), bad), KKT_TOL)
-        e = es[0]
-        project_kkt(e, np.zeros(3))
-        assert e.stack().tangents is not None
+        op = EllipsoidProjection(es[0])
+        op(np.zeros(3))
+        assert op.stack.tangents is not None
         with pytest.raises(RootNotBracketed, match="non-finite"):
-            project_kkt(e, np.array([0.0, bad, 0.0]))
+            op(np.array([0.0, bad, 0.0]))
+        with pytest.raises(RootNotBracketed, match="non-finite"):
+            project_kkt(es[0], np.array([0.0, bad, 0.0]))
 
     def test_rows_moved_down_the_gradient_skip_the_rotation(self, monkeypatch):
         # Member 0 is round, so its tangent-plane bound is exact; members 1
@@ -1184,7 +1202,7 @@ class TestInteriorScreen:
         # because both equal their rows of the full batch.
         rng = np.random.default_rng(n)
         base = EllipsoidStack([gen_ellipsoid(n, rng) for _ in range(5)])
-        single = gen_ellipsoid(n, rng).stack()
+        single = EllipsoidStack([gen_ellipsoid(n, rng)])
         for stack in (base, single.tile(6), base.tile(3)):
             count = len(stack)
             rows = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-5, 5, (count, 1))

@@ -80,6 +80,20 @@ class TestGenEllipsoid:
         off_diag = ~np.eye(60, dtype=bool)
         assert np.count_nonzero(sparse.A[off_diag]) < np.count_nonzero(dense.A[off_diag])
 
+    @pytest.mark.parametrize("field, value", [
+        ("density", np.nan), ("density", np.inf), ("density", 0.0), ("density", 5.0),
+        ("gamma", -1.0), ("gamma", 0.0), ("gamma", np.nan), ("gamma", np.inf),
+    ])
+    def test_rejects_what_instance_spec_rejects_before_drawing(self, field, value):
+        with pytest.raises(ValueError) as spec_error:
+            InstanceSpec(n=3, p=1, seed=0, **{field: value})
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as error:
+            gen_ellipsoid(3, rng, **{field: value})
+        assert str(error.value) == str(spec_error.value)
+        assert rng.bit_generator.state == state   # nothing was drawn
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, 2, 10, 50]), st.integers(0, 2**32 - 1),
            st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([None, 0.02, 0.3, 1.0]))

@@ -150,6 +150,101 @@ class TestFirmNonexpansivenessSlack:
             assert firm_nonexpansiveness_slack(combo, x, y) >= -1e-10
 
 
+def ill_conditioned_ellipsoid(rng, n):
+    """{x : (x - c)' A (x - c) <= 1}: A's eigenvalues spread over [1, 10^s]
+    with s uniform on [0, 6], on random axes, and a center with c'Ac < 0.9,
+    so the origin is interior.  Its half-widths run from 10^(-s/2) to 1."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = 10.0 ** (rng.uniform(0.0, 6.0) * rng.permutation(np.linspace(0.0, 1.0, n)))
+    A = (q * w) @ q.T
+    A = 0.5 * (A + A.T)
+    c = rng.standard_normal(n)
+    c *= np.sqrt(rng.uniform(0.0, 0.9) / (c @ A @ c))
+    return Ellipsoid(A, -(A @ c), 1.0 - c @ A @ c)
+
+
+def random_tree(rng, n, depth):
+    """(operator, alpha, nodes): a random operator tree whose leaves lie at
+    most depth levels below its root: above that, half of the nodes are
+    combinations or compositions, and the other kinds are drawn alike.
+    alpha is an averagedness constant of the tree, nodes its number of
+    operators.
+
+    Every leaf (the identity and the four projections) is firmly
+    nonexpansive, that is 1/2-averaged.  A convex combination of
+    alpha_i-averaged operators is max alpha_i-averaged, and the composition
+    of an a- and a b-averaged operator is (a + b - 2ab) / (1 - ab)-averaged
+    (Combettes & Yamada, 2015, Prop. 2.4), so a tree without compositions
+    is firmly nonexpansive and one with them in general is not.
+    """
+    inner = depth and rng.random() < 0.5
+    kind = rng.choice(["combination", "composition"] if inner else
+                      ["identity", "halfspace", "affine", "ball", "ellipsoid"])
+    centre = 0.5 * rng.standard_normal(n) / np.sqrt(n)
+    if kind == "identity":
+        return Identity(n), 0.5, 1
+    if kind == "halfspace":
+        normal = rng.standard_normal(n)
+        return HalfspaceProjection(normal, rng.uniform(-1, 1) * np.linalg.norm(normal)), 0.5, 1
+    if kind == "affine":
+        span = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        return AffineSubspaceProjection(AffineSubspace.from_span(centre, span)), 0.5, 1
+    if kind == "ball":
+        return BallProjection(centre, rng.uniform(0.1, 1.0)), 0.5, 1
+    if kind == "ellipsoid":
+        return EllipsoidProjection(ill_conditioned_ellipsoid(rng, n)), 0.5, 1
+    ops, alphas, sizes = zip(*(random_tree(rng, n, depth - 1)
+                               for _ in range(int(rng.integers(2, 4)))))
+    if kind == "combination":
+        weights = rng.uniform(0.1, 1.0, len(ops))
+        return ConvexCombination(ops, weights / weights.sum()), max(alphas), 1 + sum(sizes)
+    alpha = alphas[0]
+    for a in alphas[1:]:
+        alpha = (alpha + a - 2.0 * alpha * a) / (1.0 - alpha * a)
+    return Composition(ops), alpha, 1 + sum(sizes)
+
+
+def tree_case(seed, n):
+    """A random tree of depth at most 3 on R^n and two points at scales
+    10^-1 to 10^8 times its sets' (about 1): independent, or the second
+    within a relative 10^-8 to 1 of the first."""
+    rng = np.random.default_rng(seed)
+    op, alpha, nodes = random_tree(rng, n, 3)
+    x, y = (10.0 ** rng.uniform(-1.0, 8.0, (2, 1))) * rng.standard_normal((2, n))
+    if rng.random() < 0.5:
+        y = x + 10.0 ** rng.uniform(-8.0, 0.0) * np.linalg.norm(x) * rng.standard_normal(n)
+    return op, alpha, nodes, x, y
+
+
+class TestRandomOperatorTrees:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_averaged_inequality_within_rounding(self, seed, n):
+        """The slack of an alpha-averaged T is at least
+        -(2 alpha - 1) / (2 (1 - alpha)) (|x - y|^2 - |Tx - Ty|^2), which is
+        0 for a firmly nonexpansive T (alpha = 1/2), less the rounding bound
+        64 N n eps (|x| + |y|)^2, N the tree's number of operators.
+
+        The factor is fixed from float64 rounding at the points' scale
+        S = |x| + |y|, before any run.  Each operator's own rounding moves
+        its image by at most 8 n eps S (a rotation into an eigenbasis and
+        back, or a dot product and a scaled add, a few eps each per
+        coordinate), and nonexpansive operators pass their inputs' errors
+        on without growth, so each image is within 8 N n eps S of exact.
+        The slack's dot products then err by at most 3 S times the images'
+        two errors, 48 N n eps S^2, and their own rounding, and the averaged
+        term's, add at most 16 n eps S^2 <= 16 N n eps S^2.
+        """
+        op, alpha, nodes, x, y = tree_case(seed, n)
+        slack = firm_nonexpansiveness_slack(op, x, y)
+        tx, ty = images(op, np.stack([x, y]))
+        assert_same_bits(np.stack([tx, ty]), np.stack([op(x), op(y)]))
+        d, u = tx - ty, x - y
+        floor = -(2.0 * alpha - 1.0) / (2.0 * (1.0 - alpha)) * (u @ u - d @ d)
+        bound = 64 * nodes * n * EPS * (np.linalg.norm(x) + np.linalg.norm(y)) ** 2
+        assert slack >= floor - bound, (seed, n, slack, floor, bound)
+
+
 class TestFixedPointResidual:
     def test_ball_exterior(self):
         op = BallProjection(np.zeros(2), 1.0)
@@ -821,10 +916,8 @@ class TestSegmentSums:
         want = np.add.reduceat(weights[:, None] * rows, starts, axis=0)
         slots = _slots(counts, weights)
         assert (slots is None) == (max(counts) > SLOT_RUN_MAX)
-        # The gathered layout, runs of one length as a view, and reduceat.
-        equal = len(set(counts)) == 1 and counts[0] <= SLOT_RUN_MAX
-        for layout in [slots] + ([counts[0]] if equal else []):
-            assert_same_bits(_segment_sums(weights, rows, starts, layout), want)
+        # The gathered layout, or reduceat itself past SLOT_RUN_MAX.
+        assert_same_bits(_segment_sums(weights, rows, starts, slots), want)
 
     def test_negative_zero_sums_keep_their_sign(self):
         # Runs of 1 and 3 rows of -0.0: reduceat gives -0.0 for both, and so

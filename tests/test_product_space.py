@@ -20,7 +20,6 @@ from crmfp import (
     EllipsoidProjection,
     InstanceSpec,
     gen_instance,
-    lift_apply,
     ppm_step,
 )
 from crmfp.ellipsoid import EllipsoidStack
@@ -36,26 +35,26 @@ def two_halfspaces():
 class TestLiftApply:
     def test_blockwise_example(self):
         x = np.array([[2.0, 2.0], [2.0, 2.0]])
-        out = lift_apply(two_halfspaces(), x)
+        out = BlockOperator(two_halfspaces())(x)
         np.testing.assert_allclose(out, [[0.0, 2.0], [2.0, 0.0]])
 
     def test_single_block_reduces_to_apply(self):
         op = two_halfspaces()[0]
         x = np.array([[3.0, 1.0]])
-        np.testing.assert_array_equal(lift_apply([op], x)[0], op(np.array([3.0, 1.0])))
+        np.testing.assert_array_equal(BlockOperator([op])(x)[0], op(np.array([3.0, 1.0])))
 
     def test_identities_leave_input(self):
         x = np.arange(6.0).reshape(3, 2)
-        out = lift_apply([Identity(2)] * 3, x)
+        out = BlockOperator([Identity(2)] * 3)(x)
         np.testing.assert_array_equal(out, x)
 
     def test_block_count_checked(self):
         with pytest.raises(BlockCountMismatch):
-            lift_apply(two_halfspaces(), np.zeros((3, 2)))
+            BlockOperator(two_halfspaces())(np.zeros((3, 2)))
 
     def test_block_dim_checked(self):
         with pytest.raises(DimensionMismatch):
-            lift_apply(two_halfspaces(), np.zeros((2, 3)))
+            BlockOperator(two_halfspaces())(np.zeros((2, 3)))
 
 
 class TestDiagProject:
@@ -107,7 +106,7 @@ class TestPierraEquivalence:
             ops = [EllipsoidProjection(gen_ellipsoid(4, rng)) for _ in range(p)]
             x = rng.standard_normal(4) * 3
             lifted = extract(
-                diag_project(lift_apply(ops, embed(x, p))), tol=np.inf
+                diag_project(BlockOperator(ops)(embed(x, p))), tol=np.inf
             )
             direct = ppm_step(ops, x)
             assert np.linalg.norm(lifted - direct) <= 1e-12
@@ -149,12 +148,12 @@ class TestLiftedFirmNonexpansiveness:
 
 
 class TestBlockOperator:
-    def test_matches_lift_apply(self):
+    def test_matches_the_per_operator_loop(self):
         rng = np.random.default_rng(23)
         ops = [EllipsoidProjection(gen_ellipsoid(3, rng)) for _ in range(4)]
         block = BlockOperator(ops)
         x = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(block(x), lift_apply(ops, x))
+        np.testing.assert_array_equal(block(x), np.stack([op(r) for op, r in zip(ops, x)]))
 
     def test_empty_rejected(self):
         from crmfp import EmptyOperatorList

@@ -15,6 +15,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from operator import index
 
 import numpy as np
 
@@ -71,8 +72,10 @@ class GridConfig:
     diagnostics: bool = True
 
     def __post_init__(self):
-        self.n_values = tuple(int(n) for n in self.n_values)
-        self.p_values = tuple(int(p) for p in self.p_values)
+        # Counts are integers (numpy's too); anything else raises TypeError.
+        self.n_values = tuple(map(index, self.n_values))
+        self.p_values = tuple(map(index, self.p_values))
+        self.replicates, self.master_seed = index(self.replicates), index(self.master_seed)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.master_seed < 0:

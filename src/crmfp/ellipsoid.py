@@ -31,7 +31,11 @@ Expanded in x, that bound is a constant plus a linear form in
 exact test found interior) as one constant and one row of n + 2
 coefficients (Tangents).  Only a point shared by every row of a call (rows
 with stride 0), the call every solver makes, is screened and anchors, and
-certifying it is one GEMV.  A row whose bound, plus a margin that covers
+certifying it is one GEMV.  Only a stack of at least SCREEN_MIN_ENTRIES
+eigenbasis entries (J n^2 for a plan's stack) anchors: on a smaller one
+the GEMV and the anchor updates cost more than the rotations they save
+(J n^2 is about 4e3 at 10x10), so it never screens and every call
+rotates the whole stack.  A row whose bound, plus a margin that covers
 the float64 rounding of the exact test and of the expanded form, is below
 0 is certified interior and returned unchanged without being rotated,
 exactly as the exact test would return it.  Every other row takes the
@@ -86,6 +90,11 @@ KKT_TOL = 1e-11
 # Margin of the interior certificate, relative to the size of g's terms at
 # the anchor and the row (see EllipsoidStack.anchor).
 SCREEN_RTOL = 1e-9
+# The fewest eigenbasis entries (stack.rot.size, J n^2 for a plan's stack)
+# of a stack that anchors shared points; a smaller stack never screens.
+# Measured on whole ppm and crm runs: the screen loses at 10x10 (4e3
+# entries), breaks even at 10x30 (1.2e4) and wins from 10x50 (2e4) on.
+SCREEN_MIN_ENTRIES = 2**14
 # The settings of the threads one BLAS call may take, in the order BLAS reads them.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -339,13 +348,14 @@ class EllipsoidStack:
     stacked solve.
 
     The stack also caches, in tangents (a Tangents, None before the first
-    anchor), one anchor per row: the last shared point of a call that was
-    in doubt at row j and that the exact test found interior there, kept
-    as the constant and the coefficients of its tangent-plane bound.
-    certified() tests a shared point against those bounds, and anchor()
-    replaces the cache as a whole, so a
-    concurrent call never pairs one row's constant with another anchor's
-    coefficients; kkt_project_stacked uses both.  The cache only decides
+    anchor, and for good on a stack of fewer than SCREEN_MIN_ENTRIES
+    eigenbasis entries), one anchor per row: the last shared point of a
+    call that was in doubt at row j and that the exact test found interior
+    there, kept as the constant and the coefficients of its tangent-plane
+    bound.  certified() tests a shared point against those bounds, and
+    anchor() replaces the cache as a whole, so a concurrent call never
+    pairs one row's constant with another anchor's coefficients;
+    kkt_project_stacked uses both.  The cache only decides
     which rows are rotated, never what any row's output is.
     """
 
@@ -588,13 +598,16 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     in one batch; otherwise only the rows in doubt are rotated, by
     _rotate_rows.  At a shared point, either way, the rows in doubt that
     the exact test finds interior become the anchors of their rows, and
-    certified rows keep theirs.  A per-row product equals its row of the
-    batched one bit for bit, and a certified row is interior by the exact
-    test, so every output is what rotating every row would give.  A call
-    whose rows are all exterior (none certified, none interior) hands them
-    to the root-find as they are and rotates the results back in one
-    batch.  Row j uses basis j mod len(stack.rot), which is j itself
-    unless the stack is a tile (EllipsoidStack.tile).
+    certified rows keep theirs, on a stack of at least SCREEN_MIN_ENTRIES
+    eigenbasis entries (stack.rot.size); a smaller stack never anchors, so
+    nothing is ever certified and every call takes the full path.  A
+    per-row product equals its row of the batched one bit for bit, and a
+    certified row is interior by the exact test, so every output is what
+    rotating every row would give.  A call whose rows are all exterior
+    (none certified, none interior) hands them to the root-find as they
+    are and rotates the results back in one batch.  Row j uses basis
+    j mod len(stack.rot), which is j itself unless the stack is a tile
+    (EllipsoidStack.tile).
 
     Rows with stride 0, such as np.broadcast_to(x, (J, n)), are one point
     x shared by every row: they are used as they are, with no contiguous
@@ -628,7 +641,7 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     # At a shared point, rows in doubt found interior become anchors, and
     # certified rows keep theirs.
     fresh = inside if cert is None or not full else inside & ~cert
-    if not rows.strides[0] and fresh.any():
+    if not rows.strides[0] and stack.rot.size >= SCREEN_MIN_ENTRIES and fresh.any():
         stack.anchor(rotated[fresh], rows[rotated[fresh]], zt[fresh], g[fresh])
     ext = ~inside
     idx = rotated[ext]

@@ -29,6 +29,7 @@ from .operators import EvaluationPlan, apply_each  # noqa: F401  (a perfbench tr
 
 
 def _check_lifted(x, m: int | None = None, n: int | None = None) -> np.ndarray:
+    """x as a float (m, n) lifted point; without m, of at least one block."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatch(f"lifted point must be 2-d, got shape {x.shape}")
@@ -36,6 +37,8 @@ def _check_lifted(x, m: int | None = None, n: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"blocks have dimension {x.shape[1]}, expected {n}")
     if m is not None and x.shape[0] != m:
         raise BlockCountMismatch(f"{x.shape[0]} blocks, expected {m}")
+    if not len(x):
+        raise ValueError("need at least one block")
     return x
 
 

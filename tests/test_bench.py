@@ -200,6 +200,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             tiny_grid(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_values", (2.7,)), ("p_values", (2, 3.0)), ("replicates", 1.5),
+        ("master_seed", 7.0), ("max_iterations", 2.5),
+    ])
+    def test_non_integral_counts_rejected(self, field, value):
+        # A float count is neither truncated nor kept.
+        with pytest.raises(TypeError):
+            tiny_grid(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = tiny_grid(n_values=(np.int64(3),), p_values=np.array([2, 4]),
+                         replicates=np.int32(2), master_seed=np.uint64(7))
+        assert (grid.n_values, grid.p_values, grid.replicates, grid.master_seed) == ((3,), (2, 4), 2, 7)
+        assert all(type(v) is int for v in (*grid.n_values, *grid.p_values, grid.replicates))
+
     def test_negative_master_seed_rejected(self):
         # SeedSequence takes nonnegative entropy only; the grid says so first.
         with pytest.raises(ValueError, match="master_seed must be nonnegative"):

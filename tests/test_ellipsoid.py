@@ -37,6 +37,7 @@ from crmfp import (
 from crmfp.ellipsoid import (
     _BLAS_ENV,
     KKT_TOL,
+    SCREEN_MIN_ENTRIES,
     EllipsoidStack,
     _pool_size,
     _g_rows,
@@ -852,6 +853,23 @@ moves = st.lists(
 )
 
 
+class TestScreenMinEntries:
+    """Only a stack of at least SCREEN_MIN_ENTRIES eigenbasis entries anchors."""
+
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_the_rule_counts_the_stacks_entries(self, short):
+        n = 16
+        members = SCREEN_MIN_ENTRIES // n**2 - short
+        rng = np.random.default_rng(50)
+        stack = EllipsoidStack([gen_ellipsoid(n, rng) for _ in range(members)])
+        assert (stack.rot.size >= SCREEN_MIN_ENTRIES) == (not short)
+        # The origin is interior to every set: each row would anchor there.
+        out = kkt_project_stacked(stack, shared_rows(np.zeros(n), members), KKT_TOL)
+        assert_same_bits(out, np.zeros((members, n)))
+        assert (stack.tangents is None) == bool(short)
+
+
+@pytest.mark.usefixtures("screen_every_stack")
 class TestInteriorScreen:
     """The anchor cache of EllipsoidStack only decides which rows are rotated."""
 
@@ -1236,6 +1254,7 @@ class TestTile:
         with pytest.raises(ValueError):
             EllipsoidStack.concatenate([tiled])
 
+    @pytest.mark.usefixtures("screen_every_stack")
     def test_base_screen_untouched(self):
         rng = np.random.default_rng(33)
         base = EllipsoidStack([gen_ellipsoid(4, rng) for _ in range(3)])

@@ -39,7 +39,7 @@ from crmfp import (
     translate,
     translated_projection_deviation,
 )
-from crmfp.ellipsoid import Ellipsoid, EllipsoidStack
+from crmfp.ellipsoid import SCREEN_MIN_ENTRIES, Ellipsoid, EllipsoidStack
 from crmfp.operators import SLOT_RUN_MAX, EvaluationPlan, _segment_sums, _slots
 from crmfp.product_space import BlockOperator
 
@@ -751,6 +751,7 @@ class TestEvaluationPlan:
         for e in (m.ellipsoid for m in combo.operators):
             assert np.shares_memory(e.eig()[1], combo.plan.stack.rot)
 
+    @pytest.mark.usefixtures("screen_every_stack")
     def test_second_plan_leaves_the_eig_caches(self):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=11))
         members = [m.ellipsoid for op in inst.operators for m in op.operators]
@@ -854,6 +855,7 @@ class TestEvaluationPlan:
         with pytest.raises(RootNotBracketed, match="non-finite"):
             inst.operators[0](np.array([np.nan, 0.0, 1.0, 0.0]))
 
+    @pytest.mark.usefixtures("screen_every_stack")
     @pytest.mark.parametrize("r_range", [(3, 4, 5), (1, 9, 12)])
     def test_shared_calls_along_a_ppm_trajectory_match_the_loop(self, r_range):
         # ppm's own plan at each iterate of its run, against every operator
@@ -876,6 +878,19 @@ class TestEvaluationPlan:
             assert_same_bits(got, np.stack([op(x) for op in inst.operators]))
             x = np.mean(got, axis=0)
         assert certified > 0.8 * rows
+
+    @pytest.mark.parametrize("p, screens", [(10, False), (200, True)])
+    def test_only_plans_of_screen_min_entries_anchor(self, p, screens):
+        # At n = 10, 10 operators make a stack of about 4e3 eigenbasis
+        # entries and 200 operators one of about 8e4: a ppm trajectory
+        # anchors on the second only, and the first takes every call whole.
+        inst = gen_instance(InstanceSpec(n=10, p=p, seed=1))
+        plan = EvaluationPlan(inst.operators)
+        assert (plan.stack.rot.size >= SCREEN_MIN_ENTRIES) == screens
+        x = initial_point(inst)
+        for _ in range(20):
+            x = np.add.reduce(plan(x), axis=0) / p
+        assert (plan.stack.tangents is not None) == screens
 
 
 signed_zeros = st.sampled_from([0.0, -0.0])
@@ -1034,6 +1049,7 @@ class TestImages:
         size = 1 if isinstance(op, EllipsoidProjection) else len(op.operators)
         assert calls == [(9 * size, 5)]
 
+    @pytest.mark.usefixtures("screen_every_stack")
     def test_base_stacks_untouched(self):
         rng = np.random.default_rng(42)
         op, _ = operator_of_kind("fused", rng, 4)
@@ -1044,6 +1060,7 @@ class TestImages:
         images(op, 3.0 * rng.standard_normal((6, 4)))
         assert stack.tangents is tangents
 
+    @pytest.mark.usefixtures("screen_every_stack")
     @pytest.mark.parametrize("kind", ["kkt", "fused"])
     def test_never_anchors(self, kind, monkeypatch):
         # Each call's tile is thrown away after it, and its rows are not one

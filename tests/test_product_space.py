@@ -97,6 +97,13 @@ class TestEmbedExtract:
         with pytest.raises(ValueError):
             embed(np.zeros(2), 0)
 
+    @pytest.mark.parametrize("function", [extract, diag_project])
+    def test_zero_blocks_rejected(self, function):
+        # As embed rejects a count of 0, not with an IndexError from the
+        # diagonal test.
+        with pytest.raises(ValueError, match="need at least one block"):
+            function(np.zeros((0, 3)))
+
 
 class TestPierraEquivalence:
     def test_lift_project_extract_is_simultaneous_step(self):

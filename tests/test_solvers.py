@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crmfp.ellipsoid as ellipsoid_module
 import crmfp.operators as operators_module
 import crmfp.solvers as solvers_module
 from crmfp import (
@@ -84,6 +85,16 @@ class TestSolverConfig:
     def test_bad_max_iterations(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0])
+    def test_non_integral_max_iterations_rejected(self, count):
+        # Not only at run's range(): the configuration itself rejects it.
+        with pytest.raises(TypeError):
+            SolverConfig(max_iterations=count)
+
+    def test_numpy_integer_max_iterations_accepted(self):
+        cfg = SolverConfig(max_iterations=np.int64(3))
+        assert cfg.max_iterations == 3 and type(cfg.max_iterations) is int
 
     def test_unknown_diagnostic(self):
         with pytest.raises(ValueError):
@@ -594,6 +605,7 @@ def ppm_and_lifted_crm(n, p, seed):
 
 
 class TestProjectorAnchorCache:
+    @pytest.mark.usefixtures("screen_every_stack")
     @pytest.mark.parametrize("n,p,seed", [(10, 10, 1), (50, 10, 2), (100, 5, 3)])
     def test_runs_equal_runs_without_anchors(self, monkeypatch, n, p, seed):
         # The ellipsoid stacks' anchor cache skips rotations but never
@@ -619,11 +631,29 @@ class TestProjectorAnchorCache:
         monkeypatch.setattr(operators_module, "kkt_project_stacked", without_anchors)
         cleared = ppm_and_lifted_crm(n, p, seed)
         assert cached_rotated < sum(rotated)
-        for a, b in zip(cached, cleared):
-            assert a.stop_reason == b.stop_reason and a.iterations == b.iterations
-            assert a.final_point.tobytes() == b.final_point.tobytes()
-            for history in ("residual_history", "fixed_point_residuals", "dist_history"):
-                assert np.array(getattr(a, history)).tobytes() == np.array(getattr(b, history)).tobytes()
+        assert_same_traces(cached, cleared)
+
+    def test_screen_rule_keeps_the_bits(self, monkeypatch):
+        # At 10x10 the plans are below SCREEN_MIN_ENTRIES and never screen;
+        # with the rule at 0 they screen, and the runs keep every byte.
+        anchors = []
+        anchor = EllipsoidStack.anchor
+        monkeypatch.setattr(EllipsoidStack, "anchor",
+                            lambda stack, *args: anchors.append(1) or anchor(stack, *args))
+        default = ppm_and_lifted_crm(10, 10, 1)
+        assert not anchors
+        monkeypatch.setattr(ellipsoid_module, "SCREEN_MIN_ENTRIES", 0)
+        screened = ppm_and_lifted_crm(10, 10, 1)
+        assert anchors
+        assert_same_traces(default, screened)
+
+
+def assert_same_traces(first, second):
+    for a, b in zip(first, second, strict=True):
+        assert a.stop_reason == b.stop_reason and a.iterations == b.iterations
+        assert a.final_point.tobytes() == b.final_point.tobytes()
+        for history in ("residual_history", "fixed_point_residuals", "dist_history"):
+            assert np.array(getattr(a, history)).tobytes() == np.array(getattr(b, history)).tobytes()
 
 
 def is_bitwise_diagonal(a) -> bool:

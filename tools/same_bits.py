@@ -9,9 +9,11 @@ BLAS on one thread, and the child computes one fixed set of items:
 
 - ppm and the lifted crm (with the fejer and membership checks, as
   bench.run_cell sets them) at 10x10, 50x50, 100x30 and 200x10, instance
-  seeds 1 and 2, capped at CAP iterations, and at 100x200, seed 1, capped
-  at 30 iterations (a plan of 4M eigenbasis floats): stop reason,
-  iteration count, residual and distance histories and the final point;
+  seeds 1 and 2, capped at CAP iterations, and at 100x200 (a plan of 4M
+  eigenbasis floats) and 10x200 (8e4 floats, so n = 10 runs on both
+  sides of ellipsoid.SCREEN_MIN_ENTRIES), seed 1, capped at 30
+  iterations: stop reason, iteration count, residual and distance
+  histories and the final point;
 - the lifted map (with the fejer check) and spm in R^n, the same way, on
   the 10x10 and 50x50 instances;
 - images of each combination of those instances, and of its first member,
@@ -157,8 +159,9 @@ def emit() -> dict:
     loaded = load_instance(LOADED)
     spec = loaded.spec
     solve_and_image(f"loaded n={spec.n} p={spec.p} seed={spec.seed}", loaded, spec.seed)
-    inst = gen_instance(InstanceSpec(n=100, p=200, seed=1))
-    solve("n=100 p=200 seed=1", inst, initial_point(inst), 30)
+    for n, p in ((100, 200), (10, 200)):
+        inst = gen_instance(InstanceSpec(n=n, p=p, seed=1))
+        solve(f"n={n} p={p} seed=1", inst, initial_point(inst), 30)
     return {"crmfp": str(Path(crmfp.__file__).resolve()), "items": items}
 
 

@@ -16,10 +16,14 @@ step costs its numpy calls more than its arithmetic, so the root-find
 makes as few as it can: it starts from the g of the interior test (at
 lam = 0 nothing is left to evaluate), reads the constant beta of the
 secular form from the stack, and steps in buffers allocated once per
-call.  A row also finishes when a late step moves lam only by rounding,
-since with a large beta g's rounding can exceed the tolerance.  A call
-whose rows are all exterior rotates them back in one batched product,
-with no copy of the input and no scatter.
+call.  Each later step evaluates g in secular form, sum s^2 / w - beta
+with s = (w z + b) / (1 + lam w), from one s^2 that also gives the next
+step's derivative: two row sums per step, and the stop rule tests that
+g.  The projection p itself is formed once per row, after the loop, from
+its final lam.  A row also finishes when a late step moves lam only by
+rounding, since with a large beta g's rounding can exceed the tolerance.
+A call whose rows are all exterior rotates them back in one batched
+product, with no copy of the input and no scatter.
 
 Most rows of a solver's projector calls are interior and come back
 unchanged, yet the interior test needs the row in the eigenbasis: an
@@ -76,6 +80,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import index
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -505,7 +510,7 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
+        if index(self.max_iterations) < 1:   # an integer, or TypeError
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.penalty < np.inf:
             raise ValueError("penalty must be positive and finite")
@@ -524,7 +529,7 @@ def _g_rows(w, bt, alph, pt) -> np.ndarray:
     return (w * pt * pt).sum(-1) + 2.0 * (bt * pt).sum(-1) - alph
 
 
-def _root_project(w, bt, alph, beta, zt, g, gtol) -> np.ndarray:
+def _root_project(w, bt, beta, zt, g, gtol) -> np.ndarray:
     """Eigencoordinate projections for rows strictly outside their sets.
 
     Solves g(p(lam)) = 0 per row, p(lam) = (z - lam b) / (1 + lam w)
@@ -542,49 +547,49 @@ def _root_project(w, bt, alph, beta, zt, g, gtol) -> np.ndarray:
 
     g is the rows' value at lam = 0, which the caller's interior test has
     computed: there the denominator is exactly 1 and s = w z + b, so the
-    first step evaluates nothing.  Every step writes into buffers allocated
-    once per call; 2 b is formed once, and doubling is exact unless b p
-    underflows, so the values are those of evaluating each step afresh.
-    The buffers are C-contiguous, so each row sum is numpy's pairwise sum
-    of that row, as for a freshly allocated array.  The inputs are used as
-    they come, with no copy: every stack's per-row arrays are C-contiguous
-    (EllipsoidStack), and so are their fancy-indexed rows.  At these sizes
-    numpy's per-call dispatch outweighs the arithmetic, so constants are
-    0-d arrays, which dispatch faster in every step.
+    first step evaluates nothing but the slope sum s^2.  Every later step
+    evaluates g in secular form, g = sum s^2 / w - beta, with s^2 computed
+    once per step; the same s^2 gives the next step's slope
+    -phi' / 2 = sum s^2 / (1 + lam w).  So the stop rule tests that secular
+    g, and p is formed only once, after the loop, from each row's final
+    lam; a row that finishes at lam = 0 comes back as z - 0 b, its signs
+    of zero included.  Every step writes into buffers allocated once per
+    call.  The buffers are C-contiguous, so each row sum is numpy's
+    pairwise sum of that row, as for a freshly allocated array.  The inputs
+    are used as they come, with no copy: every stack's per-row arrays are
+    C-contiguous (EllipsoidStack), and so are their fancy-indexed rows.  At
+    these sizes numpy's per-call dispatch outweighs the arithmetic, so the
+    constant 1 is a 0-d array, which dispatches faster in every step.
     """
     if np.count_nonzero(np.isfinite(g)) < len(g):
         raise RootNotBracketed("non-finite exterior row")
-    gtol, one, bt2 = np.asarray(gtol), np.array(1.0), 2.0 * bt
-    num = w * zt + bt
+    gtol, one, num = np.asarray(gtol), np.array(1.0), w * zt + bt
     lam = np.zeros(len(zt))
-    lam_col = lam[:, None]
-    denom, pt, buf = np.ones(zt.shape), np.empty(zt.shape), np.empty(zt.shape)
-    val = g.copy()
-    phi, aux, sums = (np.empty(len(zt)) for _ in range(3))
+    lam_col, val, phi = lam[:, None], g.copy(), g + beta
+    denom, buf = np.empty(zt.shape), np.empty(zt.shape)
+    slope = np.add.reduce(np.square(num, out=buf), -1)   # sum s^2 / denom at lam = 0
+    step, aux = np.empty(len(zt)), np.empty(len(zt))
     hit, active = np.empty(len(zt), dtype=bool), np.ones(len(zt), dtype=bool)
     for k in range(100):
         np.less_equal(np.abs(val, out=aux), gtol, out=hit)
-        if k >= 6:   # the last step (phi) moved lam back, or only by rounding
-            hit |= phi <= 2.0**-50 * lam
+        if k >= 6:   # the last step moved lam back, or only by rounding
+            hit |= step <= 2.0**-50 * lam
         if not np.count_nonzero(np.greater(active, hit, out=active)):
-            return pt if k else zt - 0.0 * bt   # p(0), its signs of zero included
-        # h step (beta^-1/2 - phi^-1/2) / h' with -phi' = 2 sum s^2 / denom,
-        # s = num / denom, one line per term of
-        # phi val / (beta (sqrt(phi / beta) + 1) sum(s s / denom)).
-        np.square(np.divide(num, denom, out=buf), out=buf)
-        np.add.reduce(np.divide(buf, denom, out=buf), -1, out=sums)
-        np.add(val, beta, out=phi)
-        np.add(np.sqrt(np.divide(phi, beta, out=aux), out=aux), one, out=aux)
-        np.multiply(np.multiply(beta, aux, out=aux), sums, out=aux)
-        np.divide(np.multiply(phi, val, out=phi), aux, out=phi)
-        np.add(lam, phi, out=lam, where=active)
-        # g at the new multipliers: p = (z - lam b) / (1 + lam w), then
-        # (w p p).sum + (2 b p).sum - alpha.
+            if not k:
+                return zt - 0.0 * bt   # p(0), its signs of zero included
+            return (zt - lam_col * bt) / (lam_col * w + one)   # p, from each row's final lam
+        # h step (beta^-1/2 - phi^-1/2) / h', with beta (sqrt(phi / beta) + 1)
+        # = sqrt(phi beta) + beta: phi val / ((sqrt(phi beta) + beta) slope).
+        np.add(np.sqrt(np.multiply(phi, beta, out=aux), out=aux), beta, out=aux)
+        np.divide(np.multiply(phi, val, out=step), np.multiply(aux, slope, out=aux), out=step)
+        np.add(lam, step, out=lam, where=active)
+        # The secular form at the new multipliers: s^2 = (num / denom)^2,
+        # the next slope sum s^2 / denom, phi = sum s^2 / w and g = phi - beta.
         np.add(np.multiply(lam_col, w, out=denom), one, out=denom)
-        np.divide(np.subtract(zt, np.multiply(lam_col, bt, out=pt), out=pt), denom, out=pt)
-        np.add.reduce(np.multiply(np.multiply(w, pt, out=buf), pt, out=buf), -1, out=val)
-        np.add.reduce(np.multiply(bt2, pt, out=buf), -1, out=sums)
-        np.subtract(np.add(val, sums, out=val), alph, out=val)
+        np.square(np.divide(num, denom, out=buf), out=buf)
+        np.add.reduce(np.divide(buf, denom, out=denom), -1, out=slope)
+        np.add.reduce(np.divide(buf, w, out=buf), -1, out=phi)
+        np.subtract(phi, beta, out=val)
     raise RootNotBracketed("projection multiplier iteration did not converge")
 
 
@@ -633,7 +638,7 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
         g = _g_rows(stack.eigs[rotated], stack.b_rot[rotated], stack.alphas[rotated], zt)
     inside = g <= 0.0   # non-finite rows are exterior, and raise
     if full and not inside.any():
-        pt = _root_project(stack.eigs, stack.b_rot, stack.alphas, stack.betas, zt, g, 0.5 * tol)
+        pt = _root_project(stack.eigs, stack.b_rot, stack.betas, zt, g, 0.5 * tol)
         return _rotate(stack.rot, pt)
     out = rows.copy()
     if full:
@@ -646,8 +651,8 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     ext = ~inside
     idx = rotated[ext]
     if len(idx):
-        pt = _root_project(stack.eigs[idx], stack.b_rot[idx], stack.alphas[idx],
-                           stack.betas[idx], zt[ext], g[ext], 0.5 * tol)
+        pt = _root_project(stack.eigs[idx], stack.b_rot[idx], stack.betas[idx], zt[ext], g[ext],
+                           0.5 * tol)
         out[idx] = _rotate_rows(stack.rot, count, idx, pt)
     return out
 
@@ -697,7 +702,7 @@ def admm_project_stacked(
         inner_ext = ~(g_inner <= 0.0)
         if inner_ext.any():
             ii = act[inner_ext]
-            q_act[inner_ext] = _root_project(w[ii], bt[ii], alph[ii], beta[ii], shifted[inner_ext],
+            q_act[inner_ext] = _root_project(w[ii], bt[ii], beta[ii], shifted[inner_ext],
                                              g_inner[inner_ext], gtol_inner[ii])
         p_new = (zt[act] + rho * (q_act - u[act])) / (1.0 + rho)
         u_new = u[act] + p_new - q_act

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from operator import index
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class InstanceSpec:
     eta: float = -5.0
 
     def __post_init__(self):
+        # Counts and the seed are integers (numpy's too); anything else raises TypeError.
+        self.n, self.p, self.seed = index(self.n), index(self.p), index(self.seed)
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         if self.seed < 0:

@@ -388,3 +388,23 @@ class TestGoldenFiles:
         path = tmp_path / "profile.csv"
         export(performance_profile(self.fresh()), path)
         assert path.read_bytes() == (DATA / "bench_tiny_profile.csv").read_bytes()
+
+
+COUNT_COLUMNS = ("solver", "n", "p", "replicate", "seed", "iterations", "stop_reason")
+
+
+def count_rows(results) -> str:
+    """The results as CSV text of COUNT_COLUMNS: what a change that moves
+    only the last bits of the iterates must keep."""
+    lines = [",".join(COUNT_COLUMNS)]
+    lines += [",".join(str(getattr(r, c)) for c in COUNT_COLUMNS) for r in results]
+    return "\n".join(lines) + "\n"
+
+
+class TestPinnedCounts:
+    def test_iterations_and_stop_reasons_of_a_grid_slice(self):
+        # crmfp bench --n 10 30 --p 10 30 --replicates 2, without the
+        # final residuals and wall times: 16 runs at real grid sizes.
+        grid = GridConfig(n_values=(10, 30), p_values=(10, 30), replicates=2)
+        got = count_rows(run_experiment(grid))
+        assert got == (DATA / "bench_counts_n10-30_p10-30.csv").read_text()

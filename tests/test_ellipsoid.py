@@ -12,6 +12,7 @@ import os
 import sys
 import threading
 import weakref
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -414,6 +415,20 @@ class TestAdmmProjection:
             AdmmConfig(max_iterations=0)
         with pytest.raises(ValueError):
             AdmmConfig(penalty=-1.0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0])
+    def test_non_integral_max_iterations_rejected(self, count):
+        # Not only at project_admm's range(): the configuration rejects it.
+        with pytest.raises(TypeError):
+            AdmmConfig(max_iterations=count)
+
+    def test_numpy_integer_max_iterations_accepted(self):
+        x = np.array([3.0, 0.0])
+        e = Ellipsoid(np.eye(2), np.zeros(2), 1.0)
+        got = project_admm(e, x, AdmmConfig(max_iterations=np.int64(50)))
+        want = project_admm(e, x, AdmmConfig(max_iterations=50))
+        assert_same_bits(got.point, want.point)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
     def test_penalty_does_not_change_limit(self):
         e = gen_ellipsoid(5, np.random.default_rng(50))
@@ -1306,12 +1321,46 @@ class TestTile:
         )
 
 
-def textbook_root_project(w, bt, alph, zt, gtol):
-    """The exterior root-find as first written, kept as the reference: each
-    Newton step evaluates p, g and the secular derivative afresh from lam,
-    starting with g at lam = 0, and allocates its temporaries.  A row
-    finishes at |g| <= gtol or, from step 6 on, when its last step moved
-    lam back or only by rounding (step <= 2^-50 lam)."""
+def textbook_root_project(w, bt, beta, zt, g, gtol):
+    """The exterior root-find in secular form, one formula per line, kept
+    as the bitwise reference.  It takes what the kernel takes: g, the rows'
+    value at lam = 0 as the interior test forms it, and beta, the secular
+    constant alpha + sum b^2 / w.  Each Newton step forms
+    s = (w z + b) / (1 + lam w) afresh from lam and allocates its
+    temporaries; g = sum s^2 / w - beta, and the slope of the next step is
+    sum s^2 / (1 + lam w).  A row finishes at |g| <= gtol or, from step 6
+    on, when its last step moved lam back or only by rounding
+    (step <= 2^-50 lam).  p is formed from the final lam."""
+    if not np.isfinite(g).all():
+        raise RootNotBracketed("non-finite exterior row")
+    num = w * zt + bt
+    lam = np.zeros(zt.shape[0])
+    done = np.zeros(zt.shape[0], dtype=bool)
+    val = g
+    phi = val + beta
+    for k in range(100):
+        denom = 1.0 + lam[:, None] * w
+        s = num / denom
+        s2 = s * s
+        if k:
+            phi = (s2 / w).sum(-1)
+            val = phi - beta
+        done |= np.abs(val) <= gtol
+        if k >= 6:
+            done |= step <= 2.0**-50 * lam
+        if done.all():
+            return (zt - lam[:, None] * bt) / denom
+        slope = (s2 / denom).sum(-1)
+        step = phi * val / ((np.sqrt(phi * beta) + beta) * slope)
+        lam = np.where(done, lam, lam + step)
+    raise RootNotBracketed("projection multiplier iteration did not converge")
+
+
+def direct_root_project(w, bt, alph, zt, gtol):
+    """The exterior root-find as first written, kept as an accuracy oracle:
+    each Newton step forms p = (z - lam b) / (1 + lam w) from lam and
+    evaluates g directly, g = sum w p^2 + 2 sum b p - alpha; the steps and
+    the stop rules are those of textbook_root_project."""
     num = w * zt + bt
     beta = alph + (bt * bt / w).sum(-1)
     lam = np.zeros(zt.shape[0])
@@ -1334,9 +1383,10 @@ def textbook_root_project(w, bt, alph, zt, gtol):
     raise RootNotBracketed("projection multiplier iteration did not converge")
 
 
-def rotate_then_root_find(stack, rows, tol):
-    """Every row rotated by its own np.dot, the textbook root-find on the
-    exterior rows, and each of those rotated back by its own np.dot."""
+def rotate_then_root_find(stack, rows, tol, oracle=False):
+    """Every row rotated by its own np.dot, the textbook root-find (the
+    direct one with oracle) on the exterior rows, and each of those rotated
+    back by its own np.dot."""
     members = np.arange(len(rows)) % len(stack.rot)
     zt = np.stack([np.dot(stack.rot[m].T, row) for m, row in zip(members, rows)])
     w, bt, alph = stack.eigs, stack.b_rot, stack.alphas
@@ -1344,7 +1394,11 @@ def rotate_then_root_find(stack, rows, tol):
     out = np.array(rows, dtype=float)
     idx = np.flatnonzero(~(g <= 0.0))
     if len(idx):
-        pt = textbook_root_project(w[idx], bt[idx], alph[idx], zt[idx], 0.5 * tol)
+        if oracle:
+            pt = direct_root_project(w[idx], bt[idx], alph[idx], zt[idx], 0.5 * tol)
+        else:
+            beta = alph[idx] + (bt[idx] * bt[idx] / w[idx]).sum(-1)
+            pt = textbook_root_project(w[idx], bt[idx], beta, zt[idx], g[idx], 0.5 * tol)
         for k, j in enumerate(idx):
             out[j] = np.dot(stack.rot[members[j]], pt[k])
     return out
@@ -1400,47 +1454,122 @@ def same_outcome(call, reference):
         assert_same_bits(a, b)
 
 
+def ray_case(seed, n, layout, count, log_cond, b_scale, axes, all_exterior):
+    """(stack, rows, tol): count rows on rays of members with eigenvalue
+    spreads up to 10**log_cond, through a plain stack or a tile."""
+    rng = np.random.default_rng(seed)
+    members = {"plain": count, "tile-one": 1, "tile-many": min(3, count)}[layout]
+    count -= count % members
+    es = [spread_ellipsoid(rng, n, log_cond, b_scale, axes) for _ in range(members)]
+    base = EllipsoidStack(es)
+    stack = base if layout == "plain" else base.tile(count // members)
+    kinds = ["near", "far"] if all_exterior else ["inside", "near", "far"]
+    rows = np.stack([ray_point(rng, es[r % members], rng.choice(kinds), axes)
+                     for r in range(count)])
+    return stack, rows, 1e-12 * (1.0 + max(beta_of(e) for e in es))
+
+
+ray_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 10, 50]),
+    st.sampled_from(["plain", "tile-one", "tile-many"]),
+    st.integers(1, 20),
+    st.floats(0.0, 6.0),
+    st.sampled_from([0.0, 1.0, 1e3]),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+def exact_g(w, bt, alph, pt) -> float:
+    """g = sum w p^2 + 2 sum b p - alpha of one eigencoordinate row, in
+    exact rational arithmetic, rounded once."""
+    terms = (Fraction(wi) * Fraction(pi) ** 2 + 2 * Fraction(bi) * Fraction(pi)
+             for wi, bi, pi in zip(w.tolist(), bt.tolist(), pt.tolist()))
+    return float(sum(terms, -Fraction(float(alph))))
+
+
+def direct_g_bound(w, bt, alph, beta, zt, pt, gtol) -> float:
+    """The bound on |g(p)| at a row p the root-find returns.
+
+    With u the unit roundoff, s = w p + b and lam = (z - p)'s / s's (exact
+    arithmetic gives z - p = lam s), first-order error analysis of the
+    kernel's evaluation gives
+        |g(p)| <= |g~| + (n + 10) u phi + (n + 3) u beta
+                  + 2 u sum |s| (|z| + lam |b|) / (1 + lam w) + 8 u sum |s| |p|,
+    g~ = phi - beta its computed value: the secular sum over s = num / denom
+    (num = w z + b and denom = 1 + lam w each rounded twice, then a divide,
+    a square and a divide by w) and beta's own sum, then p formed once from
+    lam (whose numerator z - lam b may cancel).  The stop rule gives
+    |g~| <= gtol; the stall exit stops where a step of at most 2^-50 lam
+    means |g~| <= 2^-49 phi, and phi = beta + g~.  A row that finishes at
+    lam = 0 returns z, where g~ is the interior test's value, rounded by at
+    most (n + 2) u (sum w z^2 + 2 sum |b z| + alpha).  So with
+        T = alpha + beta + sum w p^2 + 2 sum |b p|
+            + sum |s| ((|z| + lam |b|) / (1 + lam w) + |p|),
+    gtol + 8 (n + 10) u T covers all of these with room for the
+    second-order terms."""
+    s = w * pt + bt
+    lam = float((zt - pt) @ s) / float(s @ s)
+    total = (alph + beta + float(w @ (pt * pt)) + 2.0 * float(np.abs(bt * pt).sum())
+             + float(np.abs(s) @ ((np.abs(zt) + lam * np.abs(bt)) / (1.0 + lam * w) + np.abs(pt))))
+    return gtol + 8.0 * (len(w) + 10) * (np.finfo(float).eps / 2) * total
+
+
 class TestRootFindReference:
     """kkt_project_stacked and the splitting projector's set step against
-    the textbook root-find, bit for bit (signs of zero included)."""
+    the textbook root-find, bit for bit (signs of zero included); against
+    the direct loop, within rounding; and the direct g of every row the
+    root-find returns."""
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([1, 2, 10, 50]),
-        st.sampled_from(["plain", "tile-one", "tile-many"]),
-        st.integers(1, 20),
-        st.floats(0.0, 6.0),
-        st.sampled_from([0.0, 1.0, 1e3]),
-        st.booleans(),
-        st.booleans(),
-    )
-    def test_equals_rotating_every_row_then_the_textbook_loop(
-        self, seed, n, layout, count, log_cond, b_scale, axes, all_exterior
-    ):
-        rng = np.random.default_rng(seed)
-        members = {"plain": count, "tile-one": 1, "tile-many": min(3, count)}[layout]
-        count -= count % members
-        es = [spread_ellipsoid(rng, n, log_cond, b_scale, axes) for _ in range(members)]
-        base = EllipsoidStack(es)
-        stack = base if layout == "plain" else base.tile(count // members)
-        kinds = ["near", "far"] if all_exterior else ["inside", "near", "far"]
-        rows = np.stack([ray_point(rng, es[r % members], rng.choice(kinds), axes)
-                         for r in range(count)])
-        tol = 1e-12 * (1.0 + max(beta_of(e) for e in es))
+    @given(ray_cases)
+    def test_equals_rotating_every_row_then_the_textbook_loop(self, case):
+        stack, rows, tol = ray_case(*case)
         # The second call screens against the anchors the first one set.
         for _ in range(2):
             same_outcome(lambda: kkt_project_stacked(stack, rows, tol),
                          lambda: rotate_then_root_find(stack, rows, tol))
 
         def textbook_admm():
-            with patch.object(ellipsoid_module, "_root_project",
-                              lambda w, bt, alph, beta, zt, g, gtol:
-                              textbook_root_project(w, bt, alph, zt, gtol)):
+            with patch.object(ellipsoid_module, "_root_project", textbook_root_project):
                 return admm_project_stacked(stack, rows, cfg)
 
         cfg = AdmmConfig(max_iterations=200)
         same_outcome(lambda: admm_project_stacked(stack, rows, cfg), textbook_admm)
+
+    @settings(max_examples=120, deadline=None)
+    @given(ray_cases)
+    def test_within_rounding_of_the_direct_loop(self, case):
+        # The loop that evaluates g from p at each step (the kernel's
+        # earlier form) as an accuracy oracle: each entry within
+        # 1e-12 (1 + |p|) of it, |p| the norm of the oracle's row.
+        stack, rows, tol = ray_case(*case)
+        try:
+            want = rotate_then_root_find(stack, rows, tol, oracle=True)
+        except RootNotBracketed:
+            with pytest.raises(RootNotBracketed):
+                kkt_project_stacked(stack, rows, tol)
+            return
+        got = kkt_project_stacked(stack, rows, tol)
+        bound = 1e-12 * (1.0 + np.linalg.norm(want, axis=-1, keepdims=True))
+        assert (np.abs(got - want) <= bound).all()
+
+    @settings(max_examples=120, deadline=None)
+    @given(ray_cases)
+    def test_direct_g_of_every_returned_row(self, case):
+        stack, rows, tol = ray_case(*case)
+        zt = stack.to_eigen(rows)
+        w, bt, alph, beta = stack.eigs, stack.b_rot, stack.alphas, stack.betas
+        g = _g_rows(w, bt, alph, zt)
+        ext = np.flatnonzero(~(g <= 0.0))
+        if not len(ext):
+            return
+        gtol = 0.5 * tol
+        pt = ellipsoid_module._root_project(w[ext], bt[ext], beta[ext], zt[ext], g[ext], gtol)
+        for j, p in zip(ext, pt):
+            bound = direct_g_bound(w[j], bt[j], alph[j], beta[j], zt[j], p, gtol)
+            assert abs(exact_g(w[j], bt[j], alph[j], p)) <= bound
 
     def test_betas_are_the_secular_constants(self):
         rng = np.random.default_rng(41)
@@ -1460,8 +1589,8 @@ class TestRootFindReference:
         gtol = 0.5 * KKT_TOL
         assert 0.0 < g[0] <= gtol < g[1]
         for rows in ([0], [0, 1]):   # done at lam = 0; done at 0 and later
-            want = textbook_root_project(w[rows], bt[rows], alph[rows], zt[rows], gtol)
+            want = textbook_root_project(w[rows], bt[rows], beta[rows], zt[rows], g[rows], gtol)
             assert np.signbit(want[:, 1]).tolist() == [False] * len(rows)
             got = ellipsoid_module._root_project(
-                w[rows], bt[rows], alph[rows], beta[rows], zt[rows], g[rows], gtol)
+                w[rows], bt[rows], beta[rows], zt[rows], g[rows], gtol)
             assert_same_bits(got, want)

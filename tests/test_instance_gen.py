@@ -53,6 +53,18 @@ class TestInstanceSpec:
         spec = InstanceSpec(n=6, p=3, seed=42, gamma=2.0, r_range=(2, 4), eta=-3.0)
         assert InstanceSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("field, value", [("n", 2.5), ("p", 2.0), ("seed", 1.5), ("n", "3")])
+    def test_non_integral_counts_and_seed_rejected(self, field, value):
+        # The spec itself rejects them, not numpy deep in generation.
+        with pytest.raises(TypeError):
+            InstanceSpec(**{"n": 2, "p": 2, "seed": 1, field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = InstanceSpec(n=np.int64(3), p=np.uint8(2), seed=np.uint64(2**63 + 5))
+        assert (spec.n, spec.p, spec.seed) == (3, 2, 2**63 + 5)
+        assert all(type(v) is int for v in (spec.n, spec.p, spec.seed))
+        assert spec == InstanceSpec(n=3, p=2, seed=2**63 + 5)
+
 
 class TestGenEllipsoid:
     def test_origin_strictly_interior(self):

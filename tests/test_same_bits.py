@@ -1,6 +1,7 @@
 """tools/same_bits.py: digests and the comparison, on synthetic items."""
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,3 +41,19 @@ def test_exit_status_is_one_on_any_mismatch(monkeypatch, capsys):
     assert same_bits.main(["p", "other"]) == 1
     out = capsys.readouterr().out
     assert "DIFFERENT b" in out and "1 of 2 items identical" in out
+
+
+def test_counts_item_ignores_the_histories():
+    def trace(reason, iterations, residuals, point):
+        return SimpleNamespace(stop_reason=reason, iterations=iterations,
+                               residual_history=residuals, fixed_point_residuals=residuals,
+                               dist_history=None, final_point=np.array(point))
+
+    base = same_bits.trace_items("crm x", trace("converged", 3, [1.0, 0.5], [0.0, 1.0]))
+    assert list(base) == ["crm x", "crm x counts"]
+    moved = same_bits.trace_items("crm x", trace("converged", 3, [1.0, 0.5 + 2**-52], [0.0, -0.0]))
+    assert moved["crm x"] != base["crm x"]
+    assert moved["crm x counts"] == base["crm x counts"]
+    for other in (trace("converged", 4, [1.0, 0.5], [0.0, 1.0]),
+                  trace("max-iterations", 3, [1.0, 0.5], [0.0, 1.0])):
+        assert same_bits.trace_items("crm x", other)["crm x counts"] != base["crm x counts"]

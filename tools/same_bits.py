@@ -42,6 +42,10 @@ BLAS on one thread, and the child computes one fixed set of items:
   instance of seed 1, started 1e-12 off the diagonal, so a first step on
   the lifted array is compared too.
 
+Each solver-trace item also has an item "<name> counts", the digest of
+its stop reason and iteration count only, so a change that moves the last
+bits of the iterates shows whether any count moved too.
+
 It prints one sha256 digest per item and side, and exits with status 1
 when an item's digests differ or an item is missing on one side, else 0.
 It checks changes that promise the same bits; a change that means to alter
@@ -79,6 +83,15 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
+def trace_items(name: str, t) -> dict:
+    """The items of one solver trace: name, over its stop reason, iteration
+    count, histories and final point, and "<name> counts", over its stop
+    reason and iteration count only."""
+    return {name: digest(t.stop_reason, [t.iterations], t.residual_history,
+                         t.fixed_point_residuals, t.dist_history or [], t.final_point),
+            f"{name} counts": digest(t.stop_reason, [t.iterations])}
+
+
 def emit() -> dict:
     """Digests of every item, computed with the crmfp on sys.path."""
     import crmfp
@@ -88,10 +101,6 @@ def emit() -> dict:
                        run, spm_step)
     from crmfp.instance_gen import instance_to_dict
 
-    def of_trace(t):
-        return digest(t.stop_reason, [t.iterations], t.residual_history,
-                      t.fixed_point_residuals, t.dist_history or [], t.final_point)
-
     items = {}
 
     def solve(name, inst, x0, cap):
@@ -99,14 +108,16 @@ def emit() -> dict:
         cfg = SolverConfig(tolerance=1e-6, max_iterations=cap)
         lifted = (BlockOperator(inst.operators), DiagonalSubspace(n, p))
         start, solution = embed(x0, p), embed(inst.fixed_point, p)
-        items[f"ppm {name}"] = of_trace(run("ppm", inst.operators, x0, cfg))
+        items.update(trace_items(f"ppm {name}", run("ppm", inst.operators, x0, cfg)))
         crm_cfg = SolverConfig(tolerance=1e-6, max_iterations=cap,
                                diagnostics=("fejer", "membership"))
-        items[f"crm {name}"] = of_trace(run("crm", lifted, start, crm_cfg, solution=solution))
+        items.update(trace_items(f"crm {name}", run("crm", lifted, start, crm_cfg,
+                                                    solution=solution)))
         if (n, p) in MAP_CELLS:
             map_cfg = SolverConfig(tolerance=1e-6, max_iterations=cap, diagnostics=("fejer",))
-            items[f"map {name}"] = of_trace(run("map", lifted, start, map_cfg, solution=solution))
-            items[f"spm {name}"] = of_trace(run("spm", inst.operators, x0, cfg))
+            items.update(trace_items(f"map {name}", run("map", lifted, start, map_cfg,
+                                                        solution=solution)))
+            items.update(trace_items(f"spm {name}", run("spm", inst.operators, x0, cfg)))
 
     def solve_and_image(name, inst, seed):
         x0 = initial_point(inst)
@@ -147,13 +158,13 @@ def emit() -> dict:
     off[3, 4] += 1e-12
     for kind, checks in (("crm", ("fejer", "membership")), ("map", ("fejer",))):
         cfg = SolverConfig(tolerance=1e-6, max_iterations=CAP, diagnostics=checks)
-        items[f"{kind} off-diagonal n=10 p=10 seed=1"] = of_trace(
-            run(kind, (block, diag), off, cfg, solution=solution))
+        items.update(trace_items(f"{kind} off-diagonal n=10 p=10 seed=1",
+                                 run(kind, (block, diag), off, cfg, solution=solution)))
     readme = gen_instance(InstanceSpec(n=10, p=10, seed=2024))
     cfg = SolverConfig(diagnostics=("fejer", "orthogonality", "membership"))
-    items["crm all checks n=10 p=10 seed=2024"] = of_trace(
-        run("crm", (BlockOperator(readme.operators), diag), embed(initial_point(readme), 10),
-            cfg, solution=embed(readme.fixed_point, 10)))
+    items.update(trace_items("crm all checks n=10 p=10 seed=2024", run(
+        "crm", (BlockOperator(readme.operators), diag), embed(initial_point(readme), 10),
+        cfg, solution=embed(readme.fixed_point, 10))))
     mixed = InstanceSpec(n=10, p=6, seed=3, r_range=(1, 9, 12))
     solve_and_image("n=10 p=6 seed=3 r=1,9,12", gen_instance(mixed), mixed.seed)
     loaded = load_instance(LOADED)
@@ -199,7 +210,7 @@ def main(argv=None) -> int:
         parser.error("PARENT_DIR and CHANGE_DIR are required")
     rows = compare(emitted(args.parent), emitted(args.change))
     for name, p, c, same in rows:
-        print(f"{'same' if same else 'DIFFERENT':<9} {name:<34} "
+        print(f"{'same' if same else 'DIFFERENT':<9} {name:<41} "
               f"{(p or 'missing')[:16]:<16} {(c or 'missing')[:16]}")
     differ = sum(not same for *_, same in rows)
     print(f"{len(rows) - differ} of {len(rows)} items identical")

@@ -15,11 +15,10 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from operator import index
 
 import numpy as np
 
-from .errors import DiagnosticFailure, EmptyGroup
+from .errors import DiagnosticFailure, EmptyGroup, integer
 from .instance_gen import FppInstance, InstanceSpec, gen_instance, initial_point
 from .product_space import BlockOperator, DiagonalSubspace, embed
 from .solvers import SolverConfig, run
@@ -72,10 +71,11 @@ class GridConfig:
     diagnostics: bool = True
 
     def __post_init__(self):
-        # Counts are integers (numpy's too); anything else raises TypeError.
-        self.n_values = tuple(map(index, self.n_values))
-        self.p_values = tuple(map(index, self.p_values))
-        self.replicates, self.master_seed = index(self.replicates), index(self.master_seed)
+        # Counts are integers (numpy's too, not bools); anything else raises
+        # TypeError (errors.integer).
+        self.n_values = tuple(map(integer, self.n_values))
+        self.p_values = tuple(map(integer, self.p_values))
+        self.replicates, self.master_seed = integer(self.replicates), integer(self.master_seed)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.master_seed < 0:

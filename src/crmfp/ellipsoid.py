@@ -22,8 +22,11 @@ step's derivative: two row sums per step, and the stop rule tests that
 g.  The projection p itself is formed once per row, after the loop, from
 its final lam.  A row also finishes when a late step moves lam only by
 rounding, since with a large beta g's rounding can exceed the tolerance.
-A call whose rows are all exterior rotates them back in one batched
-product, with no copy of the input and no scatter.
+The stacked projector, kkt_exterior_stacked, returns the exterior rows'
+indices and their projections only, since every interior row projects to
+itself; kkt_project_stacked writes them into a copy of the rows, the dense
+(J, n) result.  A call whose rows are all exterior rotates them back in
+one batched product, with no copy of the input and no scatter.
 
 Most rows of a solver's projector calls are interior and come back
 unchanged, yet the interior test needs the row in the eigenbasis: an
@@ -80,13 +83,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from operator import index
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, RootNotBracketed
+from .errors import DimensionMismatch, RootNotBracketed, integer
 
 # Inner root-find residual: |g| <= INNER_G_RTOL * (1 + |alpha|).
 INNER_G_RTOL = 1e-12
@@ -102,6 +104,14 @@ SCREEN_RTOL = 1e-9
 SCREEN_MIN_ENTRIES = 2**14
 # The settings of the threads one BLAS call may take, in the order BLAS reads them.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _check_vec(x, dim: int) -> np.ndarray:
+    """x as a float vector of dimension dim, or DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatch(f"point has shape {x.shape}, expected ({dim},)")
+    return x
 
 
 class Ellipsoid:
@@ -164,16 +174,9 @@ class Ellipsoid:
     def dim(self) -> int:
         return self._n
 
-    def _point(self, x) -> np.ndarray:
-        """x as a float vector of this ellipsoid's dimension."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
-        return x
-
     def g(self, x) -> float:
         """Membership value x'Ax + 2 b'x - alpha; nonpositive inside the set."""
-        x = self._point(x)
+        x = _check_vec(x, self.dim)
         return float(x @ self.A @ x + 2.0 * (self.b @ x) - self.alpha)
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -510,7 +513,7 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
-        if index(self.max_iterations) < 1:   # an integer, or TypeError
+        if integer(self.max_iterations) < 1:   # not a bool, or TypeError
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.penalty < np.inf:
             raise ValueError("penalty must be positive and finite")
@@ -593,35 +596,37 @@ def _root_project(w, bt, beta, zt, g, gtol) -> np.ndarray:
     raise RootNotBracketed("projection multiplier iteration did not converge")
 
 
-def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> np.ndarray:
-    """Rowwise direct projections: row j onto stack ellipsoid j.
+def kkt_exterior_stacked(stack: EllipsoidStack, rows: np.ndarray,
+                         tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, proj): the rows outside their sets, in ascending order, and
+    their direct projections, row j onto stack ellipsoid j.  Every other
+    row is interior and projects to itself.
 
-    Rows the stack certifies interior (EllipsoidStack.certified) return
-    unchanged without being rotated.  When nothing is certified (no
-    anchors, or rows that are not one shared point), or the rows in doubt
-    are at least as many as the certified ones, the whole stack is rotated
-    in one batch; otherwise only the rows in doubt are rotated, by
-    _rotate_rows.  At a shared point, either way, the rows in doubt that
-    the exact test finds interior become the anchors of their rows, and
-    certified rows keep theirs, on a stack of at least SCREEN_MIN_ENTRIES
-    eigenbasis entries (stack.rot.size); a smaller stack never anchors, so
-    nothing is ever certified and every call takes the full path.  A
-    per-row product equals its row of the batched one bit for bit, and a
-    certified row is interior by the exact test, so every output is what
-    rotating every row would give.  A call whose rows are all exterior
-    (none certified, none interior) hands them to the root-find as they
-    are and rotates the results back in one batch.  Row j uses basis
-    j mod len(stack.rot), which is j itself unless the stack is a tile
-    (EllipsoidStack.tile).
+    Rows the stack certifies interior (EllipsoidStack.certified) are not
+    rotated.  When nothing is certified (no anchors, or rows that are not
+    one shared point), or the rows in doubt are at least as many as the
+    certified ones, the whole stack is rotated in one batch; otherwise only
+    the rows in doubt are rotated, by _rotate_rows.  At a shared point,
+    either way, the rows in doubt that the exact test finds interior become
+    the anchors of their rows, and certified rows keep theirs, on a stack
+    of at least SCREEN_MIN_ENTRIES eigenbasis entries (stack.rot.size); a
+    smaller stack never anchors, so nothing is ever certified and every
+    call takes the full path.  A per-row product equals its row of the
+    batched one bit for bit, and a certified row is interior by the exact
+    test, so idx and proj are what rotating every row would give.  A call
+    whose rows are all exterior (none certified, none interior) hands them
+    to the root-find as they are and rotates the results back in one batch.
+    Row j uses basis j mod len(stack.rot), which is j itself unless the
+    stack is a tile (EllipsoidStack.tile).
 
     Rows with stride 0, such as np.broadcast_to(x, (J, n)), are one point
     x shared by every row: they are used as they are, with no contiguous
-    copy, the screen is one GEMV, and out is filled from x.  Every other
-    rows argument, such as a tile's in operators.images, is made
-    C-contiguous first, and is neither screened nor anchored: the anchors
-    stay as they are.  The argument stays a 2-D (J, n) array even for one
-    shared point, so that every caller and every wrapper of this function
-    (perfbench's tracer reads rows.shape) sees one signature.
+    copy, and the screen is one GEMV.  Every other rows argument, such as
+    a tile's in operators.images, is made C-contiguous first, and is
+    neither screened nor anchored: the anchors stay as they are.  The
+    argument stays a 2-D (J, n) array even for one shared point, so that
+    every caller sees one signature.  The evaluation plans call this
+    function; kkt_project_stacked is its dense form.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.strides[0] or not rows[0].flags.c_contiguous:
@@ -630,6 +635,7 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
     cert = stack.certified(rows)
     full = cert is None or 2 * np.count_nonzero(cert) <= count
     if full:
+        rotated = np.arange(count)
         zt = stack.to_eigen(rows)
         g = _g_rows(stack.eigs, stack.b_rot, stack.alphas, zt)
     else:
@@ -638,11 +644,8 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
         g = _g_rows(stack.eigs[rotated], stack.b_rot[rotated], stack.alphas[rotated], zt)
     inside = g <= 0.0   # non-finite rows are exterior, and raise
     if full and not inside.any():
-        pt = _root_project(stack.eigs, stack.b_rot, stack.betas, zt, g, 0.5 * tol)
-        return _rotate(stack.rot, pt)
-    out = rows.copy()
-    if full:
-        rotated = np.arange(count)
+        return rotated, _rotate(stack.rot, _root_project(stack.eigs, stack.b_rot, stack.betas,
+                                                         zt, g, 0.5 * tol))
     # At a shared point, rows in doubt found interior become anchors, and
     # certified rows keep theirs.
     fresh = inside if cert is None or not full else inside & ~cert
@@ -650,10 +653,24 @@ def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> 
         stack.anchor(rotated[fresh], rows[rotated[fresh]], zt[fresh], g[fresh])
     ext = ~inside
     idx = rotated[ext]
-    if len(idx):
-        pt = _root_project(stack.eigs[idx], stack.b_rot[idx], stack.betas[idx], zt[ext], g[ext],
-                           0.5 * tol)
-        out[idx] = _rotate_rows(stack.rot, count, idx, pt)
+    pt = _root_project(stack.eigs[idx], stack.b_rot[idx], stack.betas[idx], zt[ext], g[ext],
+                       0.5 * tol)
+    return idx, _rotate_rows(stack.rot, count, idx, pt)
+
+
+def kkt_project_stacked(stack: EllipsoidStack, rows: np.ndarray, tol: float) -> np.ndarray:
+    """Rowwise direct projections, row j onto stack ellipsoid j, as one
+    dense (J, n) array: kkt_exterior_stacked's projections written into a
+    copy of the rows, or, when every row is exterior, those projections
+    themselves, with no copy.  Interior rows come back unchanged, their
+    signs of zero included.  The arguments are kkt_exterior_stacked's.
+    """
+    rows = np.asarray(rows, dtype=float)
+    idx, proj = kkt_exterior_stacked(stack, rows, tol)
+    if len(idx) == len(rows):
+        return proj
+    out = rows.copy()
+    out[idx] = proj
     return out
 
 
@@ -679,19 +696,13 @@ def admm_project_stacked(
         return out, iters, converged
 
     idx = np.flatnonzero(ext)
-    w = stack.eigs[idx]
-    bt = stack.b_rot[idx]
-    alph = stack.alphas[idx]
-    beta = stack.betas[idx]
-    zt = zt_all[idx]
+    w, bt, alph, beta, zt = (a[idx] for a in (stack.eigs, stack.b_rot, stack.alphas,
+                                              stack.betas, zt_all))
     gtol_inner = INNER_G_RTOL * (1.0 + np.abs(alph))
     rho = cfg.penalty
-
-    p = zt.copy()
-    u = np.zeros_like(zt)
-    q_prev = zt.copy()
-    sub_iters = np.full(len(idx), cfg.max_iterations, dtype=int)
-    sub_conv = np.zeros(len(idx), dtype=bool)
+    # Exterior rows hit the cap unconverged unless their displacement stops them.
+    iters[idx], converged[idx] = cfg.max_iterations, False
+    p, u, q_prev = zt.copy(), np.zeros_like(zt), zt.copy()
     active = np.ones(len(idx), dtype=bool)
 
     for k in range(1, cfg.max_iterations + 1):
@@ -708,21 +719,15 @@ def admm_project_stacked(
         u_new = u[act] + p_new - q_act
         disp = np.linalg.norm(q_act - q_prev[act], axis=-1)
 
-        p[act] = p_new
-        u[act] = u_new
-        q_prev[act] = q_act
+        p[act], u[act], q_prev[act] = p_new, u_new, q_act
         hit = disp < cfg.tolerance
         if hit.any():
-            done_rows = act[hit]
-            sub_iters[done_rows] = k
-            sub_conv[done_rows] = True
-            active[done_rows] = False
+            done = act[hit]
+            iters[idx[done]], converged[idx[done]], active[done] = k, True, False
             if not active.any():
                 break
 
     out[idx] = _rotate_rows(stack.rot, count, idx, q_prev)
-    iters[idx] = sub_iters
-    converged[idx] = sub_conv
     return out, iters, converged
 
 
@@ -736,7 +741,7 @@ def project_kkt(ellipsoid: Ellipsoid, x, tol: float = KKT_TOL) -> np.ndarray:
     own, so nothing is kept between calls; EllipsoidProjection keeps one
     such stack, and takes the same root-find, with the same bits.
     """
-    x = ellipsoid._point(x)
+    x = _check_vec(x, ellipsoid.dim)
     return kkt_project_stacked(EllipsoidStack([ellipsoid]), x[None, :], tol)[0]
 
 
@@ -752,6 +757,6 @@ def project_admm(ellipsoid: Ellipsoid, x, cfg: AdmmConfig | None = None) -> Admm
     """
     if cfg is None:
         cfg = AdmmConfig()
-    x = ellipsoid._point(x)
+    x = _check_vec(x, ellipsoid.dim)
     pts, iters, conv = admm_project_stacked(EllipsoidStack([ellipsoid]), x[None, :], cfg)
     return AdmmResult(point=pts[0], iterations=int(iters[0]), converged=bool(conv[0]))

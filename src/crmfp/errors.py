@@ -1,5 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
 from __future__ import annotations
+
+from operator import index
+
+
+def integer(value) -> int:
+    """value as an int: a Python or numpy integer, but not a bool (True is
+    not a count of 1).  Anything else, a float of integral value or a
+    numeric string included, raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got the bool {value!r}")
+    return index(value)
 
 
 class DimensionMismatch(ValueError):

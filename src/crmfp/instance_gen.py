@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from operator import index
 
 import numpy as np
 
 from .ellipsoid import Ellipsoid, decompose
-from .errors import CannotExitSets
+from .errors import CannotExitSets, integer
 from .operators import ConvexCombination, EllipsoidProjection
 
 
@@ -60,8 +59,9 @@ class InstanceSpec:
     eta: float = -5.0
 
     def __post_init__(self):
-        # Counts and the seed are integers (numpy's too); anything else raises TypeError.
-        self.n, self.p, self.seed = index(self.n), index(self.p), index(self.seed)
+        # Counts and the seed are integers (numpy's too, not bools); anything
+        # else raises TypeError (errors.integer).
+        self.n, self.p, self.seed = integer(self.n), integer(self.p), integer(self.seed)
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         if self.seed < 0:
@@ -69,7 +69,7 @@ class InstanceSpec:
         if self.density is None:
             self.density = min(1.0, 2.0 / self.n)
         _check_gamma_and_density(self.gamma, self.density)
-        self.r_range = tuple(int(r) for r in self.r_range)
+        self.r_range = tuple(map(integer, self.r_range))
         if not self.r_range or any(r < 1 for r in self.r_range):
             raise ValueError("r_range must hold positive member counts")
         if not -np.inf < self.eta < 0.0:
@@ -80,8 +80,9 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InstanceSpec":
-        parsers = {"n": int, "p": int, "seed": int, "gamma": float, "density": float,
-                   "r_range": lambda rs: tuple(int(r) for r in rs), "eta": float}
+        # The counts and the seed are read by the constructor's own check.
+        parsers = {"n": integer, "p": integer, "seed": integer, "gamma": float, "density": float,
+                   "r_range": lambda rs: tuple(map(integer, rs)), "eta": float}
         return cls(**{name: _field(data, name, parse) for name, parse in parsers.items()})
 
 

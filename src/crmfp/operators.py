@@ -7,7 +7,7 @@ product_space.  Operators are immutable (each copies the arrays it is
 built from, so a caller's later writes into them change nothing), validate
 their input dimension on every call, and return new arrays.  Every
 ellipsoid projection goes through one projector, the stacked root-find
-kkt_project_stacked.
+kkt_exterior_stacked, or its dense form kkt_project_stacked.
 
 A fixed list of operators is evaluated through an EvaluationPlan, built
 once per list: every ellipsoid projection among the operators (or among
@@ -20,9 +20,17 @@ EllipsoidStack), so ppm's plan and the lifted crm's plan over one instance
 hold them once.  A plan fuses the calls at one point shared by every
 operator, which is every call a solver makes; one point per operator
 goes through the per-operator loop.
-Rows of a batch never interact, and convex combinations sum their
-members the same way in a plan and alone, so a plan returns exactly what
+
+At a shared point x every interior row projects to x, so a plan works
+with the exterior rows only.  Every convex combination is evaluated in
+one correction form, T x = x + D, where D sums the weighted corrections
+(T_i x - x) * w_i of the members that move x, in member order, by one
+routine (_correction_sums, whose docstring states the order); a
+combination no member moves returns x itself.  A plan, a combination's
+own call and images() all take that form and that routine, and rows of
+a batch never interact, so a plan returns exactly what
 operator-by-operator evaluation returns, without the per-member loop.
+ppm's step needs only the corrections (EvaluationPlan.corrections).
 images() is the other direction: one operator at many points, in one
 stacked solve on a tile of its stack; the checks that evaluate one
 operator at several points go through it.
@@ -33,19 +41,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .ellipsoid import KKT_TOL, Ellipsoid, EllipsoidStack, kkt_project_stacked
+from .ellipsoid import (KKT_TOL, Ellipsoid, EllipsoidStack, _check_vec, kkt_exterior_stacked,
+                        kkt_project_stacked)
 from .ellipsoid import admm_project_stacked  # noqa: F401  (a perfbench trace site)
 from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
-
-# Runs of at most this many rows are summed slot by slot (_segment_sums).
-SLOT_RUN_MAX = 8
-
-
-def _check_vec(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, expected ({dim},)")
-    return x
 
 
 class Identity:
@@ -186,7 +185,9 @@ class EllipsoidProjection:
 
 
 class ConvexCombination:
-    """Weighted mean of operators: x -> sum_i weights[i] * ops[i](x).
+    """Weighted mean of operators: x -> sum_i weights[i] * ops[i](x),
+    formed as x plus the weighted corrections of the members that move x
+    (_correction_sums).
 
     Weights must be nonnegative and sum to one within 1e-12.  A combination
     of projections is firmly nonexpansive but in general not idempotent.
@@ -221,7 +222,12 @@ class ConvexCombination:
 
     def __call__(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim)
-        return _segment_sums(self.weights, self.plan(x), [0])[0]
+        rows, corr = self.plan.corrections(x)
+        if not len(rows):
+            return x.copy()
+        corr *= self.weights[self.plan.owner[rows]][:, None]
+        _, sums = _correction_sums([0] * len(rows), corr)
+        return np.add(x, sums[0], out=sums[0])
 
 
 class Composition:
@@ -246,47 +252,28 @@ class Composition:
         return x
 
 
-def _slots(counts, row_weights):
-    """The slot layout of runs of counts[i] consecutive rows with
-    row_weights, for _segment_sums: (index, weights, pad), with index[k, i]
-    the row of run i's k-th member and weights[k, i, 0] its weight, each
-    (r, p) with r the longest run, and pad True past a run's end (where
-    index and weights repeat its last row's); None when r > SLOT_RUN_MAX."""
-    counts = np.asarray(counts)
-    k = np.arange(counts.max())[:, None]
-    if len(k) > SLOT_RUN_MAX:
-        return None
-    index = np.cumsum(counts) - counts + np.minimum(k, counts - 1)
-    return index, row_weights[index][..., None], k >= counts
+def _correction_sums(owners, corr):
+    """(ops, sums): the one summation of every convex combination's image.
 
-
-def _segment_sums(row_weights, rows, starts, slots=None) -> np.ndarray:
-    """Weighted sum of each run of consecutive rows from its start, bit for
-    bit np.add.reduceat(row_weights[:, None] * rows, starts, axis=0), in
-    one of two forms: slot by slot when slots is the runs' layout from
-    _slots, else (slots None) reduceat itself.
-
-    reduceat sums run i as r0 + s, with r the weighted rows and s numpy's
-    pairwise sum of r1, r2, ..., which for fewer than 8 terms is one loop,
-    ((-0.0 + r1) + r2) + ...  Runs of at most SLOT_RUN_MAX rows are summed
-    slot by slot in that order: r[k, i] is run i's k-th weighted row, and
-    the sums are r[0] + np.add.reduce(r[1:], axis=0, initial=-0.0), one
-    vector add per slot over every run rather than one inner loop per
-    column and run.  Past a run's end r holds -0.0, and x + (-0.0) = x for
-    every x, so a pad changes no sum (a +0.0 pad would turn a sum of -0.0
-    into +0.0).  Longer runs, whose pairwise sum of 8 or more terms uses
-    8 accumulators, keep reduceat (slots None), and so do a convex
-    combination's own call and images(): at their few short runs of
-    n <= 50 reduceat makes fewer numpy calls than the slots would.
+    corr holds one weighted correction per row, (T_i x - x) * w_i, for the
+    members that move x: an ellipsoid projection's exterior row (interior
+    rows project to x and are left out), or a member that is called as it
+    is.  owners lists the operator of each row, and each operator's rows
+    are consecutive, in member order.  One np.add.reduceat over the runs of
+    equal owner sums them: ops lists the operators in row order, and
+    sums[j] = D_j, operator ops[j]'s sum.  Rows of a batch never interact
+    and a run's sum depends on its rows only, so a plan, a combination's
+    own call and images() give each combination the same bits.  When every
+    run is one row, the sums are corr itself, as reduceat would copy it.
+    Its image is x + D_j, or x itself, its signs of zero included, when no
+    member moves x.  x + sum_i w_i (T_i x - x) equals sum_i w_i T_i x only when
+    the weights sum to one exactly; they are validated to within 1e-12, so
+    the two may differ by that much times |x|, beyond rounding.
     """
-    if slots is None:
-        return np.add.reduceat(row_weights[:, None] * rows, starts, axis=0)
-    index, weights, pad = slots
-    r = rows.take(index, axis=0)
-    r *= weights
-    r[pad] = -0.0
-    tail = np.add.reduce(r[1:], axis=0, initial=-0.0)
-    return np.add(r[0], tail, out=tail)
+    starts = [k for k, op in enumerate(owners) if not k or op != owners[k - 1]]
+    if len(starts) == len(owners):   # runs of one row: reduceat would copy corr
+        return owners, corr
+    return [owners[k] for k in starts], np.add.reduceat(corr, starts, axis=0)
 
 
 def _stacked_rows(op):
@@ -308,68 +295,90 @@ class EvaluationPlan:
     EllipsoidStack; each convex combination of ellipsoid projections owns
     a run of consecutive rows (one per member) and its weights.  The stack
     is built straight from those member ellipsoids, at any size.  A call
-    at one point shared by every operator projects all rows in one stacked
-    solve, as one stride-0 view of the point, and sums the runs in one
-    segmented sum; operators of other kinds are called as they are.  Every
-    solver call is such a call: ppm's iterates are points, and the lifted
-    crm's are diagonal (BlockOperator).  A call with one point per
+    at one point x shared by every operator projects all rows in one
+    stacked solve (kkt_exterior_stacked), as one stride-0 view of the
+    point, and works with the exterior rows only: every interior row's
+    projection is x.  Operators of other kinds are called as they are.
+    Every solver call is such a call: ppm's iterates are points, and the
+    lifted crm's are diagonal (BlockOperator).  A call with one point per
     operator is the per-operator loop.  The stack views its members' eig()
     caches when they are consecutive rows of one array, in order, as they
     are for a decomposed instance's operators in order, and copies them
     otherwise (see EllipsoidStack).  Each plan keeps its own anchors.
-    Each image is the same arithmetic on the same values as the operator's
-    own call, so the two agree bit for bit.
+
+    At a shared point, corrections() gives the weighted corrections of the
+    rows that move x (ppm sums them, and a combination's own call weights
+    its members' by its weights), and a call gives the images: a
+    combination's is x + D, D its rows' corrections summed by
+    _correction_sums, an ellipsoid projection's is its projection, a called
+    operator's its own image, and an operator that does not move x gives
+    x's bits.  Each image is the same arithmetic on the same values as the
+    operator's own call, so the two agree bit for bit.
     """
 
     def __init__(self, operators):
         operators = tuple(operators)
         if not operators:
             raise EmptyOperatorList("need at least one operator")
-        n = operators[0].dim
-        parts = {}  # operator index -> (member ellipsoids, weights)
-        for i, op in enumerate(operators):
-            part = _stacked_rows(op)
-            if part is not None:
-                parts[i] = part
-        members = [e for es, _ in parts.values() for e in es]
-        row_weights = [np.ones(1) if w is None else w for _, w in parts.values()]
-        self.operators = operators
-        self.dim = n
-        self.stack = EllipsoidStack(members) if members else None
-        self.fused = np.array(list(parts), dtype=int)
-        counts = np.array([len(w) for w in row_weights], dtype=int)
-        self.starts = np.cumsum(counts) - counts
-        self.row_weights = np.concatenate(row_weights) if parts else None
-        self.slots = _slots(counts, self.row_weights) if parts else None
+        # operator index -> (member ellipsoids, weights), for every stacked operator
+        parts = {i: part for i, op in enumerate(operators) if (part := _stacked_rows(op))}
+        counts = [len(es) for es, _ in parts.values()]
+        self.operators, self.dim = operators, operators[0].dim
+        self.stack = EllipsoidStack([e for es, _ in parts.values() for e in es]) if parts else None
         self.called = [i for i in range(len(operators)) if i not in parts]
-        # Every operator is one stacked row: the projected rows are the images.
-        self.one_row_each = not self.called and all(w is None for _, w in parts.values())
+        # The operator of each row: the stack's rows, then one per called
+        # operator.  Stack rows carry weights (1.0 for a lone projection).
+        self.owner = np.concatenate([np.repeat(list(parts), counts), self.called]).astype(int)
+        self.row_weights = np.concatenate([np.ones(1) if w is None else w
+                                           for _, w in parts.values()] or [np.ones(0)])
+        # Stack rows that are a whole operator, whose image is the row's
+        # projection: a mask, or None when there are none.
+        lone = np.repeat([w is None for _, w in parts.values()], counts).astype(bool)
+        self.lone_rows = lone if lone.any() else None
+
+    def _exterior(self, x):
+        """(idx, proj): the stack's exterior rows at the shared point x and
+        their projections (kkt_exterior_stacked)."""
+        if self.stack is None:
+            return np.zeros(0, dtype=int), np.empty((0, self.dim))
+        return kkt_exterior_stacked(self.stack, np.broadcast_to(x, (len(self.stack), self.dim)),
+                                    KKT_TOL)
+
+    def corrections(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, corr) at one point x shared by every operator: the rows
+        that move x, the stack's exterior rows ascending and then one row
+        per called operator, and their weighted corrections (T x - x) * w
+        (weight 1 for a called operator or a lone projection).  owner[rows]
+        are their operators; _correction_sums gives each operator's D."""
+        x = _check_vec(x, self.dim)
+        idx, proj = self._exterior(x)
+        corr = (proj - x) * self.row_weights[idx][:, None]
+        if not self.called:
+            return idx, corr
+        images = np.stack([self.operators[i](x) for i in self.called])
+        return (np.concatenate((idx, np.arange(len(self.row_weights), len(self.owner)))),
+                np.concatenate((corr, images - x)))
 
     def __call__(self, points) -> np.ndarray:
         """Images, one row per operator: all at one shared point (a vector),
-        fused as above, or operator i at points[i], by the per-operator
-        loop, which gives the same bits.  The result is a fresh array the
-        plan keeps no reference to: where every operator is fused, the
-        stacked solve's or the segmented sum's own, with no scatter."""
+        as above, or operator i at points[i], by the per-operator loop,
+        which gives the same bits.  The result is a fresh array the plan
+        keeps no reference to."""
         points = np.asarray(points, dtype=float)
         if points.shape == (len(self.operators), self.dim):
             return np.stack([op(x) for op, x in zip(self.operators, points)])
         if points.shape != (self.dim,):
             raise DimensionMismatch(f"points have shape {points.shape}, expected ({self.dim},)"
                                     f" or ({len(self.operators)}, {self.dim})")
-        sums = None
-        if self.stack is not None:
-            rows = np.broadcast_to(points, (len(self.stack), self.dim))
-            proj = kkt_project_stacked(self.stack, rows, KKT_TOL)
-            if self.one_row_each:
-                return proj
-            sums = _segment_sums(self.row_weights, proj, self.starts, self.slots)
-            if not self.called:
-                # The fused operators are every operator, in order.
-                return sums
-        out = np.empty((len(self.operators), self.dim))
-        if sums is not None:
-            out[self.fused] = sums
+        idx, proj = self._exterior(points)
+        out = points[None, :].repeat(len(self.operators), axis=0)
+        if len(idx):
+            corr = (proj - points) * self.row_weights[idx][:, None]
+            ops, sums = _correction_sums(self.owner[idx].tolist(), corr)
+            out[ops] = np.add(points, sums, out=sums)
+            if self.lone_rows is not None:
+                lone = self.lone_rows[idx]
+                out[self.owner[idx[lone]]] = proj[lone]
         for i in self.called:
             out[i] = self.operators[i](points)
         return out
@@ -388,32 +397,40 @@ def apply_each(operators, points) -> list[np.ndarray]:
 def images(operator, points) -> np.ndarray:
     """operator at every row of points, exactly np.stack([operator(x) for x in points]).
 
-    A fused operator, an ellipsoid projection (its own one-row stack) or a
-    convex combination whose plan is one stack of J members, projects the
-    k * J rows np.repeat(points, J, axis=0) in one stacked solve on a
-    k-fold tile of that stack; a combination then sums each run of J rows
-    with reduceat, as its own call does.  Rows of a batch never interact
-    and each run's sum depends only on its rows, so both equal the
-    per-point loop bit for bit.  The tile's rows are not one shared point,
-    so kkt_project_stacked neither screens nor anchors them.  Every other
-    operator (or callable) is called point by point.
+    An ellipsoid projection projects the k points as they are, in one
+    stacked solve on a k-fold tile of its one-row stack.  A convex
+    combination whose plan is one stack of J members projects the k * J
+    rows np.repeat(points, J, axis=0) in one stacked solve on a k-fold tile
+    of that stack, and sums each point's exterior rows by _correction_sums,
+    as its own call does.  Rows of a batch never interact and each run's
+    sum depends only on its rows, so both equal the per-point loop bit for
+    bit.  The tile's rows are not one shared point, so the projector
+    neither screens nor anchors them.  Every other operator (or callable)
+    is called point by point.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.ascontiguousarray(points, dtype=float)
     if len(points) == 0:
         raise ValueError("need at least one point")
-    if isinstance(operator, EllipsoidProjection):
-        stack, weights = operator.stack, None
-    elif isinstance(operator, ConvexCombination) and operator.plan.one_row_each:
-        stack, weights = operator.plan.stack, operator.weights
-    else:
+    if _stacked_rows(operator) is None:
         return np.stack([operator(x) for x in points])
+    lone = isinstance(operator, EllipsoidProjection)
+    stack, weights = (operator.stack, None) if lone else (operator.plan.stack, operator.weights)
     k, size = len(points), len(stack)
     if points.shape != (k, operator.dim):
         raise DimensionMismatch(f"points have shape {points.shape}, expected (k, {operator.dim})")
-    proj = kkt_project_stacked(stack.tile(k), np.repeat(points, size, axis=0), KKT_TOL)
     if weights is None:
-        return proj
-    return _segment_sums(np.tile(weights, k), proj, range(0, k * size, size))
+        return kkt_project_stacked(stack.tile(k), points, KKT_TOL)
+    rows = np.repeat(points, size, axis=0)
+    idx, proj = kkt_exterior_stacked(stack.tile(k), rows, KKT_TOL)
+    # Every row exterior (the checks' case): rows[idx] would copy rows.
+    proj -= rows if len(idx) == len(rows) else rows[idx]
+    proj *= weights[idx % size][:, None]
+    ops, sums = _correction_sums((idx // size).tolist(), proj)
+    if len(ops) == k:
+        return np.add(points, sums, out=sums)
+    out = points.copy()
+    out[ops] += sums
+    return out
 
 
 def _sample_rows(samples) -> np.ndarray:

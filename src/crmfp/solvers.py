@@ -7,8 +7,11 @@ stays in the subspace and never does worse than the alternating step; it
 is computed in closed form, with geometry.circumcenter3 as its test
 oracle.  The circumcenter lies on the line through x and the alternating
 step's point, so one routine (_crm_parts) computes both steps.  ppm
-averages many operators through one EvaluationPlan; spm chains them
-through one Composition.
+averages many operators through one EvaluationPlan: its step is x plus
+(1/p) sum_j D_j, with D_j = T_j x - x in correction form, formed as the
+sum of every row that moves x (EvaluationPlan.corrections: the weighted
+corrections of the exterior rows, in row order), with no (p, n) array;
+spm chains them through one Composition.
 run() is the one implementation of every step: it iterates one with a
 displacement stopping rule, optional distance tracking against a known
 solution, and optional per-iteration checks that raise DiagnosticFailure
@@ -28,7 +31,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from operator import index
 
 import numpy as np
 
@@ -37,9 +39,10 @@ from .errors import (
     EmptyOperatorList,
     InsufficientHistory,
     NotInSubspace,
+    integer,
 )
 from .geometry import circumcenter3  # noqa: F401  (a perfbench trace site)
-from .operators import Composition, EvaluationPlan
+from .operators import Composition, EvaluationPlan, _correction_sums
 from .operators import apply_each  # noqa: F401  (a perfbench trace site)
 from .product_space import BlockOperator, DiagonalSubspace, _DiagonalBlocks, embed
 
@@ -65,7 +68,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
-        self.max_iterations = index(self.max_iterations)   # an integer, or TypeError
+        self.max_iterations = integer(self.max_iterations)   # not a bool, or TypeError
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         unknown = set(self.diagnostics) - set(_DIAGNOSTICS)
@@ -81,7 +84,11 @@ class IterationTrace:
     length is the iteration count); fixed_point_residuals holds
     ||x_k - T(x_k)|| where the step evaluates a single operator, else the
     displacement again.  dist_history, present when a solution was supplied,
-    starts at the initial point (length iterations + 1).
+    starts at the initial point (length iterations + 1).  certificate is
+    max_j ||T_j x - x|| over the operators at the last point a step
+    evaluated, for ppm (its operators) and for map and crm (the rows of
+    T(x) - x: one per block on the product space, else one), computed once
+    from that step's values after the timed loop; None for spm.
     """
 
     iterations: int
@@ -91,6 +98,7 @@ class IterationTrace:
     final_point: np.ndarray
     dist_history: list[float] | None = None
     elapsed_s: float = 0.0
+    certificate: float | None = None
 
 
 @dataclass
@@ -290,8 +298,9 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
             raw = _circumcenter(x, ptx, a)
             xn = subspace.project(raw)
         elif kind == "ppm":
-            # np.mean's sum and divide, without its Python layers: the same bits.
-            xn = np.add.reduce(plan(x), axis=0) / len(operators)
+            # x plus the mean correction: every row that moves x, in row order.
+            rows, corr = plan.corrections(x)
+            xn = (x + np.add.reduce(corr, axis=0) / len(operators)) if len(rows) else x.copy()
         else:
             xn = chain(x)
 
@@ -321,7 +330,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
 
         if dists is not None:
             dists.append(new_dist)
-        x = xn
+        x, at = xn, x
         if res < cfg.tolerance:
             moved = kind == "crm" and fix_residuals[-1] >= cfg.tolerance
             stop_reason = "inconsistent" if moved else "converged"
@@ -330,6 +339,11 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
             stop_reason = "non-finite"
             break
     elapsed = time.perf_counter() - t0
+    # max_j ||T_j x - x|| at the last point a step evaluated: ppm's D_j, or
+    # the rows of T(x) - x.
+    disp = (_correction_sums(plan.owner[rows].tolist(), corr)[1] if kind == "ppm"
+            else None if kind == "spm" else np.atleast_2d(tx - at))
+    certificate = None if disp is None else math.sqrt((disp * disp).sum(-1).max(initial=0.0))
 
     return IterationTrace(
         iterations=len(residuals),
@@ -339,6 +353,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
         final_point=x if blocks is None else embed(x, blocks.operator.m),
         dist_history=dists,
         elapsed_s=elapsed,
+        certificate=certificate,
     )
 
 

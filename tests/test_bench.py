@@ -202,7 +202,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field, value", [
         ("n_values", (2.7,)), ("p_values", (2, 3.0)), ("replicates", 1.5),
-        ("master_seed", 7.0), ("max_iterations", 2.5),
+        ("master_seed", 7.0), ("max_iterations", 2.5), ("n_values", (True,)),
+        ("replicates", True), ("master_seed", False),
     ])
     def test_non_integral_counts_rejected(self, field, value):
         # A float count is neither truncated nor kept.
@@ -408,3 +409,10 @@ class TestPinnedCounts:
         grid = GridConfig(n_values=(10, 30), p_values=(10, 30), replicates=2)
         got = count_rows(run_experiment(grid))
         assert got == (DATA / "bench_counts_n10-30_p10-30.csv").read_text()
+
+    def test_iterations_and_stop_reasons_of_large_plans(self):
+        # crmfp bench --n 10 30 --p 100 --replicates 2: 8 runs whose plans
+        # hold 400-1000 rows, where the combinations' sums are largest.
+        grid = GridConfig(n_values=(10, 30), p_values=(100,), replicates=2)
+        got = count_rows(run_experiment(grid))
+        assert got == (DATA / "bench_counts_n10-30_p100.csv").read_text()

@@ -59,6 +59,28 @@ class TestInstanceSpec:
         with pytest.raises(TypeError):
             InstanceSpec(**{"n": 2, "p": 2, "seed": 1, field: value})
 
+    @pytest.mark.parametrize("r_range", [(2.5, 3.9), (3, 4.0), (True, 3), ("3",)])
+    def test_non_integral_member_counts_rejected(self, r_range):
+        # Neither truncated ((2.5, 3.9) used to become (2, 3)) nor kept.
+        with pytest.raises(TypeError):
+            InstanceSpec(n=3, p=2, seed=1, r_range=r_range)
+
+    @pytest.mark.parametrize("field", ["n", "p", "seed"])
+    def test_bools_rejected(self, field):
+        # True is not a count of 1.
+        with pytest.raises(TypeError, match="bool"):
+            InstanceSpec(**{"n": 2, "p": 2, "seed": 1, field: True})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("p", 2.0), ("seed", "7"), ("n", True), ("r_range", [2.7]),
+        ("r_range", [3, 4.5]),
+    ])
+    def test_from_dict_runs_the_constructors_check(self, field, value):
+        # A JSON instance file with "n": 2.5 used to load as n = 2.
+        data = {**InstanceSpec(n=3, p=2, seed=1).to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            InstanceSpec.from_dict(data)
+
     def test_numpy_integers_stored_as_int(self):
         spec = InstanceSpec(n=np.int64(3), p=np.uint8(2), seed=np.uint64(2**63 + 5))
         assert (spec.n, spec.p, spec.seed) == (3, 2, 2**63 + 5)

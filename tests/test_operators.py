@@ -40,7 +40,7 @@ from crmfp import (
     translated_projection_deviation,
 )
 from crmfp.ellipsoid import SCREEN_MIN_ENTRIES, Ellipsoid, EllipsoidStack
-from crmfp.operators import SLOT_RUN_MAX, EvaluationPlan, _segment_sums, _slots
+from crmfp.operators import EvaluationPlan, _correction_sums
 from crmfp.product_space import BlockOperator
 
 RT2 = np.sqrt(2.0)
@@ -636,17 +636,20 @@ def assert_matches_member_loop(got, op, x):
     """got equals the reference path, an operator's members applied one by
     one, up to summation order.
 
-    The loop's weights @ images sums the members in another order than an
-    evaluation plan, so a combination may differ in the last bits; the
-    bound, fixed from float64 before measuring, is 8 eps sum_k |w_k|
-    ||y_k||_inf per entry, y_k being member k's image.  Every other kind
-    must agree bit for bit.
+    The loop's weights @ images sums the members' images, and a
+    combination forms x + sum_k w_k (y_k - x), y_k being member k's image.
+    The two agree up to the weights' defect |1 - sum_k w_k| ||x||_inf and
+    the rounding of both forms, which for the 1-4 members drawn here is at
+    most 8 eps (||x||_inf + sum_k |w_k| ||y_k||_inf) per entry, a bound
+    derived from float64 before measuring.  Every other kind must agree
+    bit for bit.
     """
     if not isinstance(op, ConvexCombination):
         np.testing.assert_array_equal(got, op(x))
         return
     images = np.stack([m(x) for m in op.operators])
-    bound = 8 * EPS * float(np.abs(op.weights) @ np.abs(images).max(axis=1))
+    scale = np.abs(x).max() + float(np.abs(op.weights) @ np.abs(images).max(axis=1))
+    bound = abs(1.0 - op.weights.sum()) * np.abs(x).max() + 8 * EPS * scale
     assert np.abs(got - op.weights @ images).max() <= bound
 
 
@@ -921,27 +924,93 @@ def segment_cases(draw):
     return counts, weights, rows.reshape(total, n)
 
 
-class TestSegmentSums:
+def shared_point_operator(draw, rng, n):
+    """A lone ellipsoid projection, a combination of 1-12 of them, or an
+    operator the plans call as it is (a ball or a halfspace)."""
+    kind = draw(st.sampled_from(["ellipsoid", "combination", "ball", "halfspace"]))
+    if kind == "ellipsoid":
+        return EllipsoidProjection(gen_ellipsoid(n, rng))
+    if kind == "ball":
+        return BallProjection(rng.standard_normal(n), float(rng.uniform(0.5, 2.0)))
+    if kind == "halfspace":
+        return HalfspaceProjection(rng.standard_normal(n), float(rng.uniform(0.1, 2.0)))
+    members = [EllipsoidProjection(gen_ellipsoid(n, rng)) for _ in range(draw(st.integers(1, 12)))]
+    weights = rng.uniform(0.1, 1.0, len(members))
+    return ConvexCombination(members, weights / weights.sum())
+
+
+@st.composite
+def shared_point_cases(draw):
+    """(operators, x, points): 1-6 operators on R^n, a shared point x with
+    some entries -0.0, at the origin (every member interior), near it, or
+    far out, and x with three more points for images()."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = [shared_point_operator(draw, rng, n) for _ in range(draw(st.integers(1, 6)))]
+    x = draw(st.sampled_from([0.0, 1e-3, 1.0, 5.0])) * rng.standard_normal(n)
+    x[rng.random(n) < 0.3] = -0.0
+    points = np.concatenate([x[None, :], 10.0 ** rng.uniform(-2, 1, (3, 1)) * rng.standard_normal((3, n))])
+    return ops, x, points
+
+
+class TestFusedEqualsMemberLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_point_cases())
+    def test_plan_and_images_equal_the_loops_bitwise(self, case):
+        ops, x, points = case
+        plan = EvaluationPlan(ops)
+        assert_same_bits(plan(x), np.stack([op(x) for op in ops]))
+        for op in ops:
+            assert_same_bits(images(op, points), np.stack([op(y) for y in points]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_point_cases())
+    def test_combinations_no_member_moves_return_x(self, case):
+        # Deep inside every member, x + nothing: x's own bytes, -0.0 included,
+        # where sum_i w_i x could differ from x in the last ulp.
+        ops, x, _ = case
+        images_at_x = EvaluationPlan(ops)(x)
+        for op, image in zip(ops, images_at_x):
+            if isinstance(op, ConvexCombination) and all(
+                    m.ellipsoid.g(x) < -1e-6 for m in op.operators):
+                assert_same_bits(image, x)
+                assert_same_bits(op(x), x)
+
+    @pytest.mark.parametrize("x", [[-0.0, 0.0, -0.0], [-0.0, 1e-3, -3e-4]])
+    def test_an_all_interior_combination_returns_x(self, x):
+        # sum_i w_i x differs from the second x in its last entry, by 5e-20.
+        rng = np.random.default_rng(7)
+        members = [EllipsoidProjection(gen_ellipsoid(3, rng)) for _ in range(5)]
+        op = ConvexCombination(members, [0.1, 0.2, 0.3, 0.15, 0.25])
+        x = np.array(x)
+        assert_same_bits(op(x), x)
+        assert_same_bits(EvaluationPlan([op, op])(x), np.stack([x, x]))
+        assert_same_bits(images(op, x[None, :]), x[None, :])
+
+
+class TestCorrectionSums:
     @settings(max_examples=400, deadline=None)
-    @given(segment_cases())
+    @given(segment_cases(), st.integers(0, 2**32 - 1))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_equals_reduceat_bitwise(self, case):
+    def test_each_run_sums_as_it_would_alone(self, case, seed):
+        # A plan sums every operator's run in one call, a combination's own
+        # call and images() one run at a time; the bits must not notice.
         counts, weights, rows = case
-        starts = np.cumsum(counts) - counts
-        want = np.add.reduceat(weights[:, None] * rows, starts, axis=0)
-        slots = _slots(counts, weights)
-        assert (slots is None) == (max(counts) > SLOT_RUN_MAX)
-        # The gathered layout, or reduceat itself past SLOT_RUN_MAX.
-        assert_same_bits(_segment_sums(weights, rows, starts, slots), want)
+        corr = weights[:, None] * rows
+        owner = np.repeat(np.arange(len(counts)), counts)
+        keep = np.flatnonzero(np.random.default_rng(seed).random(len(rows)) < 0.7)
+        ops, sums = _correction_sums(owner[keep].tolist(), corr[keep])
+        assert ops == sorted(set(owner[keep].tolist()))
+        for op, got in zip(ops, sums):
+            mine = keep[owner[keep] == op]
+            _, want = _correction_sums([op] * len(mine), corr[mine])
+            assert_same_bits(got, want[0])
 
     def test_negative_zero_sums_keep_their_sign(self):
-        # Runs of 1 and 3 rows of -0.0: reduceat gives -0.0 for both, and so
-        # must the slot-wise sum, whose run of 1 is padded by two slots.
-        rows = np.full((4, 2), -0.0)
-        weights = np.ones(4)
-        got = _segment_sums(weights, rows, [0, 1], _slots([1, 3], weights))
+        # Runs of 1 and 3 corrections of -0.0 sum to -0.0.
+        ops, got = _correction_sums([0, 1, 1, 1], np.full((4, 2), -0.0))
+        assert ops == [0, 1]
         assert_same_bits(got, np.full((2, 2), -0.0))
-        assert_same_bits(got, np.add.reduceat(rows, [0, 1], axis=0))
 
 
 def assert_same_bits(got, want):
@@ -965,7 +1034,7 @@ def operator_of_kind(kind, rng, n):
                    for _ in range(int(rng.integers(1, 5)))]
         weights = rng.uniform(0.1, 1.0, len(members))
         op = ConvexCombination(members, weights / weights.sum())
-        assert op.plan.one_row_each
+        assert not op.plan.called
         return op, members[0]
     if kind == "unfused":
         ellipsoid = EllipsoidProjection(gen_ellipsoid(n, rng))
@@ -1037,13 +1106,14 @@ class TestImages:
         rng = np.random.default_rng(41)
         op, _ = operator_of_kind(kind, rng, 5)
         calls = []
-        original = operators_module.kkt_project_stacked
+        # A projection's images are the dense result, a combination's are
+        # summed from the exterior rows: one call of either projector entry.
+        for name in ("kkt_project_stacked", "kkt_exterior_stacked"):
+            def counted(stack, rows, tol, original=getattr(operators_module, name)):
+                calls.append(rows.shape)
+                return original(stack, rows, tol)
 
-        def counted(stack, rows, tol):
-            calls.append(rows.shape)
-            return original(stack, rows, tol)
-
-        monkeypatch.setattr(operators_module, "kkt_project_stacked", counted)
+            monkeypatch.setattr(operators_module, name, counted)
         points = 5.0 * rng.standard_normal((9, 5))
         images(op, points)
         size = 1 if isinstance(op, EllipsoidProjection) else len(op.operators)

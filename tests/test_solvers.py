@@ -92,6 +92,11 @@ class TestSolverConfig:
         with pytest.raises(TypeError):
             SolverConfig(max_iterations=count)
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_bool_max_iterations_rejected(self, count):
+        with pytest.raises(TypeError, match="bool"):
+            SolverConfig(max_iterations=count)
+
     def test_numpy_integer_max_iterations_accepted(self):
         cfg = SolverConfig(max_iterations=np.int64(3))
         assert cfg.max_iterations == 3 and type(cfg.max_iterations) is int
@@ -211,13 +216,14 @@ class TestParallelAndSequentialSteps:
     def test_ppm_from_nan_start_raises_at_once(self, monkeypatch):
         inst = gen_instance(InstanceSpec(n=4, p=3, seed=13))
         calls = []
-        project = operators_module.kkt_project_stacked
+        project = operators_module.kkt_exterior_stacked
 
         def counting(*args):
             calls.append(1)
             return project(*args)
 
-        monkeypatch.setattr(operators_module, "kkt_project_stacked", counting)
+        # The plans' shared-point calls go through the exterior-row projector.
+        monkeypatch.setattr(operators_module, "kkt_exterior_stacked", counting)
         x0 = np.array([np.nan, 0.0, 1.0, 0.0])
         with pytest.raises(RootNotBracketed, match="non-finite"):
             run("ppm", inst.operators, x0, SolverConfig(max_iterations=500))
@@ -622,13 +628,13 @@ class TestProjectorAnchorCache:
         cached = ppm_and_lifted_crm(n, p, seed)
         cached_rotated = sum(rotated)
         rotated.clear()
-        project = operators_module.kkt_project_stacked
+        project = operators_module.kkt_exterior_stacked
 
         def without_anchors(stack, rows, tol):
             stack.tangents = None
             return project(stack, rows, tol)
 
-        monkeypatch.setattr(operators_module, "kkt_project_stacked", without_anchors)
+        monkeypatch.setattr(operators_module, "kkt_exterior_stacked", without_anchors)
         cleared = ppm_and_lifted_crm(n, p, seed)
         assert cached_rotated < sum(rotated)
         assert_same_traces(cached, cleared)
@@ -884,3 +890,51 @@ class TestLiftedBlockPath:
         lifted = run("crm", (block, diag), start, cfg, solution=embed(inst.fixed_point, 3))
         as_block = run("crm", (block, diag), start, cfg, solution=inst.fixed_point)
         assert lifted.dist_history == as_block.dist_history
+
+
+def loop_certificate(operators, x) -> float:
+    """max_j ||T_j x - x||, each operator called on its own."""
+    return max(float(np.linalg.norm(op(x) - x)) for op in operators)
+
+
+class TestCertificate:
+    """IterationTrace.certificate against the per-operator loop at the last
+    point a step evaluated: the final point of the same run one step
+    shorter.  The bound, 1e-12 (1 + ||x||), was fixed before the first run:
+    the correction form and the loop differ by rounding only."""
+
+    @pytest.mark.parametrize("n,p,seed,steps", [(4, 3, 11, 1), (10, 10, 1, 7), (30, 10, 2, 40)])
+    def test_ppm_and_lifted_crm_and_map(self, n, p, seed, steps):
+        inst = gen_instance(InstanceSpec(n=n, p=p, seed=seed))
+        x0 = initial_point(inst)
+        block, diag = BlockOperator(inst.operators), DiagonalSubspace(n, p)
+        for kind, problem, start in [("ppm", inst.operators, x0),
+                                     ("crm", (block, diag), embed(x0, p)),
+                                     ("map", (block, diag), embed(x0, p))]:
+            trace = run(kind, problem, start, SolverConfig(max_iterations=steps))
+            at = start if steps == 1 else run(
+                kind, problem, start, SolverConfig(max_iterations=steps - 1)).final_point
+            at = at if kind == "ppm" else at[0]
+            want = loop_certificate(inst.operators, at)
+            assert abs(trace.certificate - want) <= 1e-12 * (1.0 + np.linalg.norm(at))
+
+    def test_converged_ppm_is_certified_at_its_last_step(self):
+        inst = gen_instance(InstanceSpec(n=4, p=3, seed=11))
+        trace = run("ppm", inst.operators, initial_point(inst))
+        assert trace.stop_reason == "converged"
+        before = run("ppm", inst.operators, initial_point(inst),
+                     SolverConfig(max_iterations=trace.iterations - 1)).final_point
+        want = loop_certificate(inst.operators, before)
+        assert abs(trace.certificate - want) <= 1e-12 * (1.0 + np.linalg.norm(before))
+
+    def test_map_in_r_n_and_none_for_spm(self):
+        op, sub = two_line_problem()
+        x0 = np.array([1.0, 0.0])
+        trace = run("map", (op, sub), x0, SolverConfig(max_iterations=1))
+        assert trace.certificate == np.linalg.norm(op(x0) - x0)
+        assert run("spm", [op], x0, SolverConfig(max_iterations=3)).certificate is None
+
+    def test_ppm_that_moves_nothing_is_certified_zero(self):
+        inst = gen_instance(InstanceSpec(n=4, p=3, seed=11))
+        trace = run("ppm", inst.operators, np.zeros(4))
+        assert (trace.iterations, trace.stop_reason, trace.certificate) == (1, "converged", 0.0)

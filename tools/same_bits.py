@@ -22,8 +22,9 @@ BLAS on one thread, and the child computes one fixed set of items:
   load_instance reads from tests/data/instance_n3_p2_seed7.json, so the
   load path's decomposition is compared too;
 - ppm, the lifted crm and images, as above, on a 10x6 instance whose
-  combinations have 1, 9 or 12 members (seed 3), so one-member runs and
-  runs too long for the slot-wise segmented sum are compared too;
+  combinations have 1, 9 or 12 members (seed 3), so one-member
+  combinations and long runs of exterior members' corrections are
+  compared too;
 - firm_nonexpansiveness_slack and gradient_check on each instance's first
   combination and first member;
 - the bytes of every member's A on the 10x10 and 100x30 instances of seed

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DiagnosticFailure, EmptyGroup, integer
+from .errors import DiagnosticFailure, EmptyGroup, count, counts, positive
 from .instance_gen import FppInstance, InstanceSpec, gen_instance, initial_point
 from .product_space import BlockOperator, DiagonalSubspace, embed
 from .solvers import SolverConfig, run
@@ -71,18 +71,12 @@ class GridConfig:
     diagnostics: bool = True
 
     def __post_init__(self):
-        # Counts are integers (numpy's too, not bools); anything else raises
-        # TypeError (errors.integer).
-        self.n_values = tuple(map(integer, self.n_values))
-        self.p_values = tuple(map(integer, self.p_values))
-        self.replicates, self.master_seed = integer(self.replicates), integer(self.master_seed)
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if any(v < 1 for v in self.n_values + self.p_values):
-            raise ValueError("grid sizes n and p must be positive")
-        SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
+        self.n_values = counts("n_values", self.n_values, 1)
+        self.p_values = counts("p_values", self.p_values, 1)
+        self.replicates = count("replicates", self.replicates, 1)
+        self.master_seed = count("master_seed", self.master_seed, 0)
+        self.tolerance = positive("tolerance", self.tolerance)
+        self.max_iterations = count("max_iterations", self.max_iterations, 1)
 
 
 def derive_seed(master_seed: int, n: int, p: int, replicate: int) -> int:
@@ -149,8 +143,10 @@ def run_experiment(grid: GridConfig, workers: int = 1) -> list[RunResult]:
     Cells are independent; with workers > 1 they are spread over processes.
     They are handed out in decreasing n * p order, so the most expensive
     cells start first instead of running alone at the tail.  Results (all
-    but wall times) are identical for any worker count.
+    but wall times) are identical for any worker count.  workers is a count
+    of at least 1, checked before any cell runs.
     """
+    workers = count("workers", workers, 1)
     cells = sorted(
         ((grid, n, p, r) for n in grid.n_values for p in grid.p_values
          for r in range(grid.replicates)),

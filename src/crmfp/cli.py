@@ -143,8 +143,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.workers < 1:
-        raise UsageError("workers must be at least 1")
     grid = _config(
         GridConfig,
         n_values=tuple(args.n),
@@ -155,7 +153,7 @@ def _cmd_bench(args) -> int:
         max_iterations=args.max_iter,
         diagnostics=args.diagnostics,
     )
-    results = run_experiment(grid, workers=args.workers)
+    results = _config(run_experiment, grid=grid, workers=args.workers)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     export(results, out / "results.csv")

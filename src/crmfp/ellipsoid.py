@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, RootNotBracketed, integer
+from .errors import DimensionMismatch, RootNotBracketed, count, numeric, positive, vector
 
 # Inner root-find residual: |g| <= INNER_G_RTOL * (1 + |alpha|).
 INNER_G_RTOL = 1e-12
@@ -130,21 +130,17 @@ class Ellipsoid:
     """
 
     def __init__(self, A, b, alpha: float):
-        A = np.asarray(A, dtype=float)
-        b = np.array(b, dtype=float)
-        alpha = float(alpha)
+        A, b, alpha = numeric("A", A), vector("b", b), positive("alpha", alpha)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise DimensionMismatch(
                 f"b has shape {b.shape}, expected ({A.shape[0]},)"
             )
-        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(alpha)):
-            raise ValueError("ellipsoid data must be finite")
+        if not np.isfinite(A).all():
+            raise ValueError("A must be finite")
         if np.abs(A - A.T).max() > 1e-12:
             raise ValueError("A must be symmetric (max |A - A'| <= 1e-12)")
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive (the origin must be interior)")
         flat = np.ascontiguousarray(A).ravel()
         self._n = A.shape[0]
         # Every entry whose bits are not those of +0.0 (so -0.0 is kept), by
@@ -203,8 +199,7 @@ class Ellipsoid:
 
     @classmethod
     def from_dict(cls, data: dict, dim: int) -> "Ellipsoid":
-        A = np.asarray(data["A"], dtype=float).reshape(dim, dim)
-        return cls(A, np.asarray(data["b"], dtype=float), float(data["alpha"]))
+        return cls(np.reshape(data["A"], (dim, dim)), data["b"], data["alpha"])
 
 
 def _pool_size(members: int, n: int) -> int:
@@ -511,12 +506,10 @@ class AdmmConfig:
     penalty: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if integer(self.max_iterations) < 1:   # not a bool, or TypeError
-            raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.penalty < np.inf:
-            raise ValueError("penalty must be positive and finite")
+        # Frozen, so each field is stored as parsed through object.__setattr__.
+        object.__setattr__(self, "tolerance", positive("tolerance", self.tolerance))
+        object.__setattr__(self, "max_iterations", count("max_iterations", self.max_iterations, 1))
+        object.__setattr__(self, "penalty", positive("penalty", self.penalty))
 
 
 @dataclass
@@ -741,7 +734,7 @@ def project_kkt(ellipsoid: Ellipsoid, x, tol: float = KKT_TOL) -> np.ndarray:
     own, so nothing is kept between calls; EllipsoidProjection keeps one
     such stack, and takes the same root-find, with the same bits.
     """
-    x = _check_vec(x, ellipsoid.dim)
+    x, tol = _check_vec(x, ellipsoid.dim), positive("tol", tol)
     return kkt_project_stacked(EllipsoidStack([ellipsoid]), x[None, :], tol)[0]
 
 

@@ -22,23 +22,24 @@ dense A is garbage.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .ellipsoid import Ellipsoid, decompose
-from .errors import CannotExitSets, integer
+from .errors import CannotExitSets, count, counts, positive, real
 from .operators import ConvexCombination, EllipsoidProjection
 
 
-def _check_gamma_and_density(gamma: float, density: float) -> None:
-    """The rules on an ellipsoid's curvature floor gamma and fill ratio
-    density, which InstanceSpec and gen_ellipsoid both apply before any
-    draw; NaN fails both comparisons."""
-    if not 0.0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
+def _gamma_and_density(n: int, gamma, density) -> tuple[float, float]:
+    """An ellipsoid's curvature floor gamma and fill ratio density (None:
+    2/n, capped at 1) as floats, by the rules InstanceSpec and
+    gen_ellipsoid both apply before any draw; NaN fails both."""
+    gamma = positive("gamma", gamma)
+    density = min(1.0, 2.0 / n) if density is None else real("density", density)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
+    return gamma, density
 
 
 @dataclass
@@ -59,19 +60,11 @@ class InstanceSpec:
     eta: float = -5.0
 
     def __post_init__(self):
-        # Counts and the seed are integers (numpy's too, not bools); anything
-        # else raises TypeError (errors.integer).
-        self.n, self.p, self.seed = integer(self.n), integer(self.p), integer(self.seed)
-        if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.density is None:
-            self.density = min(1.0, 2.0 / self.n)
-        _check_gamma_and_density(self.gamma, self.density)
-        self.r_range = tuple(map(integer, self.r_range))
-        if not self.r_range or any(r < 1 for r in self.r_range):
-            raise ValueError("r_range must hold positive member counts")
+        self.n, self.p = count("n", self.n, 1), count("p", self.p, 1)
+        self.seed = count("seed", self.seed, 0)
+        self.gamma, self.density = _gamma_and_density(self.n, self.gamma, self.density)
+        self.r_range = counts("r_range", self.r_range, 1)
+        self.eta = real("eta", self.eta)
         if not -np.inf < self.eta < 0.0:
             raise ValueError("eta must be negative and finite")
 
@@ -80,10 +73,13 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InstanceSpec":
-        # The counts and the seed are read by the constructor's own check.
-        parsers = {"n": integer, "p": integer, "seed": integer, "gamma": float, "density": float,
-                   "r_range": lambda rs: tuple(map(integer, rs)), "eta": float}
-        return cls(**{name: _field(data, name, parse) for name, parse in parsers.items()})
+        """The spec of data's fields, each read once, by the constructor's
+        check; a field of the wrong type raises ValueError, as a missing one does."""
+        values = {f.name: _field(data, f.name, lambda value: value) for f in fields(cls)}
+        try:
+            return cls(**values)
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
 
 
 def _field(data, key, convert):
@@ -173,9 +169,8 @@ def gen_ellipsoid(n: int, rng: np.random.Generator, gamma: float = 1.0,
     rules, checked before anything is drawn, so a rejected call leaves rng
     as it was.
     """
-    density = min(1.0, 2.0 / n) if density is None else density
-    _check_gamma_and_density(gamma, density)
-    return _draw_ellipsoid(n, rng, gamma, density)()
+    n = count("n", n, 1)
+    return _draw_ellipsoid(n, rng, *_gamma_and_density(n, gamma, density))()
 
 
 def gen_operator(n: int, rng: np.random.Generator, spec: InstanceSpec) -> ConvexCombination:

@@ -24,8 +24,11 @@ goes through the per-operator loop.
 At a shared point x every interior row projects to x, so a plan works
 with the exterior rows only.  Every convex combination is evaluated in
 one correction form, T x = x + D, where D sums the weighted corrections
-(T_i x - x) * w_i of the members that move x, in member order, by one
-routine (_correction_sums, whose docstring states the order); a
+(T_i x - x) * w_i of the members that move x, by one routine
+(_correction_sums, whose docstring states the order: the ellipsoid
+projections' exterior rows, then the members called as they are, each in
+member order, so a combination of ellipsoid projections alone sums in
+member order); a
 combination no member moves returns x itself.  A plan, a combination's
 own call and images() all take that form and that routine, and rows of
 a batch never interact, so a plan returns exactly what
@@ -44,7 +47,8 @@ import numpy as np
 from .ellipsoid import (KKT_TOL, Ellipsoid, EllipsoidStack, _check_vec, kkt_exterior_stacked,
                         kkt_project_stacked)
 from .ellipsoid import admm_project_stacked  # noqa: F401  (a perfbench trace site)
-from .errors import DimensionMismatch, EmptyOperatorList, InvalidWeight
+from .errors import (DimensionMismatch, InvalidWeight, count, numeric, operator_list, positive,
+                     real, vector)
 
 
 class Identity:
@@ -53,7 +57,7 @@ class Identity:
     kind = "identity"
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = count("dim", dim, 1)
 
     def __call__(self, x) -> np.ndarray:
         return _check_vec(x, self.dim).copy()
@@ -65,13 +69,11 @@ class HalfspaceProjection:
     kind = "halfspace-projection"
 
     def __init__(self, normal, offset: float):
-        normal = np.array(normal, dtype=float)
-        if normal.ndim != 1 or not np.isfinite(normal).all():
-            raise ValueError("normal must be a finite vector")
+        normal = vector("normal", normal)
         sq = float(normal @ normal)
         if sq == 0.0:
             raise ValueError("normal must be nonzero")
-        offset = float(offset)
+        offset = real("offset", offset)
         if not np.isfinite(offset):
             raise ValueError("offset must be finite")
         self.normal = normal
@@ -91,10 +93,7 @@ class AffineSubspace:
     """Affine subspace anchor + span(basis rows); basis rows are orthonormal."""
 
     def __init__(self, anchor, basis):
-        anchor = np.array(anchor, dtype=float)
-        basis = np.array(basis, dtype=float)
-        if anchor.ndim != 1 or not np.isfinite(anchor).all():
-            raise ValueError("anchor must be a finite vector")
+        anchor, basis = vector("anchor", anchor), np.array(numeric("basis", basis))
         if basis.ndim != 2 or basis.shape[1] != anchor.shape[0]:
             raise DimensionMismatch(
                 f"basis shape {basis.shape} does not match anchor dimension {anchor.shape[0]}"
@@ -139,15 +138,8 @@ class BallProjection:
     kind = "ball-projection"
 
     def __init__(self, center, radius: float):
-        center = np.array(center, dtype=float)
-        radius = float(radius)
-        if center.ndim != 1 or not np.isfinite(center).all():
-            raise ValueError("center must be a finite vector")
-        if not 0.0 < radius < np.inf:
-            raise ValueError("radius must be positive and finite")
-        self.center = center
-        self.radius = radius
-        self.dim = center.shape[0]
+        self.center, self.radius = vector("center", center), positive("radius", radius)
+        self.dim = self.center.shape[0]
 
     def __call__(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim)
@@ -196,10 +188,8 @@ class ConvexCombination:
     kind = "convex-combination"
 
     def __init__(self, operators, weights):
-        operators = tuple(operators)
-        if not operators:
-            raise EmptyOperatorList("convex combination needs at least one operator")
-        weights = np.array(weights, dtype=float)
+        operators, dim = operator_list("convex combination", operators)
+        weights = np.array(numeric("weights", weights))
         if weights.shape != (len(operators),):
             raise InvalidWeight(
                 f"{len(operators)} operators but weight shape {weights.shape}"
@@ -208,9 +198,6 @@ class ConvexCombination:
             raise InvalidWeight("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise InvalidWeight("weights must sum to one within 1e-12")
-        dim = operators[0].dim
-        if any(op.dim != dim for op in operators):
-            raise DimensionMismatch("combined operators must share one dimension")
         self.operators = operators
         self.weights = weights
         self.dim = dim
@@ -236,14 +223,7 @@ class Composition:
     kind = "composition"
 
     def __init__(self, operators):
-        operators = tuple(operators)
-        if not operators:
-            raise EmptyOperatorList("composition needs at least one operator")
-        dim = operators[0].dim
-        if any(op.dim != dim for op in operators):
-            raise DimensionMismatch("composed operators must share one dimension")
-        self.operators = operators
-        self.dim = dim
+        self.operators, self.dim = operator_list("composition", operators)
 
     def __call__(self, x) -> np.ndarray:
         x = _check_vec(x, self.dim).copy()
@@ -259,7 +239,13 @@ def _correction_sums(owners, corr):
     members that move x: an ellipsoid projection's exterior row (interior
     rows project to x and are left out), or a member that is called as it
     is.  owners lists the operator of each row, and each operator's rows
-    are consecutive, in member order.  One np.add.reduceat over the runs of
+    are consecutive, in EvaluationPlan.corrections' row order: its
+    ellipsoid projections' exterior rows in member order, then the members
+    it calls as they are, in member order.  So a combination of ellipsoid
+    projections alone, as every generated one is, sums in member order,
+    and a mixed one sums its ellipsoid rows first: ConvexCombination([ball,
+    ellipsoid projection], w) adds the ellipsoid's correction, then the
+    ball's.  One np.add.reduceat over the runs of
     equal owner sums them: ops lists the operators in row order, and
     sums[j] = D_j, operator ops[j]'s sum.  Rows of a batch never interact
     and a run's sum depends on its rows only, so a plan, a combination's
@@ -317,13 +303,11 @@ class EvaluationPlan:
     """
 
     def __init__(self, operators):
-        operators = tuple(operators)
-        if not operators:
-            raise EmptyOperatorList("need at least one operator")
+        operators, dim = operator_list("evaluation plan", operators)
         # operator index -> (member ellipsoids, weights), for every stacked operator
         parts = {i: part for i, op in enumerate(operators) if (part := _stacked_rows(op))}
         counts = [len(es) for es, _ in parts.values()]
-        self.operators, self.dim = operators, operators[0].dim
+        self.operators, self.dim = operators, dim
         self.stack = EllipsoidStack([e for es, _ in parts.values() for e in es]) if parts else None
         self.called = [i for i in range(len(operators)) if i not in parts]
         # The operator of each row: the stack's rows, then one per called
@@ -486,6 +470,14 @@ def fixed_point_residual(operator, x) -> float:
     return float(np.linalg.norm(x - np.asarray(operator(x), dtype=float)))
 
 
+def _mix_weight(weight) -> float:
+    """weight as a float strictly between 0 and 1, or InvalidWeight."""
+    weight = real("weight", weight)
+    if not 0.0 < weight < 1.0:
+        raise InvalidWeight("weight must lie strictly between 0 and 1")
+    return weight
+
+
 def translated_projection_deviation(projection, shift, weight: float, samples) -> float:
     """How far (1-w) P_C + w P_{C+shift} is from the projection onto C + w*shift.
 
@@ -493,8 +485,7 @@ def translated_projection_deviation(projection, shift, weight: float, samples) -
     positive deviations witness that the combination is not that projection.
     samples is any iterable of points, at least one.
     """
-    if not 0.0 < weight < 1.0:
-        raise InvalidWeight("weight must lie strictly between 0 and 1")
+    weight = _mix_weight(weight)
     shifted = translate(projection, shift)
     target = translate(projection, weight * np.asarray(shift, dtype=float))
     xs = _sample_rows(samples)
@@ -512,8 +503,7 @@ def fixed_set_witness_check(proj_a, proj_b, u, v, weight: float) -> tuple[float,
     max(||P_A(w) - u||, ||P_B(w) - v||)).  Both vanish when (u, v) realizes
     the distance between the two sets.
     """
-    if not 0.0 < weight < 1.0:
-        raise InvalidWeight("weight must lie strictly between 0 and 1")
+    weight = _mix_weight(weight)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w = (1.0 - weight) * u + weight * v
@@ -537,8 +527,7 @@ def idempotence_violation_search(operator, samples) -> float:
 def gradient_check(projection, x, h: float = 1e-5) -> float:
     """Relative gap between the finite-difference gradient of the squared
     distance to the set and its closed form 2 (x - P(x))."""
-    if not 0.0 < h < np.inf:
-        raise ValueError("h must be positive and finite")
+    h = positive("h", h)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     steps = h * np.eye(n)

@@ -19,12 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BlockCountMismatch,
-    DimensionMismatch,
-    EmptyOperatorList,
-    NotDiagonal,
-)
+from .errors import (BlockCountMismatch, DimensionMismatch, NotDiagonal, count, operator_list,
+                     real)
 from .operators import EvaluationPlan, apply_each  # noqa: F401  (a perfbench trace site)
 
 
@@ -47,9 +43,7 @@ def embed(x, m: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
-    if m < 1:
-        raise ValueError("need at least one block")
-    return np.tile(x, (m, 1))
+    return np.tile(x, (count("m", m, 1), 1))
 
 
 def extract(x, tol: float = 1e-9) -> np.ndarray:
@@ -60,7 +54,7 @@ def extract(x, tol: float = 1e-9) -> np.ndarray:
     than tol, which may be inf but not NaN.  A bitwise-diagonal point
     round-trips exactly, infinite entries included.
     """
-    if not tol >= 0.0:
+    if not real("tol", tol) >= 0.0:
         raise ValueError("tol must be nonnegative")
     x = _check_lifted(x)
     if _is_diagonal(x):
@@ -96,10 +90,7 @@ class DiagonalSubspace:
     """Diagonal {(x, ..., x)} of the m-fold product of R^n."""
 
     def __init__(self, n: int, m: int):
-        if n < 1 or m < 1:
-            raise ValueError("n and m must be positive")
-        self.n = int(n)
-        self.m = int(m)
+        self.n, self.m = count("n", n, 1), count("m", m, 1)
         self.dim = (self.m, self.n)
 
     def project(self, x) -> np.ndarray:
@@ -116,15 +107,8 @@ class BlockOperator:
     kind = "lifted"
 
     def __init__(self, operators):
-        operators = tuple(operators)
-        if not operators:
-            raise EmptyOperatorList("need at least one operator")
-        n = operators[0].dim
-        if any(op.dim != n for op in operators):
-            raise DimensionMismatch("block operators must share one dimension")
-        self.operators = operators
-        self.n = n
-        self.m = len(operators)
+        self.operators, self.n = operator_list("block operator", operators)
+        self.m = len(self.operators)
         self.dim = (self.m, self.n)
 
     @cached_property

@@ -34,13 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (
-    DiagnosticFailure,
-    EmptyOperatorList,
-    InsufficientHistory,
-    NotInSubspace,
-    integer,
-)
+from .errors import (DiagnosticFailure, InsufficientHistory, NotInSubspace, count, operator_list,
+                     positive)
 from .geometry import circumcenter3  # noqa: F401  (a perfbench trace site)
 from .operators import Composition, EvaluationPlan, _correction_sums
 from .operators import apply_each  # noqa: F401  (a perfbench trace site)
@@ -66,11 +61,8 @@ class SolverConfig:
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
-            raise ValueError("tolerance must be positive and finite")
-        self.max_iterations = integer(self.max_iterations)   # not a bool, or TypeError
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        self.tolerance = positive("tolerance", self.tolerance)
+        self.max_iterations = count("max_iterations", self.max_iterations, 1)
         unknown = set(self.diagnostics) - set(_DIAGNOSTICS)
         if unknown:
             raise ValueError(f"unknown diagnostics: {sorted(unknown)}")
@@ -250,9 +242,7 @@ def run(kind, problem, x0, cfg: SolverConfig | None = None, solution=None) -> It
     if kind in ("map", "crm"):
         operator, subspace = problem
     else:
-        operators = list(problem)
-        if not operators:
-            raise EmptyOperatorList(f"{kind} needs at least one operator")
+        operators, _ = operator_list(kind, problem)
 
     x = np.asarray(x0, dtype=float).copy()
     blocks = None

@@ -78,8 +78,20 @@ class TestInstanceSpec:
     def test_from_dict_runs_the_constructors_check(self, field, value):
         # A JSON instance file with "n": 2.5 used to load as n = 2.
         data = {**InstanceSpec(n=3, p=2, seed=1).to_dict(), field: value}
-        with pytest.raises(ValueError, match=f"^{field}: "):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             InstanceSpec.from_dict(data)
+
+    def test_numpy_numbers_round_trip_as_python_numbers(self, tmp_path):
+        # gamma used to stay np.float64, and gamma=True to be written as true.
+        spec = InstanceSpec(n=np.int64(3), p=2, seed=1, gamma=np.float64(2.0))
+        plain = InstanceSpec(n=3, p=2, seed=1, gamma=2.0)
+        assert spec.to_dict() == plain.to_dict()
+        assert [type(v) for v in spec.to_dict().values()] == [
+            type(v) for v in plain.to_dict().values()]
+        assert InstanceSpec.from_dict(spec.to_dict()) == spec
+        for name, s in (("numpy.json", spec), ("plain.json", plain)):
+            save_instance(gen_instance(s, decomposed=False), tmp_path / name)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_numpy_integers_stored_as_int(self):
         spec = InstanceSpec(n=np.int64(3), p=np.uint8(2), seed=np.uint64(2**63 + 5))

@@ -1012,6 +1012,22 @@ class TestCorrectionSums:
         assert ops == [0, 1]
         assert_same_bits(got, np.full((2, 2), -0.0))
 
+    def test_a_mixed_combination_sums_its_ellipsoid_rows_first(self):
+        # The stated order: the ellipsoid projections' exterior rows in
+        # member order, then the members called as they are.  Here member
+        # order would give other bits.
+        ball = BallProjection([3.0, 0.0], 1.0)
+        members = [EllipsoidProjection(Ellipsoid(np.eye(2), np.zeros(2), 1.0)),
+                   EllipsoidProjection(Ellipsoid(np.diag([2.0, 1.0]), [0.1, 0.0], 1.0))]
+        w = np.array([0.3536089218380959, 0.1949960893286504, 0.4513949888332537])
+        c = ConvexCombination([ball, *members], w)
+        x = np.array([1.292263954564938, -2.842747270738213])
+        rows, _ = c.plan.corrections(x)
+        assert c.plan.owner[rows].tolist() == [1, 2, 0]
+        d_ball, d_1, d_2 = ((op(x) - x) * wi for op, wi in zip(c.operators, w))
+        assert_same_bits(c(x), x + ((d_1 + d_2) + d_ball))
+        assert (x + ((d_ball + d_1) + d_2)).tobytes() != c(x).tobytes()
+
 
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
